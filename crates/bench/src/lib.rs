@@ -2,14 +2,17 @@
 //!
 //! Experiment harnesses regenerating every table and figure of the
 //! HawkSet evaluation (§5), plus shared plumbing for the criterion
-//! microbenchmarks. One binary per paper artifact:
+//! microbenchmarks. One binary per paper artifact, plus two for the
+//! design and for CI:
 //!
-//! | binary    | paper artifact | what it prints |
-//! |-----------|----------------|----------------|
-//! | `table2`  | Table 2        | per-app detected races with store/load sites |
-//! | `table3`  | Table 3        | HawkSet vs the observation baseline on Fast-Fair, avg time to race, speedup |
-//! | `table4`  | Table 4        | MR/BR/FP breakdown, IRH on vs off |
-//! | `figure6` | Figure 6       | testing time and peak memory vs workload size |
+//! | binary     | paper artifact | what it prints |
+//! |------------|----------------|----------------|
+//! | `table2`   | Table 2        | per-app detected races with store/load sites |
+//! | `table3`   | Table 3        | HawkSet vs the observation baseline on Fast-Fair, avg time to race, speedup |
+//! | `table4`   | Table 4        | MR/BR/FP breakdown, IRH on vs off |
+//! | `figure6`  | Figure 6       | testing time and peak memory vs workload size |
+//! | `ablation` | DESIGN.md §4/§5 | per-app race counts with IRH, HB, store-store pairing or eADR toggled |
+//! | `smoke`    | —              | pairing speedup at 1 vs N threads, and the per-stage `BENCH_*.json` ratchet |
 //!
 //! Absolute numbers differ from the paper's Optane testbed — the substrate
 //! is a simulator — but the *shapes* (who wins, what the IRH prunes, how

@@ -55,7 +55,7 @@ pub const PRE_CHANGE_PAIRING_EPS: f64 = 1_684_482.0;
 #[derive(Debug, Clone)]
 pub struct StageMeasurement {
     /// Stable stage name
-    /// (`decode` | `memsim` | `irh` | `pairing` | `repair`).
+    /// (`decode` | `memsim` | `irh` | `pairing` | `repair` | `campaign`).
     pub stage: &'static str,
     /// Events processed by the timed work.
     pub events: u64,

@@ -179,7 +179,7 @@ impl Analyzer {
             report.coverage.reason = Some(BudgetExceeded::MemoryBudget);
         }
         if self.cfg.suggest_fixes && !report.races.is_empty() {
-            let fixes = repair::suggest(&view, &access, &report.races, &self.cfg);
+            let fixes = repair::suggest(&view, access, &report.races, &self.cfg);
             if !fixes.is_empty() {
                 report.fixes = Some(repair::FixReport::new(fixes));
             }
@@ -484,7 +484,7 @@ impl Analyzer {
                 memory_budget: self.cfg.budget.memory_budget,
             },
         );
-        let fixes = repair::suggest(&view, &access, &report.races, &self.cfg);
+        let fixes = repair::suggest(&view, access, &report.races, &self.cfg);
         if !fixes.is_empty() {
             report.fixes = Some(repair::FixReport::new(fixes));
         }

@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{line_base, line_of};
-use crate::memsim::patch::{simulate_patched, EventPatch, SyntheticEvent};
+use crate::memsim::patch::{simulate_patched, simulate_patches, EventPatch, SyntheticEvent};
 use crate::memsim::{AccessSet, LoadAccess, SimConfig, StoreWindow};
 use crate::obs::MetricsRegistry;
 use crate::trace::{Event, EventKind, LockId, TraceView};
@@ -177,9 +177,9 @@ impl FixReport {
     }
 }
 
-/// Replay-validation of one proposed patch: replays the analyzed event
-/// stream with the patch applied as synthetic events and re-runs the
-/// pairing analysis under a determinism-preserving copy of `cfg`.
+/// Replay-validation of proposed patches: replays the analyzed event
+/// stream with a patch applied as synthetic events and re-runs the pairing
+/// analysis under a determinism-preserving copy of `cfg`.
 pub struct RepairValidator<'a> {
     view: &'a TraceView<'a>,
     cfg: AnalysisConfig,
@@ -202,95 +202,138 @@ impl<'a> RepairValidator<'a> {
     /// does not exist or has the wrong kind).
     pub fn replay(&self, kind: &FixKind) -> Option<AnalysisReport> {
         let patch = build_patch(self.view, kind)?;
-        let access = simulate_patched(
-            self.view,
-            &patch,
-            &SimConfig {
-                irh: self.cfg.irh,
-                eadr: self.cfg.eadr,
-                threads: self.cfg.threads,
-                memory_budget: self.cfg.budget.memory_budget,
-            },
-        );
-        let reg = MetricsRegistry::new();
-        Some(engine::run_pairing(
-            self.view.stacks,
-            &access,
-            &self.cfg,
-            &reg,
-        ))
+        Some(self.pair(&simulate_patched(self.view, &patch, &self.sim_config())))
     }
 
     /// The full verdict: `true` iff the patched replay no longer reports
     /// `target` and reports no race key outside the baseline set.
     pub fn validates(&self, kind: &FixKind, target: RaceKey) -> bool {
-        match self.replay(kind) {
-            Some(patched) => patched
-                .races
-                .iter()
-                .all(|r| r.key != target && self.baseline.contains(&r.key)),
-            None => false,
+        self.replay(kind)
+            .is_some_and(|patched| self.verdict(&keys(&patched), target))
+    }
+
+    /// [`validates`](Self::validates) for every `(kind, target)` pair, from
+    /// one shared simulation: each distinct patch is replayed once, forked
+    /// from the recorded prefix at its first edit ([`simulate_patches`]).
+    /// A verdict is a pure function of the patched event stream, so the
+    /// results equal the one-by-one verdicts.
+    fn validates_all(&self, candidates: &[(FixKind, RaceKey)]) -> Vec<bool> {
+        // Candidates sharing a patch (a store-anchored flush patches every
+        // store at the anchor's stack) share its replay.
+        let mut patches: Vec<EventPatch> = Vec::new();
+        let slots: Vec<Option<usize>> = candidates
+            .iter()
+            .map(|(kind, _)| {
+                let patch = build_patch(self.view, kind)?;
+                Some(match patches.iter().position(|p| *p == patch) {
+                    Some(i) => i,
+                    None => {
+                        patches.push(patch);
+                        patches.len() - 1
+                    }
+                })
+            })
+            .collect();
+        let mut reported = vec![Vec::new(); patches.len()];
+        simulate_patches(self.view, &patches, &self.sim_config(), |i, access| {
+            reported[i] = keys(&self.pair(&access));
+        });
+        candidates
+            .iter()
+            .zip(slots)
+            .map(|((_, target), slot)| slot.is_some_and(|i| self.verdict(&reported[i], *target)))
+            .collect()
+    }
+
+    fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            irh: self.cfg.irh,
+            eadr: self.cfg.eadr,
+            threads: self.cfg.threads,
+            memory_budget: self.cfg.budget.memory_budget,
         }
     }
+
+    fn pair(&self, access: &AccessSet) -> AnalysisReport {
+        let reg = MetricsRegistry::new();
+        engine::run_pairing(self.view.stacks, access, &self.cfg, &reg)
+    }
+
+    /// The validity rule over a patched replay's race keys.
+    fn verdict(&self, patched: &[RaceKey], target: RaceKey) -> bool {
+        patched
+            .iter()
+            .all(|k| *k != target && self.baseline.contains(k))
+    }
+}
+
+fn keys(report: &AnalysisReport) -> Vec<RaceKey> {
+    report.races.iter().map(|r| r.key).collect()
 }
 
 /// Computes one suggestion per non-store-store race in `races`, each
 /// validated by replay. `access` must be the access set the report was
 /// derived from (the witnesses are matched against it), and `view` the
-/// event stream that produced it.
+/// event stream that produced it. `access` is dropped once the witnesses
+/// are found, before the replays build access sets of their own.
 pub fn suggest(
     view: &TraceView<'_>,
-    access: &AccessSet,
+    access: AccessSet,
     races: &[Race],
     cfg: &AnalysisConfig,
 ) -> Vec<FixSuggestion> {
     if races.is_empty() || cfg.eadr {
         return Vec::new();
     }
-    let validator = RepairValidator::new(view, races, cfg);
-    let mut out = Vec::new();
-    for race in races {
-        if race.store_store {
-            continue;
-        }
-        let Some((win, load)) = find_witness(access, cfg, race) else {
-            continue;
-        };
-        let flush = FixKind::FlushFence {
-            after_seq: win.store_seq,
-            line: line_base(line_of(win.range.start)),
-        };
-        if validator.validates(&flush, race.key) {
-            out.push(FixSuggestion::new(race.key, flush, true));
-            continue;
-        }
-        // The flush alone does not protect the window (no shared lock, no
-        // happens-before). If the store's thread enters a critical section
-        // the loader also uses *after* the store, hoisting that acquisition
-        // over the store gives the window a non-empty effective lockset.
-        let mut fixed = false;
-        for entry in access.locksets.get(load.ls).iter() {
-            let Some(acq_seq) = first_acquire_after(view, win, entry.lock) else {
-                continue;
+    // Plan: each race's candidate shapes in synthesis order — the
+    // flush+fence at the witness store's line, then, since the flush alone
+    // does not protect a window without a shared lock or happens-before,
+    // one lock extension per critical section the loader holds that the
+    // store's thread enters *after* the store (hoisting that acquisition
+    // over the store gives the window a non-empty effective lockset).
+    let plans: Vec<(RaceKey, Vec<FixKind>)> = races
+        .iter()
+        .filter(|race| !race.store_store)
+        .filter_map(|race| {
+            let (win, load) = find_witness(&access, cfg, race)?;
+            let flush = FixKind::FlushFence {
+                after_seq: win.store_seq,
+                line: line_base(line_of(win.range.start)),
             };
-            let ext = FixKind::LockExtension {
-                lock: entry.lock.0,
-                from_seq: acq_seq,
-                to_seq: win.store_seq,
-            };
-            if validator.validates(&ext, race.key) {
-                out.push(FixSuggestion::new(race.key, ext, true));
-                fixed = true;
-                break;
+            let extensions = access.locksets.get(load.ls).iter().filter_map(|entry| {
+                let acq_seq = first_acquire_after(view, win, entry.lock)?;
+                Some(FixKind::LockExtension {
+                    lock: entry.lock.0,
+                    from_seq: acq_seq,
+                    to_seq: win.store_seq,
+                })
+            });
+            Some((race.key, std::iter::once(flush).chain(extensions).collect()))
+        })
+        .collect();
+    drop(access);
+    // Sweep: every shape is replayed — extensions too where the flush
+    // validates — so that all of them share one simulation.
+    let candidates: Vec<(FixKind, RaceKey)> = plans
+        .iter()
+        .flat_map(|(race, shapes)| shapes.iter().map(|kind| (*kind, *race)))
+        .collect();
+    let verdicts = RepairValidator::new(view, races, cfg).validates_all(&candidates);
+    // Assembly: the first shape that validates wins. When none does, the
+    // flush is emitted as a demoted candidate so the race is still
+    // actionable, never as a fix.
+    let mut rest = &verdicts[..];
+    plans
+        .into_iter()
+        .map(|(race, shapes)| {
+            let (oks, next) = rest.split_at(shapes.len());
+            rest = next;
+            match shapes.iter().zip(oks).find(|(_, ok)| **ok) {
+                Some((kind, _)) => FixSuggestion::new(race, *kind, true),
+                None => FixSuggestion::new(race, shapes[0], false),
             }
-        }
-        if !fixed {
-            // Neither shape survives replay: emit the flush as a demoted
-            // candidate so the race is still actionable, never as a fix.
-            out.push(FixSuggestion::new(race.key, flush, false));
-        }
-    }
-    out
+        })
+        .collect()
 }
 
 /// A determinism-preserving copy of `cfg` for the validation replays:
@@ -380,11 +423,11 @@ fn hb_ordered(access: &AccessSet, win: &StoreWindow, ld: &LoadAccess) -> bool {
 /// after its store — the candidate acquisition a [`FixKind::LockExtension`]
 /// hoists.
 fn first_acquire_after(view: &TraceView<'_>, win: &StoreWindow, lock: LockId) -> Option<u64> {
-    view.events.iter().find_map(|ev| {
-        (ev.seq > win.store_seq
-            && ev.tid == win.tid
-            && matches!(ev.kind, EventKind::Acquire { lock: l, .. } if l == lock))
-        .then_some(ev.seq)
+    let from = view.events.seqs().partition_point(|&s| s <= win.store_seq);
+    (from..view.events.len()).find_map(|i| {
+        let ev = view.events.get(i);
+        (ev.tid == win.tid && matches!(ev.kind, EventKind::Acquire { lock: l, .. } if l == lock))
+            .then_some(ev.seq)
     })
 }
 
@@ -573,7 +616,7 @@ mod tests {
                 memory_budget: None,
             },
         );
-        let fixes = suggest(&view, &access, &report.races, &cfg);
+        let fixes = suggest(&view, access, &report.races, &cfg);
         assert_eq!(fixes.len(), 1);
         let fix = &fixes[0];
         assert!(fix.validated, "fig1c is fixable by an in-section flush");
@@ -672,7 +715,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let fixes = suggest(&view, &access, &report.races, &cfg);
+        let fixes = suggest(&view, access, &report.races, &cfg);
         assert_eq!(fixes.len(), 1);
         assert!(!fixes[0].validated);
         assert_eq!(fixes[0].status, FixStatus::Candidate);
@@ -760,7 +803,7 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        let fixes = suggest(&view, &access, &report.races, &cfg);
+        let fixes = suggest(&view, access, &report.races, &cfg);
         assert_eq!(fixes.len(), 1);
         let fix = &fixes[0];
         assert!(fix.validated, "hoisting the acquire must validate");

@@ -75,7 +75,7 @@ impl<T> Interned<T> {
 }
 
 /// A hash-consing table mapping values to dense ids.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Interner<T> {
     values: Vec<T>,
     /// Value → id probe table. Lookup-only (iteration goes through the

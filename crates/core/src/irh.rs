@@ -18,9 +18,8 @@
 //! and reallocated PM stays published, which reproduces the tool's known
 //! limitation on memory-reusing applications such as memcached (§7).
 
-use std::collections::HashMap;
-
 use crate::addr::AddrRange;
+use crate::fxhash::FxHashMap;
 use crate::trace::ThreadId;
 
 /// Per-word publication state.
@@ -33,9 +32,11 @@ enum WordState {
 }
 
 /// Tracks which PM words have become visible to more than one thread.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct PublicationTracker {
-    words: HashMap<u64, WordState>,
+    /// Probe-only (never iterated), so the fast deterministic hasher is
+    /// safe.
+    words: FxHashMap<u64, WordState>,
 }
 
 impl PublicationTracker {

@@ -164,6 +164,7 @@ impl AccessSet {
 }
 
 /// Per-thread simulation state.
+#[derive(Clone)]
 struct ThreadState {
     lockset: Lockset,
     ls_id: LsId,
@@ -176,6 +177,7 @@ struct ThreadState {
 
 /// An open (still unpersisted, not overwritten) piece of a store, confined
 /// to a single cache line.
+#[derive(Clone)]
 struct OpenPiece {
     tid: ThreadId,
     store_seq: u64,
@@ -248,7 +250,7 @@ const PARALLEL_LOCK_OPS: usize = 4096;
 fn lockset_timelines(view: TraceView<'_>, threads: usize) -> Vec<Vec<Lockset>> {
     let mut per_thread: Vec<Vec<LockOp>> = Vec::new();
     let mut total = 0usize;
-    for ev in view.events {
+    for ev in view.events.iter() {
         let op = match &ev.kind {
             EventKind::Acquire { lock, mode } => LockOp::Acquire {
                 lock: *lock,
@@ -334,6 +336,10 @@ pub fn simulate_view(view: TraceView<'_>, cfg: &SimConfig) -> AccessSet {
 /// only in how locksets after lock events are obtained — replayed inline
 /// with per-thread logical clocks instead of precomputed timelines, which
 /// yields the exact same lockset values interned at the exact same points.
+///
+/// Cloning forks the simulation: the clone continues from the same state
+/// as if it had been fed the same event prefix.
+#[derive(Clone)]
 pub struct StreamSimulator {
     core: SimCore,
 }
@@ -368,6 +374,7 @@ impl StreamSimulator {
 }
 
 /// Where the lockset value after a lock event comes from.
+#[derive(Clone)]
 enum LockReplay {
     /// Batch path: timelines precomputed per thread (possibly in
     /// parallel), consumed in trace order.
@@ -386,6 +393,7 @@ enum LockReplay {
 /// between the batch and streaming paths.
 const MEMORY_CHECK_INTERVAL: u64 = 256;
 
+#[derive(Clone)]
 struct SimCore {
     cfg: SimConfig,
     regions: Vec<crate::trace::PmRegion>,

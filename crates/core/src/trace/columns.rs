@@ -391,14 +391,6 @@ impl<'a> EventsView<'a> {
     }
 }
 
-impl IntoIterator for EventsView<'_> {
-    type Item = Event;
-    type IntoIter = std::vec::IntoIter<Event>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,6 +37,17 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> hawkset-core unit tests"
+# The root `cargo test -q` tests only the `hawkset` facade package; the
+# core crate's own unit tests (memsim patch sweep, repair, engine, ...)
+# run here.
+cargo test -q -p hawkset-core
+
+echo "==> e2ebench tests (benchmark unit tests + tiny traced run of every workload)"
+# e2ebench is a workspace of its own, outside the root members, so no
+# workspace-wide command reaches it.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> golden report corpus (byte-for-byte, timing masked)"
 # Explicit step so a corpus failure is unmistakable in the log even
 # though the suite also runs under `cargo test -q` above.

@@ -7,6 +7,9 @@
 //!    patch through [`RepairValidator::replay`]: the targeted race is
 //!    gone and no race key outside the baseline report appears. Status
 //!    demotion is total: `validated` ⟺ `Fix`, otherwise `Candidate`.
+//!    The engine validates all candidates over one shared simulation;
+//!    every verdict, `false` ones included, must equal the one-by-one
+//!    full replay of [`RepairValidator::validates`].
 //! 2. **Rejection of wrong insertion points** — fuzzed patch placements
 //!    that provably cannot repair anything (anchors past the end of the
 //!    trace, flush+fence before any store dirtied the line, lock
@@ -147,6 +150,25 @@ proptest! {
                     s.summary(), r.key
                 );
             }
+        }
+    }
+
+    /// Every verdict equals an independent full replay of its patch: a
+    /// fix is never falsely demoted, and a candidate never falsely
+    /// validated.
+    #[test]
+    fn every_verdict_matches_an_independent_replay(trace in arb_racy_trace()) {
+        let cfg = AnalysisConfig::default();
+        let report = Analyzer::new(cfg.clone()).suggest_fixes(true).run(&trace);
+        let view = TraceView::full(&trace);
+        let validator = RepairValidator::new(&view, &report.races, &cfg);
+        let suggestions = report.fixes.as_ref().map_or(&[][..], |f| &f.suggestions);
+        for s in suggestions {
+            prop_assert_eq!(
+                s.validated,
+                validator.validates(&s.kind, s.race),
+                "verdict of {} disagrees with a full replay", s.summary()
+            );
         }
     }
 
