@@ -22,6 +22,7 @@
 use std::sync::Arc;
 
 use hawkset_core::addr::PmAddr;
+use hawkset_core::hash::fnv1a_u64;
 use hawkset_core::sync_config::SyncConfig;
 use pm_runtime::{run_workers, PmAllocator, PmEnv, PmPool, PmThread};
 use pm_workloads::{Op, Workload, WorkloadSpec};
@@ -141,7 +142,7 @@ impl Apex {
     /// In-node slot prediction: scale the key into the gapped array.
     fn predict_slot(&self, key: u64, cap: u64) -> u64 {
         // Reuse the root model's local density: fold the key into the node.
-        (pm_workloads::zipfian::fnv1a(key) % cap.max(1)).min(cap - 1)
+        (fnv1a_u64(key) % cap.max(1)).min(cap - 1)
     }
 
     /// Lock-free search — the load sites of bugs #19/#20.

@@ -27,6 +27,7 @@
 use std::sync::Arc;
 
 use hawkset_core::addr::PmAddr;
+use hawkset_core::hash::fnv1a_u64;
 use pm_runtime::{run_workers, PmAllocator, PmEnv, PmMutex, PmPool, PmThread};
 use pm_workloads::{memcached_workload, CacheOp};
 
@@ -116,12 +117,12 @@ impl Memcached {
     }
 
     fn bucket_addr(&self, key: u64) -> PmAddr {
-        let b = pm_workloads::zipfian::fnv1a(key) % NBUCKETS;
+        let b = fnv1a_u64(key) % NBUCKETS;
         self.pool.base() + OFF_BUCKETS + b * 8
     }
 
     fn segment(&self, key: u64) -> &PmMutex<()> {
-        let b = pm_workloads::zipfian::fnv1a(key) % NBUCKETS;
+        let b = fnv1a_u64(key) % NBUCKETS;
         &self.segments[(b as usize) % NSEGMENTS]
     }
 

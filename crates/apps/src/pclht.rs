@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hawkset_core::addr::PmAddr;
+use hawkset_core::hash::fnv1a_u64;
 use hawkset_core::sync_config::SyncConfig;
 use pm_runtime::{run_workers, CustomSpinLock, PmAllocator, PmEnv, PmPool, PmThread};
 use pm_workloads::{Op, Workload, WorkloadSpec};
@@ -267,7 +268,7 @@ impl Pclht {
         let _f = t.frame("pclht::table_lookup");
         let table = self.pool.load_u64(t, self.pool.base() + ROOT_PTR_OFF);
         let nbuckets = self.pool.load_u64(t, table + TBL_OFF_NBUCKETS).max(1);
-        let idx = pm_workloads::zipfian::fnv1a(key) % nbuckets;
+        let idx = fnv1a_u64(key) % nbuckets;
         (table, table + TBL_HEADER + idx * BUCKET_SIZE)
     }
 
@@ -439,7 +440,7 @@ impl Pclht {
                         if k != 0 {
                             let v = self.pool.load_u64(t, bucket + OFF_VALS + i * 8);
                             let n = self.pool.load_u64(t, new + TBL_OFF_NBUCKETS).max(1);
-                            let idx = pm_workloads::zipfian::fnv1a(k - 1) % n;
+                            let idx = fnv1a_u64(k - 1) % n;
                             let nh = new + TBL_HEADER + idx * BUCKET_SIZE;
                             self.bucket_insert(t, nh, k - 1, v);
                             self.items.fetch_sub(1, Ordering::Relaxed); // bucket_insert re-counts

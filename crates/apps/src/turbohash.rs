@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hawkset_core::addr::PmAddr;
+use hawkset_core::hash::fnv1a_u64;
 use hawkset_core::sync_config::SyncConfig;
 use pm_runtime::{run_workers, CustomSpinLock, PmEnv, PmPool, PmThread};
 use pm_workloads::{Op, Workload, WorkloadSpec};
@@ -201,7 +202,7 @@ impl TurboHash {
     }
 
     fn home_bucket(&self, key: u64) -> u64 {
-        pm_workloads::zipfian::fnv1a(key) % self.nbuckets
+        fnv1a_u64(key) % self.nbuckets
     }
 
     /// Lock-free probe — the load site of bug #3

@@ -15,12 +15,15 @@
 //! hawkset crashtest <app> [--rounds N] [--crash-points N] [--resume P]
 //! ```
 
+use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use hawkset_core::analysis::checkpoint::{
     config_fingerprint, AnalysisCheckpoint, CheckpointSession,
 };
 use hawkset_core::analysis::{AnalysisConfig, Analyzer, StallInjection, Strictness};
+use hawkset_core::ioplane::{plane_from_env, write_atomic, IoPlane};
 use hawkset_core::trace::io;
 use hawkset_core::{HawkSetError, Trace};
 
@@ -305,6 +308,13 @@ fn flag_value(args: &[String], i: &mut usize, flag: &str) -> Result<u64, String>
         .map_err(|_| format!("{flag} needs an integer, got `{raw}`"))
 }
 
+/// [`flag_value`] for counts stored as `u32`: a larger value is a usage
+/// error, never a silent wrap.
+fn u32_value(args: &[String], i: &mut usize, flag: &str) -> Result<u32, String> {
+    let v = flag_value(args, i, flag)?;
+    u32::try_from(v).map_err(|_| format!("{flag} must be at most {}, got {v}", u32::MAX))
+}
+
 /// Parses `--flag F` / `--flag=F` style floating-point values. Range
 /// checks stay with the caller (config validation), but NaN never parses:
 /// a probability that compares false to everything is a typo, not a knob.
@@ -376,34 +386,48 @@ fn load_trace_salvage(path: &str) -> Result<io::Salvage, HawkSetError> {
     Ok(salvage)
 }
 
-/// Writes `text` to `path` atomically — temp file in the same directory,
-/// then rename — matching the crashtest checkpoint convention, so a
-/// concurrent reader of the metrics file never sees a half-written JSON.
-fn write_text_atomic(path: &str, text: &str) -> std::io::Result<()> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+/// A command's `--metrics PATH` / `--metrics-stderr` destinations.
+#[derive(Default)]
+struct MetricsOut {
+    path: Option<String>,
+    to_stderr: bool,
 }
 
-/// Emits a metrics JSON per the `--metrics` / `--metrics-stderr` flags.
-/// Returns `false` on an unwritable path when `lenient` is off (the
-/// caller aborts with a usage/I-O exit); under `lenient` the failure is a
-/// warning and the run's exit code is unchanged.
-fn emit_metrics(json: &str, path: Option<&str>, to_stderr: bool, lenient: bool, cmd: &str) -> bool {
-    if to_stderr {
-        eprintln!("{json}");
+impl MetricsOut {
+    fn wanted(&self) -> bool {
+        self.to_stderr || self.path.is_some()
     }
-    if let Some(p) = path {
-        if let Err(e) = write_text_atomic(p, json) {
-            if lenient {
-                eprintln!("hawkset {cmd}: warning: cannot write metrics to {p}: {e}");
-            } else {
-                eprintln!("hawkset {cmd}: cannot write metrics to {p}: {e}");
-                return false;
+
+    /// Emits a metrics JSON; the file goes through the one durable write
+    /// (site `metrics`). Returns `false` on a failed file write when
+    /// `lenient` is off (the caller aborts with a usage/I-O exit); under
+    /// `lenient` the failure is a warning and the run's exit code is
+    /// unchanged.
+    fn emit(&self, plane: &dyn IoPlane, json: &str, lenient: bool, cmd: &str) -> bool {
+        if self.to_stderr {
+            eprintln!("{json}");
+        }
+        if let Some(p) = &self.path {
+            if let Err(e) = write_atomic(plane, "metrics", Path::new(p), json.as_bytes()) {
+                if lenient {
+                    eprintln!("hawkset {cmd}: warning: cannot write metrics to {p}: {e}");
+                } else {
+                    eprintln!("hawkset {cmd}: cannot write metrics to {p}: {e}");
+                    return false;
+                }
             }
         }
+        true
     }
-    true
+}
+
+/// The process's I/O plane ([`plane_from_env`]), resolved once per
+/// command; a malformed fault script is a usage error (exit 2).
+fn command_plane(cmd: &str) -> Result<Arc<dyn IoPlane>, ExitCode> {
+    plane_from_env().map_err(|e| {
+        eprintln!("hawkset {cmd}: {e}");
+        ExitCode::from(2)
+    })
 }
 
 fn cmd_analyze(args: &[String]) -> ExitCode {
@@ -411,8 +435,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     let mut cfg = AnalysisConfig::default();
     let mut json = false;
     let mut salvage = false;
-    let mut metrics_path: Option<String> = None;
-    let mut metrics_stderr = false;
+    let mut metrics = MetricsOut::default();
     let mut stream = false;
     let mut checkpoint_path: Option<String> = None;
     let mut resume_path: Option<String> = None;
@@ -431,7 +454,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             "--lenient" => cfg.strictness = Strictness::Lenient,
             "--salvage" => salvage = true,
             "--stream" => stream = true,
-            "--metrics-stderr" => metrics_stderr = true,
+            "--metrics-stderr" => metrics.to_stderr = true,
             flag if flag == "--memory-budget" || flag.starts_with("--memory-budget=") => {
                 match flag_value(args, &mut i, "--memory-budget") {
                     Ok(v) => cfg.budget.memory_budget = Some(v),
@@ -486,7 +509,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             }
             flag if flag == "--metrics" || flag.starts_with("--metrics=") => {
                 match path_value(args, &mut i, "--metrics") {
-                    Ok(p) => metrics_path = Some(p),
+                    Ok(p) => metrics.path = Some(p),
                     Err(e) => {
                         eprintln!("hawkset analyze: {e}");
                         return ExitCode::from(2);
@@ -576,6 +599,10 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             }
         }
     }
+    let plane = match command_plane("analyze") {
+        Ok(p) => p,
+        Err(code) => return code,
+    };
     cfg.interrupt = Some(interrupt::install());
     if streaming {
         return analyze_stream(
@@ -584,8 +611,8 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             json,
             checkpoint_path,
             resume_path,
-            metrics_path,
-            metrics_stderr,
+            &metrics,
+            plane,
         );
     }
     let decode_started = std::time::Instant::now();
@@ -619,19 +646,20 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             s.record_metrics(m);
         }
     }
-    report_exit(&report, trace, json, lenient, metrics_path, metrics_stderr)
+    report_exit(&report, trace, json, lenient, &metrics, plane.as_ref())
 }
 
 /// Streaming `analyze`: chunked ingestion straight into the simulator from
-/// a file or stdin, with optional checkpointing and resume.
+/// a file or stdin, with optional checkpointing (`--checkpoint`) and resume
+/// (`--resume`). Checkpoints and the metrics file go through `plane`.
 fn analyze_stream(
     path: &str,
     mut cfg: AnalysisConfig,
     json: bool,
     checkpoint_path: Option<String>,
     resume_path: Option<String>,
-    metrics_path: Option<String>,
-    metrics_stderr: bool,
+    metrics: &MetricsOut,
+    plane: Arc<dyn IoPlane>,
 ) -> ExitCode {
     use hawkset_core::analysis::BudgetExceeded;
 
@@ -650,7 +678,7 @@ fn analyze_stream(
     // redirects it.
     let session_path = checkpoint_path.or_else(|| resume_path.clone());
     let session = session_path.map(|p| {
-        std::sync::Arc::new(match &prior {
+        let session = match &prior {
             Some(ck) => CheckpointSession::resuming(p.into(), ck.clone(), cfg.checkpoint_every),
             None => CheckpointSession::new(
                 p.into(),
@@ -658,10 +686,11 @@ fn analyze_stream(
                 path.to_string(),
                 cfg.checkpoint_every,
             ),
-        })
+        };
+        Arc::new(session.with_plane(plane.clone()))
     });
     cfg.stream.checkpoint = session.clone();
-    cfg.stream.resume = prior.map(std::sync::Arc::new);
+    cfg.stream.resume = prior.map(Arc::new);
     let suggest = cfg.suggest_fixes;
     let analyzer = Analyzer::new(cfg);
     let result = if path == "-" {
@@ -733,14 +762,7 @@ fn analyze_stream(
             ),
         }
     }
-    report_exit(
-        &report,
-        &header,
-        json,
-        lenient,
-        metrics_path,
-        metrics_stderr,
-    )
+    report_exit(&report, &header, json, lenient, metrics, plane.as_ref())
 }
 
 /// Prints the report (JSON or rendered), emits metrics per the flags, and
@@ -752,8 +774,8 @@ fn report_exit(
     trace: &Trace,
     json: bool,
     lenient: bool,
-    metrics_path: Option<String>,
-    metrics_stderr: bool,
+    metrics: &MetricsOut,
+    plane: &dyn IoPlane,
 ) -> ExitCode {
     if json {
         println!("{}", report.to_json());
@@ -775,19 +797,13 @@ fn report_exit(
             format_duration(s.duration),
         );
     }
-    if metrics_stderr || metrics_path.is_some() {
+    if metrics.wanted() {
         let metrics_json = report
             .metrics
             .as_ref()
             .map(hawkset_core::MetricsSnapshot::to_json)
             .unwrap_or_else(|| "{}".to_string());
-        if !emit_metrics(
-            &metrics_json,
-            metrics_path.as_deref(),
-            metrics_stderr,
-            lenient,
-            "analyze",
-        ) {
+        if !metrics.emit(plane, &metrics_json, lenient, "analyze") {
             return ExitCode::from(2);
         }
     }
@@ -946,20 +962,18 @@ fn cmd_demo(args: &[String]) -> ExitCode {
 
 fn cmd_crashtest(args: &[String]) -> ExitCode {
     use pmrace::{run_crash_campaign, CampaignCheckpoint, CrashCampaignConfig, RoundOutcome};
-    use std::sync::Arc;
 
     let mut app_name = None;
     let mut cfg = CrashCampaignConfig::default();
     let mut json = false;
-    let mut metrics_path: Option<String> = None;
-    let mut metrics_stderr = false;
+    let mut metrics = MetricsOut::default();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         let numeric = |args: &[String], i: &mut usize, flag: &str| flag_value(args, i, flag);
         match a.as_str() {
             "--json" => json = true,
-            "--metrics-stderr" => metrics_stderr = true,
+            "--metrics-stderr" => metrics.to_stderr = true,
             "--suggest-fixes" => cfg.suggest_fixes = true,
             "--steer" => cfg.steer = true,
             flag if flag == "--axes" || flag.starts_with("--axes=") => {
@@ -985,7 +999,7 @@ fn cmd_crashtest(args: &[String]) -> ExitCode {
             }
             flag if flag == "--metrics" || flag.starts_with("--metrics=") => {
                 match path_value(args, &mut i, "--metrics") {
-                    Ok(p) => metrics_path = Some(p),
+                    Ok(p) => metrics.path = Some(p),
                     Err(e) => return crashtest_usage_err(&e),
                 }
             }
@@ -1020,8 +1034,8 @@ fn cmd_crashtest(args: &[String]) -> ExitCode {
                 }
             }
             flag if flag == "--max-retries" || flag.starts_with("--max-retries=") => {
-                match numeric(args, &mut i, "--max-retries") {
-                    Ok(v) => cfg.max_retries = v as u32,
+                match u32_value(args, &mut i, "--max-retries") {
+                    Ok(v) => cfg.max_retries = v,
                     Err(e) => return crashtest_usage_err(&e),
                 }
             }
@@ -1078,6 +1092,10 @@ fn cmd_crashtest(args: &[String]) -> ExitCode {
     if let Err(e) = cfg.validate() {
         return crashtest_usage_err(&e);
     }
+    let plane = match command_plane("crashtest") {
+        Ok(p) => p,
+        Err(code) => return code,
+    };
     if !app.supports_recovery() {
         eprintln!(
             "hawkset crashtest: note: `{}` has no recovery audit; rounds only exercise \
@@ -1179,13 +1197,12 @@ fn cmd_crashtest(args: &[String]) -> ExitCode {
             );
         }
     }
-    if metrics_stderr || metrics_path.is_some() {
+    if metrics.wanted() {
         // Always lenient: losing the metrics file must never change a
         // campaign's exit status.
-        emit_metrics(
+        metrics.emit(
+            plane.as_ref(),
             &result.metrics(&cfg).to_json(),
-            metrics_path.as_deref(),
-            metrics_stderr,
             true,
             "crashtest",
         );
@@ -1310,8 +1327,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 }
             }
             flag if flag == "--max-retries" || flag.starts_with("--max-retries=") => {
-                match flag_value(args, &mut i, "--max-retries") {
-                    Ok(v) => cfg.worker.max_retries = v as u32,
+                match u32_value(args, &mut i, "--max-retries") {
+                    Ok(v) => cfg.worker.max_retries = v,
                     Err(e) => return fail(e),
                 }
             }
@@ -1392,8 +1409,8 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--json" => json = true,
             flag if flag == "--retries" || flag.starts_with("--retries=") => {
-                match flag_value(args, &mut i, "--retries") {
-                    Ok(v) => retries = v as u32,
+                match u32_value(args, &mut i, "--retries") {
+                    Ok(v) => retries = v,
                     Err(e) => {
                         eprintln!("hawkset submit: {e}");
                         return ExitCode::from(2);
@@ -1461,8 +1478,10 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     };
     let policy = hawkset_serve::RetryPolicy {
         retries,
-        backoff_start: std::time::Duration::from_millis(100.min(retry_max_ms)),
-        backoff_cap: std::time::Duration::from_millis(retry_max_ms),
+        backoff: hawkset_core::supervise::Backoff {
+            start: std::time::Duration::from_millis(100.min(retry_max_ms)),
+            cap: std::time::Duration::from_millis(retry_max_ms),
+        },
     };
     // Each retry dials a fresh connection: a `draining:` shed means the
     // daemon on the other end is going away, and the retry should land on

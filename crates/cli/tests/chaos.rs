@@ -561,3 +561,181 @@ fn connection_cap_sheds_explicitly_and_frees_on_disconnect() {
     // submission is on the books.
     assert_eq!(m["submitted"], 1u64);
 }
+
+// --- the CLI's own durable files under the fault plane --------------------
+
+/// Asserts `dir` holds no `*.tmp` left behind by a failed atomic write.
+fn assert_no_tmp(dir: &Path) {
+    let leftovers: Vec<_> = std::fs::read_dir(dir)
+        .expect("read test dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".tmp"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "temp files left behind: {leftovers:?}"
+    );
+}
+
+fn crashtest_cmd(ck: &Path, ck_flag: &str) -> Command {
+    let mut cmd = hawkset();
+    cmd.args([
+        "crashtest",
+        "fast-fair",
+        "--rounds",
+        "3",
+        "--ops",
+        "30",
+        "--crash-points",
+        "2",
+        "--json",
+        ck_flag,
+        ck.to_str().unwrap(),
+    ]);
+    cmd
+}
+
+/// A campaign checkpoint whose second fsync fails: the campaign stops with
+/// exit 2 naming the checkpoint, the committed checkpoint (round 0) still
+/// loads, and `--resume` finishes the campaign from it.
+#[test]
+fn failed_campaign_checkpoint_fsync_stops_the_campaign_and_resume_completes_it() {
+    let dir = fresh_dir("campaign-ck");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("ck.json");
+    let out = crashtest_cmd(&ck, "--checkpoint")
+        .env("HAWKSET_IO_FAULT_SCRIPT", "checkpoint:fsync:1:eio")
+        .output()
+        .expect("spawn crashtest");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{err}");
+    assert!(
+        err.contains(ck.to_str().unwrap()),
+        "names the checkpoint:\n{err}"
+    );
+    assert_no_tmp(&dir);
+    let committed: serde_json::Value =
+        serde_json::from_slice(&std::fs::read(&ck).expect("committed checkpoint kept"))
+            .expect("committed checkpoint loads");
+    let rounds: Vec<u64> = committed["completed"]
+        .as_array()
+        .expect("completed rounds")
+        .iter()
+        .map(|r| r["round"].as_u64().unwrap())
+        .collect();
+    assert_eq!(rounds, [0], "only round 0 was committed");
+
+    let out = crashtest_cmd(&ck, "--resume")
+        .output()
+        .expect("spawn resume");
+    assert!(
+        matches!(out.status.code(), Some(0 | 1)),
+        "resume completes; stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report: serde_json::Value = serde_json::from_slice(&out.stdout).expect("campaign JSON");
+    assert_eq!(report["completed"].as_array().unwrap().len(), 3);
+    assert_no_tmp(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every analysis checkpoint fsync fails: the loss is a warning, and the
+/// run still reports its race with exit 1.
+#[test]
+fn failed_analysis_checkpoint_fsync_warns_and_still_reports() {
+    let trace = demo_trace("analyze-ck");
+    let dir = fresh_dir("analyze-ck");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("run.ck");
+    let out = hawkset()
+        .args([
+            "analyze",
+            "--json",
+            "--checkpoint",
+            ck.to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+            trace.to_str().unwrap(),
+        ])
+        .env("HAWKSET_IO_FAULT_SCRIPT", "checkpoint:fsync:*:eio")
+        .output()
+        .expect("spawn analyze");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{err}");
+    assert!(err.contains("warning: checkpoint write"), "stderr:\n{err}");
+    let report: serde_json::Value = serde_json::from_slice(&out.stdout).expect("report JSON");
+    assert_eq!(report["races"].as_array().unwrap().len(), 1);
+    assert_no_tmp(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A metrics file whose directory fsync fails is not durable: under the
+/// default strictness that is an I/O error, exit 2.
+#[test]
+fn failed_metrics_dirsync_exits_2() {
+    let trace = demo_trace("analyze-metrics");
+    let dir = fresh_dir("analyze-metrics");
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.json");
+    let out = hawkset()
+        .args([
+            "analyze",
+            "--metrics",
+            metrics.to_str().unwrap(),
+            trace.to_str().unwrap(),
+        ])
+        .env("HAWKSET_IO_FAULT_SCRIPT", "metrics:dirsync:0:eio")
+        .output()
+        .expect("spawn analyze");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{err}");
+    assert!(err.contains("cannot write metrics"), "stderr:\n{err}");
+    assert_no_tmp(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A malformed fault script is a usage error for every command that
+/// resolves the plane — a chaos run must never go silently fault-free —
+/// and the refused run writes nothing.
+#[test]
+fn malformed_fault_script_exits_2_from_analyze_and_crashtest() {
+    let trace = demo_trace("bad-script");
+    let dir = fresh_dir("bad-script");
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.json");
+    let ck = dir.join("ck.json");
+    for args in [
+        vec![
+            "analyze",
+            "--metrics",
+            metrics.to_str().unwrap(),
+            trace.to_str().unwrap(),
+        ],
+        vec![
+            "crashtest",
+            "fast-fair",
+            "--rounds",
+            "1",
+            "--ops",
+            "10",
+            "--checkpoint",
+            ck.to_str().unwrap(),
+        ],
+    ] {
+        let out = hawkset()
+            .args(&args)
+            .env("HAWKSET_IO_FAULT_SCRIPT", "checkpoint:fsync:1")
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{err}");
+        assert!(err.contains("HAWKSET_IO_FAULT_SCRIPT"), "{args:?}: {err}");
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "no file, final or temporary, is written"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -425,6 +425,30 @@ fn unwritable_metrics_path_warns_under_lenient_but_aborts_under_strict() {
 }
 
 #[test]
+fn retry_counts_above_u32_max_are_refused() {
+    let path = demo_trace("retries-wrap");
+    let too_many = (u64::from(u32::MAX) + 1).to_string();
+    for args in [
+        vec!["crashtest", "fast-fair", "--max-retries", &too_many],
+        // The trailing bad flag keeps a regression from starting a daemon.
+        vec!["serve", "--max-retries", &too_many, "--workers", "x"],
+        vec![
+            "submit",
+            "--tcp",
+            "127.0.0.1:9",
+            "--retries",
+            &too_many,
+            path.to_str().unwrap(),
+        ],
+    ] {
+        let out = hawkset().args(&args).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{err}");
+        assert!(err.contains("at most 4294967295"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn crashtest_metrics_flag_writes_campaign_metrics() {
     let mpath = std::env::temp_dir().join("hawkset-cli-test-crashtest-metrics.json");
     let _ = std::fs::remove_file(&mpath);

@@ -2,9 +2,9 @@
 //!
 //! A run that dies hours in — OOM-killed, node reboot, Ctrl-C — should not
 //! cost hours to redo. The streaming analyzer periodically snapshots its
-//! durable progress to a checkpoint file with the same atomic tmp+rename
-//! discipline the crashtest harness pins down, and `--resume` picks the
-//! run back up.
+//! durable progress to a checkpoint file through the one durable write,
+//! [`ioplane::write_atomic`](crate::ioplane::write_atomic) (tmp, fsync,
+//! rename, directory fsync), and `--resume` picks the run back up.
 //!
 //! What is checkpointed is chosen by cost, not by completeness:
 //!
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use super::engine::{RaceAcc, ShardOutput, SiteKey};
 use super::{AnalysisConfig, BudgetExceeded, Race, Strictness};
 use crate::error::HawkSetError;
-use crate::ioplane::{IoPlane, RealIo};
+use crate::ioplane::{write_atomic, IoPlane, RealIo};
 
 /// Version of the checkpoint file format. Bump on any change to the
 /// serialized shape; [`AnalysisCheckpoint::load`] refuses other versions
@@ -365,36 +365,6 @@ pub fn config_fingerprint(cfg: &AnalysisConfig) -> String {
     )
 }
 
-/// Serializes `ck` and atomically replaces `path` (write to `path.tmp`,
-/// fsync, rename) — a reader never observes a half-written checkpoint, and
-/// a crash mid-write leaves the previous one intact.
-pub fn write_atomic(path: &Path, ck: &AnalysisCheckpoint) -> std::io::Result<()> {
-    write_atomic_with(&RealIo, path, ck)
-}
-
-/// [`write_atomic`] through an explicit I/O plane (site `checkpoint`) —
-/// the seam the storage fault-injection tests use. On failure the tmp file
-/// is removed; the previously committed checkpoint, if any, is untouched.
-pub fn write_atomic_with(
-    plane: &dyn IoPlane,
-    path: &Path,
-    ck: &AnalysisCheckpoint,
-) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(ck).expect("checkpoint serialization cannot fail");
-    let mut bytes = json.into_bytes();
-    bytes.push(b'\n');
-    let tmp = path.with_extension("tmp");
-    let result = (|| {
-        plane.write_file("checkpoint", &tmp, &bytes)?;
-        plane.fsync("checkpoint", &tmp)?;
-        plane.rename("checkpoint", &tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
 /// Live checkpoint writer attached to one analysis run.
 ///
 /// Shared across the pipeline's threads: ingest progress is recorded from
@@ -509,7 +479,7 @@ impl CheckpointSession {
     /// Forces a flush of the current state (the final flush on interrupt).
     pub fn flush_now(&self) -> std::io::Result<()> {
         let mut st = self.lock_state();
-        write_atomic_with(self.plane.as_ref(), &self.path, &st.ck)?;
+        self.write(&st.ck)?;
         st.last_error = None;
         Ok(())
     }
@@ -529,9 +499,24 @@ impl CheckpointSession {
     }
 
     fn flush_locked(&self, st: &mut SessionState) {
-        if let Err(e) = write_atomic_with(self.plane.as_ref(), &self.path, &st.ck) {
+        if let Err(e) = self.write(&st.ck) {
             st.last_error = Some(e);
         }
+    }
+
+    /// Serializes `ck` and atomically replaces the checkpoint file (site
+    /// `checkpoint`): a reader never observes a half-written checkpoint,
+    /// and a failed write leaves the previously committed one intact.
+    fn write(&self, ck: &AnalysisCheckpoint) -> std::io::Result<()> {
+        let mut json =
+            serde_json::to_string_pretty(ck).expect("checkpoint serialization cannot fail");
+        json.push('\n');
+        write_atomic(
+            self.plane.as_ref(),
+            "checkpoint",
+            &self.path,
+            json.as_bytes(),
+        )
     }
 }
 
@@ -653,7 +638,7 @@ mod tests {
         assert_eq!(outputs.len(), 2);
         assert!(outputs.contains_key(&3) && outputs.contains_key(&11));
         assert!(
-            !path.with_extension("tmp").exists(),
+            !dir.join("run.ckpt.tmp").exists(),
             "atomic write leaves no tmp file"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -669,7 +654,7 @@ mod tests {
             version: CHECKPOINT_VERSION + 1,
             ..Default::default()
         };
-        write_atomic(&path, &ck).unwrap();
+        std::fs::write(&path, serde_json::to_string(&ck).unwrap()).unwrap();
         assert!(matches!(
             AnalysisCheckpoint::load(&path),
             Err(HawkSetError::Checkpoint(CheckpointError::VersionMismatch { found }))
@@ -683,7 +668,7 @@ mod tests {
         ));
 
         ck.version = CHECKPOINT_VERSION;
-        write_atomic(&path, &ck).unwrap();
+        std::fs::write(&path, serde_json::to_string(&ck).unwrap()).unwrap();
         AnalysisCheckpoint::load(&path).expect("current version loads");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -720,7 +705,7 @@ mod tests {
         assert_eq!(err.raw_os_error(), Some(28));
         let ck = AnalysisCheckpoint::load(&path).expect("committed checkpoint intact");
         assert_eq!(ck.ingest.unwrap().stream_offset, 64);
-        assert!(!path.with_extension("tmp").exists(), "failed tmp removed");
+        assert!(!dir.join("run.ckpt.tmp").exists(), "failed tmp removed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

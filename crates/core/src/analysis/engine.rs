@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use crate::addr::line_of;
-use crate::fxhash::FxHashMap;
+use crate::hash::FxHashMap;
 use crate::lockset::{LockEntry, Lockset};
 use crate::memsim::{AccessSet, CloseReason, LsId, SimStats, StoreWindow, VcId};
 use crate::obs::{MetricsRegistry, Stage};

@@ -1,11 +1,19 @@
-//! A fast, deterministic, non-cryptographic hasher for hot lookup tables.
+//! The workspace's non-cryptographic hashes.
 //!
-//! The pairing engine's inner loop is dominated by `HashMap` probes on small
-//! integer-tuple keys (memo tables, per-word indexes, interner lookups). The
-//! std `SipHash` default is keyed and DoS-resistant but costs tens of cycles
-//! per key; this module provides the classic multiply-rotate "Fx" scheme used
-//! by rustc — a couple of cycles per word, and *fixed* (unseeded), so hash
-//! tables behave identically across runs.
+//! * [`FxHasher`] — a fast, deterministic hasher for hot lookup tables.
+//!   The pairing engine's inner loop is dominated by `HashMap` probes on
+//!   small integer-tuple keys (memo tables, per-word indexes, interner
+//!   lookups). The std `SipHash` default is keyed and DoS-resistant but
+//!   costs tens of cycles per key; this module provides the classic
+//!   multiply-rotate "Fx" scheme used by rustc — a couple of cycles per
+//!   word, and *fixed* (unseeded), so hash tables behave identically across
+//!   runs.
+//! * [`fnv1a`] / [`fnv1a_u64`] — 64-bit FNV-1a, the stable mixing function
+//!   behind every value that leaves the process or must replay: workload
+//!   keys and app bucket placement, crash-point placement, delay
+//!   decisions and serve snapshot checksums. Its outputs are part of those
+//!   formats, so they never change. [`legacy_campaign_hash`] is the same
+//!   loop with another multiplier, kept for campaign config fingerprints.
 //!
 //! Safety rule for call sites: swap in [`FxHashMap`] only on maps whose
 //! iteration order never reaches an observable result (lookup-only memos,
@@ -92,6 +100,50 @@ impl Hasher for FxHasher {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// Not the FNV prime: the multiplier the crash-campaign config fingerprint
+/// has always used ([`FNV_PRIME`] with one zero too many).
+const CAMPAIGN_PRIME: u64 = 0x1000_0000_01b3;
+
+#[inline]
+fn fnv_fold(bytes: &[u8], prime: u64) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(prime);
+    }
+    h
+}
+
+/// 64-bit FNV-1a over `bytes`.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv_fold(bytes, FNV_PRIME)
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `x` — the integer mixer
+/// behind workload keys, bucket placement and crash-point placement. It
+/// runs on every instrumented operation of some apps, so it shifts bytes
+/// out of `x` instead of building a slice for [`fnv1a`], which costs more
+/// in unoptimized test builds and shifts their real-thread interleavings.
+#[inline]
+pub fn fnv1a_u64(mut x: u64) -> u64 {
+    let mut h = FNV_OFFSET;
+    for _ in 0..8 {
+        h = (h ^ (x & 0xff)).wrapping_mul(FNV_PRIME);
+        x >>= 8;
+    }
+    h
+}
+
+/// The crash-campaign config fingerprint's hash: FNV-1a's loop with
+/// `0x1000_0000_01b3` in place of the FNV prime. Campaign checkpoints on
+/// disk carry its values and `--resume` compares them, so it keeps them;
+/// use [`fnv1a`] for anything new.
+pub fn legacy_campaign_hash(bytes: &[u8]) -> u64 {
+    fnv_fold(bytes, CAMPAIGN_PRIME)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,5 +175,19 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m.get(&(9, 63, 9 ^ 0xff)), Some(&true));
+    }
+
+    #[test]
+    fn fnv1a_values_are_pinned() {
+        // Reference vectors of 64-bit FNV-1a; workload keys, crash
+        // placement, campaign fingerprints and snapshot checksums all
+        // depend on these exact values.
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        for x in [0u64, 1, 0xff, 0xdead_beef, u64::MAX] {
+            assert_eq!(fnv1a_u64(x), fnv1a(&x.to_le_bytes()));
+        }
+        assert_eq!(legacy_campaign_hash(b""), fnv1a(b""));
+        assert_eq!(legacy_campaign_hash(b"a"), 0xaf74d84c8601ec8c);
     }
 }

@@ -12,7 +12,7 @@
 
 use std::hash::Hash;
 
-use crate::fxhash::FxHashMap;
+use crate::hash::FxHashMap;
 
 /// Dense id of an interned value.
 pub struct Interned<T> {

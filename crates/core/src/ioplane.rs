@@ -1,40 +1,43 @@
 //! The I/O fault plane: every durability-critical filesystem operation
 //! goes through one seam.
 //!
-//! HawkSet's own persistence layer — the serve crate's COW race database,
-//! analysis checkpoint sessions, metrics flushes — must survive exactly
-//! the storage failures it hunts in other programs: full disks (`ENOSPC`),
-//! dying media (`EIO`), torn writes that a reordering filesystem commits
-//! past a rename, and the fsyncgate trap where a failed `fsync` silently
-//! drops dirty pages and a blind retry reports success over lost data.
-//! Unit tests cannot make a real disk fail on cue, so the write paths are
-//! threaded through an [`IoPlane`]: the [`RealIo`] backend is the thin
-//! passthrough production uses, and [`ScriptedIo`] replays a deterministic
-//! [`FaultScript`] so a test (or a whole daemon process, via
-//! [`HAWKSET_IO_FAULT_SCRIPT`]) experiences an exact schedule of failures.
+//! HawkSet's own durable files must survive exactly the storage failures
+//! it hunts in other programs: full disks (`ENOSPC`), dying media (`EIO`),
+//! torn writes that a reordering filesystem commits past a rename, and the
+//! fsyncgate trap where a failed `fsync` silently drops dirty pages and a
+//! blind retry reports success over lost data. Unit tests cannot make a
+//! real disk fail on cue, so the write paths are threaded through an
+//! [`IoPlane`]: the [`RealIo`] backend is the thin passthrough production
+//! uses, and [`ScriptedIo`] replays a deterministic [`FaultScript`] so a
+//! test (or a whole process, via [`HAWKSET_IO_FAULT_SCRIPT`]) experiences
+//! an exact schedule of failures.
 //!
-//! Operations carry a **site** label (`"snapshot"`, `"current"`,
-//! `"checkpoint"`, `"metrics"`, `"probe"`) naming the caller, and an **op**
-//! name (`write`, `fsync`, `rename`, `dirsync`). The scripted backend
-//! counts occurrences per `(site, op)` pair, so a schedule like
+//! Operations carry a **site** label naming the caller and an **op** name
+//! (`write`, `fsync`, `rename`, `dirsync`). The scripted backend counts
+//! occurrences per `(site, op)` pair, so a schedule like
 //! `snapshot:fsync:1:eio` means "the second fsync of a snapshot file fails
 //! with EIO" — deterministic under a deterministic caller.
 //!
-//! The one blessed durability sequence is [`write_atomic`]: tmp file →
-//! write → fsync → rename → directory fsync. Every failure mode a script
-//! can inject lands somewhere inside that sequence, which is what lets the
-//! chaos suite enumerate them exhaustively.
+//! [`write_atomic`] is the one durable write: tmp file → write → fsync →
+//! rename → directory fsync. Every file the system calls durable goes
+//! through it: serve snapshots and their root pointer (sites `snapshot`,
+//! `current`), analysis and campaign checkpoints (`checkpoint`), and the
+//! `--metrics` files of `analyze`, `crashtest` and `serve` (`metrics`).
+//! The daemon's storage probe (`probe`) and a steered campaign's io-axis
+//! probe (`campaign`) go through the plane too. Every failure mode a
+//! script can inject lands inside that sequence, which is what lets the
+//! chaos suites enumerate them.
 
 use std::fmt;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Environment variable holding a [`FaultScript`] for the whole process.
-/// [`plane_from_env`] consults it; the daemon and the CLI both route their
-/// durable writes through the resulting plane, so an e2e test can subject
-/// a real process to a scripted storage failure schedule.
+/// [`plane_from_env`] consults it; `serve`, `analyze` and `crashtest` all
+/// route their durable writes through the resulting plane, so an e2e test
+/// can subject a real process to a scripted storage failure schedule.
 pub const HAWKSET_IO_FAULT_SCRIPT: &str = "HAWKSET_IO_FAULT_SCRIPT";
 
 /// The filesystem seam. All methods mirror one concrete syscall-level
@@ -370,23 +373,23 @@ pub fn plane_from_env() -> Result<Arc<dyn IoPlane>, String> {
     }
 }
 
-/// The one blessed durability sequence: `name.tmp` → write → fsync →
-/// rename to `name` → fsync of `dir`. The rename is the commit point; the
-/// directory fsync makes the rename durable. Every step goes through the
-/// plane, so a scripted schedule can fail any of them.
-pub fn write_atomic(
-    plane: &dyn IoPlane,
-    site: &str,
-    dir: &Path,
-    name: &str,
-    bytes: &[u8],
-) -> io::Result<()> {
-    let path = dir.join(name);
-    let tmp = dir.join(format!("{name}.tmp"));
+/// The one durable write: `<path>.tmp` → write → fsync → rename to
+/// `path` → fsync of the directory holding `path` (its parent, or `.` for
+/// a bare file name). The rename is the commit point; the directory fsync
+/// makes the rename durable. Every step goes through the plane, so a
+/// scripted schedule can fail any of them.
+pub fn write_atomic(plane: &dyn IoPlane, site: &str, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     let result = (|| {
         plane.write_file(site, &tmp, bytes)?;
         plane.fsync(site, &tmp)?;
-        plane.rename(site, &tmp, &path)?;
+        plane.rename(site, &tmp, path)?;
         plane.fsync_dir(site, dir)
     })();
     if result.is_err() {
@@ -401,7 +404,6 @@ pub fn write_atomic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -485,7 +487,7 @@ mod tests {
     #[test]
     fn write_atomic_commits_through_the_real_plane() {
         let dir = tmpdir("atomic");
-        write_atomic(&RealIo, "s", &dir, "file.json", b"payload").unwrap();
+        write_atomic(&RealIo, "s", &dir.join("file.json"), b"payload").unwrap();
         assert_eq!(std::fs::read(dir.join("file.json")).unwrap(), b"payload");
         assert!(!dir.join("file.json.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
@@ -494,7 +496,7 @@ mod tests {
     #[test]
     fn write_atomic_failure_leaves_no_tmp_and_keeps_the_old_file() {
         let dir = tmpdir("atomic-fail");
-        write_atomic(&RealIo, "s", &dir, "file.json", b"old").unwrap();
+        write_atomic(&RealIo, "s", &dir.join("file.json"), b"old").unwrap();
         for script in [
             "s:write:*:enospc",
             "s:fsync:*:eio",
@@ -502,7 +504,7 @@ mod tests {
             "s:write:*:short",
         ] {
             let plane = ScriptedIo::new(FaultScript::parse(script).unwrap());
-            let err = write_atomic(&plane, "s", &dir, "file.json", b"new").unwrap_err();
+            let err = write_atomic(&plane, "s", &dir.join("file.json"), b"new").unwrap_err();
             assert!(err.raw_os_error().is_some(), "{script}");
             assert!(!dir.join("file.json.tmp").exists(), "{script}: tmp cleaned");
             assert_eq!(
@@ -512,6 +514,58 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A plane that touches no file and records every call as
+    /// `op path`.
+    #[derive(Debug, Default)]
+    struct Recorder(Mutex<Vec<String>>);
+
+    impl Recorder {
+        fn log(&self, op: &str, path: &Path) -> io::Result<()> {
+            self.0
+                .lock()
+                .unwrap()
+                .push(format!("{op} {}", path.display()));
+            Ok(())
+        }
+    }
+
+    impl IoPlane for Recorder {
+        fn write_file(&self, _: &str, path: &Path, _: &[u8]) -> io::Result<()> {
+            self.log("write", path)
+        }
+        fn fsync(&self, _: &str, path: &Path) -> io::Result<()> {
+            self.log("fsync", path)
+        }
+        fn rename(&self, _: &str, _: &Path, to: &Path) -> io::Result<()> {
+            self.log("rename", to)
+        }
+        fn fsync_dir(&self, _: &str, dir: &Path) -> io::Result<()> {
+            self.log("dirsync", dir)
+        }
+    }
+
+    #[test]
+    fn write_atomic_syncs_the_parent_or_the_current_directory() {
+        for (path, tmp, dir) in [
+            ("ck.json", "ck.json.tmp", "."),
+            ("out/ck.json", "out/ck.json.tmp", "out"),
+            ("/var/db/CURRENT", "/var/db/CURRENT.tmp", "/var/db"),
+        ] {
+            let plane = Recorder::default();
+            write_atomic(&plane, "s", Path::new(path), b"x").unwrap();
+            assert_eq!(
+                plane.0.into_inner().unwrap(),
+                [
+                    format!("write {tmp}"),
+                    format!("fsync {tmp}"),
+                    format!("rename {path}"),
+                    format!("dirsync {dir}"),
+                ],
+                "{path}"
+            );
+        }
     }
 
     #[test]

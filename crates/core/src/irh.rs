@@ -19,7 +19,7 @@
 //! limitation on memory-reusing applications such as memcached (§7).
 
 use crate::addr::AddrRange;
-use crate::fxhash::FxHashMap;
+use crate::hash::FxHashMap;
 use crate::trace::ThreadId;
 
 /// Per-word publication state.

@@ -53,7 +53,7 @@ pub mod addr;
 pub mod analysis;
 pub mod error;
 pub mod faults;
-pub mod fxhash;
+pub mod hash;
 pub mod intern;
 pub mod ioplane;
 pub mod irh;
@@ -62,6 +62,7 @@ pub mod memsim;
 pub mod obs;
 pub mod parallel;
 pub mod stats;
+pub mod supervise;
 pub mod sync_config;
 pub mod trace;
 pub mod vclock;

@@ -24,7 +24,7 @@ pub mod window;
 use std::collections::BTreeSet;
 
 use crate::addr::{line_of, AddrRange, LineId};
-use crate::fxhash::FxHashMap;
+use crate::hash::FxHashMap;
 use crate::intern::Interner;
 use crate::irh::PublicationTracker;
 use crate::lockset::{LockEntry, Lockset};

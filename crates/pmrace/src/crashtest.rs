@@ -16,22 +16,26 @@
 //! 3. the round's trace goes through the HawkSet analysis, and any malign
 //!    known race it reports is attached to the round — joining "the crash
 //!    state is broken" with "this race explains why";
-//! 4. the whole round runs in a **panic-isolated worker** with a watchdog
-//!    deadline; transient failures (`Panicked`, `TimedOut`) are retried
-//!    with capped exponential backoff, while findings
-//!    (`RecoveryFailed`, `InvariantViolated`) are terminal;
-//! 5. campaign state is **checkpointed** to disk after every round, so a
-//!    killed campaign resumes exactly where it stopped, re-running only
+//! 4. the whole round runs under the shared supervisor
+//!    ([`run_isolated`]): a panic-isolated worker with a watchdog
+//!    deadline. Transient failures (`Panicked`, `TimedOut`) are retried in
+//!    place after [`Backoff::DEFAULT`], while findings (`RecoveryFailed`,
+//!    `InvariantViolated`) are terminal;
+//! 5. campaign state is **checkpointed** after every round through the one
+//!    durable write ([`write_atomic`], site `checkpoint`: tmp, fsync,
+//!    rename, directory fsync, on the process's fault plane), so a killed
+//!    campaign resumes exactly where it stopped, re-running only
 //!    unfinished rounds.
 
 use std::collections::{BTreeSet, HashSet};
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hawkset_core::analysis::{AnalysisConfig, Analyzer, FixReport, FixSuggestion, Race};
-use hawkset_core::ioplane::{write_atomic, FaultScript, ScriptedIo};
+use hawkset_core::hash::legacy_campaign_hash;
+use hawkset_core::ioplane::{plane_from_env, write_atomic, FaultScript, ScriptedIo};
+use hawkset_core::supervise::{run_isolated, Backoff, Failure};
 use pm_apps::registry::{KnownRace, RaceClass};
 use pm_apps::{Application, ExecOptions};
 use pm_runtime::{CrashImage, CrashInjector, CrashMode, PmEnv};
@@ -166,7 +170,8 @@ pub struct CampaignCheckpoint {
 /// Which transient failure a test harness wants simulated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The worker sleeps past the watchdog deadline.
+    /// The worker sleeps past the watchdog deadline, then exits without
+    /// running the round.
     Hang,
     /// The worker panics immediately.
     Panic,
@@ -198,12 +203,9 @@ pub struct CrashCampaignConfig {
     pub seed: u64,
     /// Watchdog deadline per attempt.
     pub round_timeout: Duration,
-    /// Retries allowed per round for transient failures.
+    /// Retries allowed per round for transient failures, each after
+    /// [`Backoff::DEFAULT`].
     pub max_retries: u32,
-    /// Initial retry backoff (doubles per retry).
-    pub retry_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
     /// Where to checkpoint after every round (`None` = no checkpointing).
     pub checkpoint: Option<PathBuf>,
     /// Load `checkpoint` first and re-run only unfinished rounds.
@@ -237,8 +239,6 @@ impl Default for CrashCampaignConfig {
             seed: 1,
             round_timeout: Duration::from_secs(30),
             max_retries: 2,
-            retry_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
             checkpoint: None,
             resume: false,
             faults: Vec::new(),
@@ -289,13 +289,7 @@ impl CrashCampaignConfig {
             base.prob_1024,
             base.max_delay_us,
         );
-        // FNV-1a over the canonical rendering.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        legacy_campaign_hash(repr.as_bytes())
     }
 }
 
@@ -399,10 +393,14 @@ impl CrashCampaignResult {
     /// Outcome, retry, image and crash-point counters are deterministic
     /// for a deterministic campaign; wall-clock data lives in the `timing`
     /// subobject. `timing.backoff_ms_total` is *reconstructed* from the
-    /// retry counts and the configured capped-doubling schedule (the
-    /// supervisor sleeps exactly that schedule), so it is deterministic
-    /// too, but it sits in `timing` because it measures waiting, not work.
-    pub fn metrics(&self, cfg: &CrashCampaignConfig) -> CampaignMetrics {
+    /// retry counts and [`Backoff::DEFAULT`] — the schedule the supervisor
+    /// sleeps, so the two cannot drift — which makes it deterministic too,
+    /// but it sits in `timing` because it measures waiting, not work.
+    ///
+    /// `_cfg` is unused — the backoff schedule is not configurable — but
+    /// stays in the signature so existing callers, the end-to-end
+    /// benchmark among them, compile unchanged.
+    pub fn metrics(&self, _cfg: &CrashCampaignConfig) -> CampaignMetrics {
         let mut m = CampaignMetrics {
             version: CAMPAIGN_METRICS_VERSION,
             rounds_total: self.records.len() as u64,
@@ -420,12 +418,8 @@ impl CrashCampaignResult {
             m.images_captured_total += rec.images_captured;
             m.crash_points_total += rec.crash_points.len() as u64;
             m.races_attributed_total += rec.attributed.len() as u64;
-            // First `retries` terms of the capped-doubling schedule
-            // b, 2b, 4b, …, max_backoff.
-            let mut backoff = cfg.retry_backoff;
-            for _ in 0..rec.retries {
-                m.timing.backoff_ms_total += backoff.as_millis() as u64;
-                backoff = (backoff * 2).min(cfg.max_backoff);
+            for attempt in 0..rec.retries {
+                m.timing.backoff_ms_total += Backoff::DEFAULT.delay(attempt).as_millis() as u64;
             }
             m.timing.round_ms_total += rec.duration_ms;
         }
@@ -447,7 +441,7 @@ pub struct CampaignTiming {
     /// Sum of per-round durations (including retries).
     pub round_ms_total: u64,
     /// Total supervisor backoff sleep, reconstructed from retry counts and
-    /// the configured capped-doubling schedule.
+    /// [`Backoff::DEFAULT`], the schedule the supervisor sleeps.
     pub backoff_ms_total: u64,
 }
 
@@ -548,18 +542,6 @@ pub fn load_checkpoint(path: &Path) -> Result<CampaignCheckpoint, String> {
         .map_err(|e| format!("checkpoint {} is not valid: {e}", path.display()))
 }
 
-/// Writes a checkpoint atomically (temp file + rename), so a crash while
-/// checkpointing never corrupts the previous checkpoint.
-fn write_checkpoint(path: &Path, ck: &CampaignCheckpoint) -> Result<(), String> {
-    let json = serde_json::to_string_pretty(ck)
-        .map_err(|e| format!("cannot serialize checkpoint: {e}"))?;
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json)
-        .map_err(|e| format!("cannot write checkpoint {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("cannot install checkpoint {}: {e}", path.display()))
-}
-
 /// What a worker sends back when it finishes (as opposed to panicking or
 /// hanging).
 struct WorkerReport {
@@ -620,7 +602,7 @@ fn io_probe(script: &str) -> Option<CoveragePoint> {
         }
     ));
     std::fs::create_dir_all(&dir).ok()?;
-    let survived = write_atomic(&plane, "campaign", &dir, "probe.json", b"{}\n").is_ok();
+    let survived = write_atomic(&plane, "campaign", &dir.join("probe.json"), b"{}\n").is_ok();
     let _ = std::fs::remove_dir_all(&dir);
     Some(CoveragePoint::Io {
         script: script.to_string(),
@@ -710,21 +692,9 @@ fn round_body(
     }
 }
 
-/// Renders a panic payload for the `Panicked` outcome.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(c) = payload.downcast_ref::<pm_runtime::SimulatedCrash>() {
-        c.to_string()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// Runs one round under supervision: panic-isolated worker, watchdog
-/// deadline, capped-backoff retries for transient failures.
+/// deadline, and in-place retries of transient failures after
+/// [`Backoff::DEFAULT`].
 fn run_supervised_round(
     app: &Arc<dyn Application>,
     cfg: &CrashCampaignConfig,
@@ -734,82 +704,50 @@ fn run_supervised_round(
 ) -> RoundRecord {
     let started = Instant::now();
     let mut attempt: u32 = 0;
-    let mut backoff = cfg.retry_backoff;
     loop {
-        let (tx, rx) = mpsc::channel::<Result<WorkerReport, String>>();
         let worker_app = Arc::clone(app);
         let worker_plan = plan.clone();
         let (main_ops, timeout) = (cfg.main_ops, cfg.round_timeout);
-        let analysis_threads = cfg.analysis_threads;
-        let suggest_fixes = cfg.suggest_fixes;
-        let this_attempt = attempt;
-        // Detached worker: a hung round must not block the campaign, so no
-        // scoped threads — the watchdog simply abandons the receiver.
-        let spawned = std::thread::Builder::new()
-            .name(format!("crashtest-r{round}-a{attempt}"))
-            .spawn(move || {
-                if let Some(f) = fault {
-                    if this_attempt < f.first_attempts {
-                        match f.kind {
-                            FaultKind::Hang => {
-                                // Out-sleep the watchdog, then exit quietly;
-                                // the supervisor stopped listening long ago.
-                                std::thread::sleep(timeout.saturating_mul(4));
-                                return;
-                            }
-                            FaultKind::Panic => {
-                                let outcome = std::panic::catch_unwind(|| -> () {
-                                    panic!("injected fault: panic in round {round}")
-                                })
-                                .expect_err("the injected panic fires");
-                                let _ = tx.send(Err(panic_message(&*outcome)));
-                                return;
-                            }
-                        }
-                    }
-                }
-                let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    round_body(
-                        &worker_app,
-                        main_ops,
-                        &worker_plan,
-                        analysis_threads,
-                        suggest_fixes,
-                    )
-                }));
-                // The supervisor may have timed this attempt out already.
-                let _ = tx.send(out.map_err(|p| panic_message(&*p)));
-            });
-        let transient = match spawned {
-            Err(e) => RoundOutcome::Panicked {
-                message: format!("cannot spawn worker: {e}"),
-            },
-            Ok(_) => match rx.recv_timeout(cfg.round_timeout) {
-                Ok(Ok(report)) => {
-                    return RoundRecord {
-                        round,
-                        outcome: report.outcome,
-                        retries: attempt,
-                        crash_points: report.crash_points,
-                        op_horizon: report.op_horizon,
-                        images_captured: report.images_captured,
-                        attributed: report.attributed,
-                        duration_ms: started.elapsed().as_millis() as u64,
-                        coverage: report.coverage,
-                        plan: cfg.steer.then(|| plan.clone()),
-                    };
-                }
-                Ok(Err(message)) => RoundOutcome::Panicked { message },
-                Err(mpsc::RecvTimeoutError::Timeout) => RoundOutcome::TimedOut,
-                Err(mpsc::RecvTimeoutError::Disconnected) => RoundOutcome::Panicked {
-                    message: "worker thread died without reporting".into(),
-                },
-            },
+        let (analysis_threads, suggest_fixes) = (cfg.analysis_threads, cfg.suggest_fixes);
+        let injected = fault.filter(|f| attempt < f.first_attempts).map(|f| f.kind);
+        let work = move || match injected {
+            Some(FaultKind::Hang) => {
+                // Out-sleep the watchdog, then exit without running the
+                // round; the supervisor stopped listening long ago.
+                std::thread::sleep(timeout.saturating_mul(4));
+                None
+            }
+            Some(FaultKind::Panic) => panic!("injected fault: panic in round {round}"),
+            None => Some(round_body(
+                &worker_app,
+                main_ops,
+                &worker_plan,
+                analysis_threads,
+                suggest_fixes,
+            )),
+        };
+        let name = format!("crashtest-r{round}-a{attempt}");
+        let transient = match run_isolated(&name, cfg.round_timeout, work) {
+            Ok(Some(report)) => {
+                return RoundRecord {
+                    round,
+                    outcome: report.outcome,
+                    retries: attempt,
+                    crash_points: report.crash_points,
+                    op_horizon: report.op_horizon,
+                    images_captured: report.images_captured,
+                    attributed: report.attributed,
+                    duration_ms: started.elapsed().as_millis() as u64,
+                    coverage: report.coverage,
+                    plan: cfg.steer.then(|| plan.clone()),
+                };
+            }
+            Ok(None) | Err(Failure::TimedOut) => RoundOutcome::TimedOut,
+            Err(Failure::Panicked(message)) => RoundOutcome::Panicked { message },
         };
         if attempt < cfg.max_retries {
+            std::thread::sleep(Backoff::DEFAULT.delay(attempt));
             attempt += 1;
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(cfg.max_backoff);
             continue;
         }
         return RoundRecord {
@@ -833,12 +771,16 @@ fn run_supervised_round(
 /// [`CrashCampaignConfig::checkpoint`], previously completed rounds are
 /// loaded and only unfinished rounds execute; the checkpoint must belong
 /// to the same application and seed. The checkpoint (when configured) is
-/// rewritten atomically after every round.
+/// rewritten atomically after every round, through the process's I/O
+/// plane ([`plane_from_env`]): a malformed `HAWKSET_IO_FAULT_SCRIPT` is an
+/// error, and a failed checkpoint write stops the campaign with the last
+/// committed checkpoint intact for `--resume`.
 pub fn run_crash_campaign(
     app: &Arc<dyn Application>,
     cfg: &CrashCampaignConfig,
 ) -> Result<CrashCampaignResult, String> {
     cfg.validate()?;
+    let plane = plane_from_env()?;
     let started = Instant::now();
     let mut completed: Vec<RoundRecord> = Vec::new();
     let mut resumed = false;
@@ -928,7 +870,10 @@ pub fn run_crash_campaign(
                 completed: completed.clone(),
                 fingerprint: Some(cfg.fingerprint()),
             };
-            write_checkpoint(path, &ck)?;
+            let json = serde_json::to_string_pretty(&ck)
+                .map_err(|e| format!("cannot serialize checkpoint: {e}"))?;
+            write_atomic(plane.as_ref(), "checkpoint", path, json.as_bytes())
+                .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
         }
     }
     completed.sort_by_key(|r| r.round);
@@ -953,8 +898,6 @@ mod tests {
             seed: 5,
             round_timeout: Duration::from_secs(60),
             max_retries: 1,
-            retry_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(8),
             checkpoint: None,
             resume: false,
             faults: Vec::new(),
@@ -993,7 +936,7 @@ mod tests {
 
     /// Campaign metrics: per-outcome counts partition the rounds, capture
     /// totals add up, and the reconstructed backoff sum follows the
-    /// capped-doubling schedule.
+    /// supervisor's capped-doubling schedule.
     #[test]
     fn campaign_metrics_account_for_every_round() {
         let cfg = tiny_cfg();
@@ -1037,8 +980,8 @@ mod tests {
         assert_eq!(m.retries_total, 3);
         assert_eq!(m.crash_points_total, 3);
         assert_eq!(m.images_captured_total, 3);
-        // Schedule from tiny_cfg: 1ms, 2ms, 4ms (cap 8ms never reached).
-        assert_eq!(m.timing.backoff_ms_total, 7);
+        // Backoff::DEFAULT: 50ms, 100ms, 200ms (the 2s cap never reached).
+        assert_eq!(m.timing.backoff_ms_total, 350);
         assert_eq!(m.timing.round_ms_total, 40);
         let back: CampaignMetrics = serde_json::from_str(&m.to_json()).unwrap();
         assert_eq!(back, m);
@@ -1085,6 +1028,19 @@ mod tests {
                 rec.round
             );
         }
+    }
+
+    /// Checkpoints on disk carry fingerprints and `--resume` compares
+    /// them, so their values are pinned (this one is what earlier
+    /// releases' `crashtest --json` reported for the same config).
+    #[test]
+    fn config_fingerprint_values_are_pinned() {
+        let cfg = CrashCampaignConfig {
+            crash_points: 1,
+            main_ops: 10,
+            ..Default::default()
+        };
+        assert_eq!(cfg.fingerprint(), 13_809_533_269_261_224_384);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use hawkset_core::hash::fnv1a_u64;
 use hawkset_core::trace::ThreadId;
 use pm_runtime::{Hook, HookPoint};
 use serde::{Deserialize, Serialize};
@@ -179,9 +180,8 @@ impl DelayInjector {
                 HookPoint::BeforeFence => 0,
                 HookPoint::BeforeAcquire(l) | HookPoint::BeforeRelease(l) => l.0,
             };
-            let h = pm_workloads::zipfian::fnv1a(
-                me.seed ^ n.rotate_left(17) ^ u64::from(tid.0).rotate_left(33) ^ addr,
-            );
+            let h =
+                fnv1a_u64(me.seed ^ n.rotate_left(17) ^ u64::from(tid.0).rotate_left(33) ^ addr);
             if h % 1024 < prob_1024 {
                 // Bias delays toward the persistency path: stretching the
                 // store→fence window is what exposes the races. Release

@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hawkset_core::addr::PmAddr;
+use hawkset_core::hash::fnv1a_u64;
 use hawkset_core::trace::ThreadId;
 use parking_lot::Mutex;
 
@@ -126,7 +127,7 @@ impl CrashInjector {
     pub fn seeded(seed: u64, count: usize, horizon: u64, mode: CrashMode) -> Arc<Self> {
         let horizon = horizon.max(1);
         let points = (0..count as u64)
-            .map(|i| pm_hash(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % horizon);
+            .map(|i| fnv1a_u64(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % horizon);
         Self::at_points(points, mode)
     }
 
@@ -218,18 +219,6 @@ impl CrashInjector {
             None => self.images.lock().push(image),
         }
     }
-}
-
-/// FNV-1a, locally duplicated so the runtime does not depend on the
-/// workloads crate for one mixing function.
-fn pm_hash(mut x: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for _ in 0..8 {
-        h ^= x & 0xff;
-        h = h.wrapping_mul(0x100_0000_01b3);
-        x >>= 8;
-    }
-    h
 }
 
 #[cfg(test)]

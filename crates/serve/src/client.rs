@@ -7,6 +7,8 @@
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
+use hawkset_core::supervise::Backoff;
+
 use crate::frame::{read_frame, write_frame, Frame, FrameKind};
 
 /// Size of one DATA frame's payload when streaming a trace.
@@ -108,18 +110,18 @@ pub fn submit<S: Read + Write>(
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 = behave like [`submit`]).
     pub retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub backoff_start: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
+    /// Sleep before each retry.
+    pub backoff: Backoff,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             retries: 5,
-            backoff_start: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(5),
+            backoff: Backoff {
+                start: Duration::from_millis(100),
+                cap: Duration::from_secs(5),
+            },
         }
     }
 }
@@ -158,7 +160,6 @@ where
     S: Read + Write,
     C: FnMut() -> io::Result<S>,
 {
-    let mut backoff = policy.backoff_start.max(Duration::from_millis(1));
     let mut attempt = 0u32;
     loop {
         let last_attempt = attempt >= policy.retries;
@@ -166,10 +167,8 @@ where
             Ok(mut stream) => submit(&mut stream, tenant, trace)?,
             // A refused dial rides the same backoff as a shed: the daemon
             // may be mid-restart after a drain.
-            Err(e) if !last_attempt => {
-                let _ = e;
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(policy.backoff_cap);
+            Err(_) if !last_attempt => {
+                std::thread::sleep(policy.backoff.delay(attempt));
                 attempt += 1;
                 continue;
             }
@@ -177,8 +176,7 @@ where
         };
         match outcome {
             SubmitOutcome::Shed { reason } if shed_is_retryable(&reason) && !last_attempt => {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(policy.backoff_cap);
+                std::thread::sleep(policy.backoff.delay(attempt));
                 attempt += 1;
             }
             other => return Ok(other),
@@ -259,8 +257,10 @@ mod tests {
     fn fast_policy(retries: u32) -> RetryPolicy {
         RetryPolicy {
             retries,
-            backoff_start: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
+            backoff: Backoff {
+                start: Duration::from_millis(1),
+                cap: Duration::from_millis(4),
+            },
         }
     }
 

@@ -42,6 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hawkset_core::analysis::{FixKind, FixReport, FixSuggestion, Race};
+use hawkset_core::hash::fnv1a;
 use hawkset_core::ioplane::{self, IoPlane, RealIo};
 use serde::{Deserialize, Serialize};
 
@@ -312,12 +313,7 @@ fn content_digest(s: &DbSnapshot) -> String {
         "v{};g{};j{};{}",
         s.version, s.generation, s.jobs_recorded, records
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in content.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", fnv1a(content.as_bytes()))
 }
 
 /// A database failure. Corruption is *not* one — recovery absorbs it;
@@ -516,8 +512,7 @@ impl RaceDb {
             write_file_atomic(
                 self.plane.as_ref(),
                 "snapshot",
-                &self.dir,
-                &name,
+                &self.dir.join(&name),
                 self.working.to_json().as_bytes(),
             )?;
             // Test hook: hold the window between "snapshot durable" and
@@ -532,8 +527,7 @@ impl RaceDb {
             write_file_atomic(
                 self.plane.as_ref(),
                 "current",
-                &self.dir,
-                CURRENT,
+                &self.dir.join(CURRENT),
                 format!("{name}\n").as_bytes(),
             )
         })();
@@ -581,16 +575,14 @@ impl RaceDb {
             write_file_atomic(
                 self.plane.as_ref(),
                 "snapshot",
-                &self.dir,
-                &name,
+                &self.dir.join(&name),
                 self.stable.to_json().as_bytes(),
             )?;
         }
         write_file_atomic(
             self.plane.as_ref(),
             "current",
-            &self.dir,
-            CURRENT,
+            &self.dir.join(CURRENT),
             format!("{name}\n").as_bytes(),
         )?;
         Ok(())
@@ -667,18 +659,16 @@ fn snapshot_files(dir: &Path) -> Result<Vec<(u64, PathBuf, String)>, DbError> {
     Ok(out)
 }
 
-/// tmp + fsync + rename + directory fsync through the I/O plane. The
-/// rename is the commit point; the directory fsync makes the rename
-/// itself durable.
+/// [`ioplane::write_atomic`] (tmp + fsync + rename + directory fsync)
+/// with the failure mapped to a [`DbError`].
 fn write_file_atomic(
     plane: &dyn IoPlane,
     site: &str,
-    dir: &Path,
-    name: &str,
+    path: &Path,
     bytes: &[u8],
 ) -> Result<(), DbError> {
-    ioplane::write_atomic(plane, site, dir, name, bytes)
-        .map_err(db_err(format!("install {}", dir.join(name).display())))
+    ioplane::write_atomic(plane, site, path, bytes)
+        .map_err(db_err(format!("install {}", path.display())))
 }
 
 /// Aggregates a batch report's races the same way the daemon would for one
@@ -895,6 +885,13 @@ mod tests {
         assert_eq!(db.recovery().orphans_removed, vec![snapshot_name(2)]);
         assert!(!dir.join(snapshot_name(2)).exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Snapshot files on disk carry checksums that recovery verifies, so
+    /// the digest's values are pinned: FNV-1a 64 of `v1;g0;j0;[]`.
+    #[test]
+    fn empty_snapshot_checksum_is_pinned() {
+        assert_eq!(DbSnapshot::empty().checksum, "0ec902ecef307702");
     }
 
     #[test]

@@ -397,19 +397,10 @@ pub fn run(cfg: &ServeConfig) -> Result<i32, String> {
         .clone()
         .unwrap_or_else(|| cfg.db_dir.join("serve-metrics.json"));
     let snapshot = metrics.snapshot();
-    let metrics_dir = match metrics_path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let metrics_name = metrics_path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "serve-metrics.json".into());
     if let Err(e) = ioplane::write_atomic(
         plane.as_ref(),
         "metrics",
-        &metrics_dir,
-        &metrics_name,
+        &metrics_path,
         snapshot.to_json().as_bytes(),
     ) {
         eprintln!(

@@ -1,12 +1,12 @@
 //! Panic-isolated, watchdogged worker pool.
 //!
-//! Same supervision architecture as `pmrace`'s crash-test harness: the
-//! actual analysis runs on a *detached* thread behind `catch_unwind`, the
-//! supervising worker waits on a channel with `recv_timeout`, and the two
-//! failure modes that machinery distinguishes — a caught panic and a hung
-//! stage — are both **transient**: the job goes back into the scheduler
-//! with capped exponential backoff instead of taking the daemon (or the
-//! client's connection) down with it. Deterministic failures — a trace
+//! Each job's analysis runs under the shared supervisor,
+//! [`hawkset_core::supervise::run_isolated`] — a detached, panic-isolated
+//! thread waited on with a deadline — the same one that runs `pmrace`'s
+//! crash-test rounds. The two failures it reports, a caught panic and a
+//! hung stage, are both **transient**: the job goes back into the
+//! scheduler after [`Backoff::DEFAULT`] instead of taking the daemon (or
+//! the client's connection) down with it. Deterministic failures — a trace
 //! that does not decode, a violated resource limit — are **terminal** on
 //! first sight: retrying a parse error buys latency, not success.
 //!
@@ -18,14 +18,13 @@
 //! resubmission after a SIGKILL converge instead of duplicating.
 
 use std::io::Cursor;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hawkset_core::analysis::AnalysisConfig;
-use hawkset_core::HawkSetError;
+use hawkset_core::supervise::{run_isolated, Backoff, Failure};
+use hawkset_core::{AnalysisReport, HawkSetError};
 
 use crate::db::RaceDb;
 use crate::health::StorageHealth;
@@ -50,12 +49,9 @@ pub struct WorkerConfig {
     /// Worker threads (each runs one single-threaded analysis at a time,
     /// so this is also the analysis parallelism bound).
     pub workers: usize,
-    /// Retries after transient failures before declaring a job failed.
+    /// Retries after transient failures before declaring a job failed,
+    /// each requeued after [`Backoff::DEFAULT`].
     pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_start: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Whole-job watchdog: a run exceeding this is a transient failure.
     pub job_timeout: Duration,
     /// Per-job analysis memory budget (bytes).
@@ -86,8 +82,6 @@ impl Default for WorkerConfig {
         Self {
             workers: 2,
             max_retries: 2,
-            backoff_start: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
             job_timeout: Duration::from_secs(120),
             memory_budget: None,
             stage_timeout: None,
@@ -112,18 +106,6 @@ impl WorkerConfig {
         self.panic_first_attempt = std::env::var_os("HAWKSET_TEST_PANIC_FIRST_ATTEMPT").is_some();
         self
     }
-}
-
-/// How far one supervised run got.
-enum RunOutcome {
-    /// A report (clean or racy) — the job's terminal success.
-    Finished(Box<hawkset_core::AnalysisReport>),
-    /// Deterministic failure; retrying cannot help.
-    Terminal(String),
-    /// The analysis thread panicked.
-    Panicked(String),
-    /// The watchdog expired while the analysis thread was still running.
-    TimedOut,
 }
 
 /// The running pool; [`join`](WorkerPool::join) after the scheduler
@@ -192,8 +174,14 @@ fn handle_job(
     health: &StorageHealth,
     mut job: Job,
 ) {
-    match run_supervised(cfg, &job) {
-        RunOutcome::Finished(report) => {
+    let (run_cfg, bytes, attempts) = (cfg.clone(), job.trace.clone(), job.attempts);
+    let run = run_isolated(
+        &format!("hawkset-job-{}", job.id),
+        cfg.job_timeout,
+        move || run_analysis(&run_cfg, &bytes, attempts),
+    );
+    let why = match run {
+        Ok(Ok(report)) => {
             match persist(cfg, db, metrics, health, &job, &report) {
                 Ok(()) => {
                     if report.is_clean() {
@@ -215,78 +203,36 @@ fn handle_job(
                 }
             }
             sched.resolve();
+            return;
         }
-        RunOutcome::Terminal(message) => {
+        Ok(Err(e)) => {
             metrics.failed.add(1);
-            let _ = job.reply.send(JobReply::Failed { message });
+            let _ = job.reply.send(JobReply::Failed {
+                message: format!("analysis failed: {e}"),
+            });
             sched.resolve();
+            return;
         }
-        transient @ (RunOutcome::Panicked(_) | RunOutcome::TimedOut) => {
-            let why = match &transient {
-                RunOutcome::Panicked(msg) => {
-                    metrics.worker_panics.add(1);
-                    format!("worker panicked: {msg}")
-                }
-                _ => {
-                    metrics.watchdog_fires.add(1);
-                    format!("watchdog expired after {:?}", cfg.job_timeout)
-                }
-            };
-            if job.attempts >= cfg.max_retries {
-                metrics.failed.add(1);
-                let _ = job.reply.send(JobReply::Failed {
-                    message: format!("{why} (gave up after {} attempts)", job.attempts + 1),
-                });
-                sched.resolve();
-            } else {
-                std::thread::sleep(backoff_for(cfg, job.attempts));
-                job.attempts += 1;
-                metrics.retries.add(1);
-                sched.requeue(job);
-            }
+        Err(Failure::Panicked(msg)) => {
+            metrics.worker_panics.add(1);
+            format!("worker panicked: {msg}")
         }
-    }
-}
-
-/// Capped exponential backoff: `start * 2^attempts`, never above the cap.
-fn backoff_for(cfg: &WorkerConfig, attempts: u32) -> Duration {
-    let mut backoff = cfg.backoff_start;
-    for _ in 0..attempts {
-        backoff = (backoff * 2).min(cfg.backoff_cap);
-    }
-    backoff.min(cfg.backoff_cap)
-}
-
-/// Runs one analysis on a detached thread and supervises it. The thread is
-/// deliberately not joined on timeout — a hung stage must not hang the
-/// supervisor; the orphan finishes (or panics) into a dropped channel.
-fn run_supervised(cfg: &WorkerConfig, job: &Job) -> RunOutcome {
-    let (tx, rx) = channel();
-    let bytes = job.trace.clone();
-    let attempts = job.attempts;
-    let cfg_run = cfg.clone();
-    let spawned = std::thread::Builder::new()
-        .name(format!("hawkset-job-{}", job.id))
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_analysis(&cfg_run, &bytes, attempts)
-            }));
-            let outcome = match result {
-                Ok(Ok(report)) => RunOutcome::Finished(Box::new(report)),
-                Ok(Err(e)) => RunOutcome::Terminal(classify_terminal(&e)),
-                Err(payload) => RunOutcome::Panicked(panic_message(payload.as_ref())),
-            };
-            let _ = tx.send(outcome);
+        Err(Failure::TimedOut) => {
+            metrics.watchdog_fires.add(1);
+            format!("watchdog expired after {:?}", cfg.job_timeout)
+        }
+    };
+    if job.attempts >= cfg.max_retries {
+        metrics.failed.add(1);
+        let _ = job.reply.send(JobReply::Failed {
+            message: format!("{why} (gave up after {} attempts)", job.attempts + 1),
         });
-    if spawned.is_err() {
-        // Thread spawn failure is resource pressure: transient.
-        return RunOutcome::TimedOut;
-    }
-    match rx.recv_timeout(cfg.job_timeout) {
-        Ok(outcome) => outcome,
-        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-            RunOutcome::TimedOut
-        }
+        sched.resolve();
+    } else {
+        std::thread::sleep(Backoff::DEFAULT.delay(job.attempts));
+        job.attempts += 1;
+        metrics.retries.add(1);
+        sched.requeue(job);
     }
 }
 
@@ -294,7 +240,7 @@ fn run_analysis(
     cfg: &WorkerConfig,
     bytes: &[u8],
     attempts: u32,
-) -> Result<hawkset_core::AnalysisReport, HawkSetError> {
+) -> Result<AnalysisReport, HawkSetError> {
     if attempts == 0 && cfg.panic_first_attempt {
         panic!("injected first-attempt panic (HAWKSET_TEST_PANIC_FIRST_ATTEMPT)");
     }
@@ -346,7 +292,7 @@ fn persist(
     metrics: &ServeMetrics,
     health: &StorageHealth,
     job: &Job,
-    report: &hawkset_core::AnalysisReport,
+    report: &AnalysisReport,
 ) -> Result<(), String> {
     let mut db = lock_db(db);
     let prior = db.working().clone();
@@ -370,30 +316,13 @@ fn persist(
     Ok(())
 }
 
-/// Renders a terminal analysis error for the ERROR frame.
-fn classify_terminal(e: &HawkSetError) -> String {
-    format!("analysis failed: {e}")
-}
-
-/// Extracts a panic payload's message (same downcast ladder as the
-/// crash-test harness).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sched::Scheduler;
     use hawkset_core::addr::AddrRange;
     use hawkset_core::trace::{io, EventKind, Frame, LockId, LockMode, ThreadId, TraceBuilder};
-    use std::sync::mpsc::Receiver;
+    use std::sync::mpsc::{channel, Receiver};
 
     /// The Figure-1c racy trace, encoded to wire bytes.
     fn racy_trace_bytes() -> Vec<u8> {
@@ -575,25 +504,10 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_and_caps() {
-        let cfg = WorkerConfig {
-            backoff_start: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(35),
-            ..WorkerConfig::default()
-        };
-        assert_eq!(backoff_for(&cfg, 0), Duration::from_millis(10));
-        assert_eq!(backoff_for(&cfg, 1), Duration::from_millis(20));
-        assert_eq!(backoff_for(&cfg, 2), Duration::from_millis(35));
-        assert_eq!(backoff_for(&cfg, 10), Duration::from_millis(35));
-    }
-
-    #[test]
     fn watchdog_times_out_and_exhausts_retries() {
         let cfg = WorkerConfig {
             workers: 1,
             max_retries: 1,
-            backoff_start: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
             job_timeout: Duration::from_millis(200),
             // A job that cannot finish inside the 200ms watchdog.
             job_delay: Some(Duration::from_secs(10)),
@@ -620,8 +534,6 @@ mod tests {
         let cfg = WorkerConfig {
             workers: 1,
             max_retries: 2,
-            backoff_start: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
             panic_first_attempt: true,
             ..WorkerConfig::default()
         };
@@ -705,15 +617,5 @@ mod tests {
         assert_eq!(metrics.failed.get(), 1);
         assert_eq!(metrics.completed_races.get(), 1);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn panic_message_downcasts() {
-        let p: Box<dyn std::any::Any + Send> = Box::new("boom");
-        assert_eq!(panic_message(p.as_ref()), "boom");
-        let p: Box<dyn std::any::Any + Send> = Box::new(String::from("kaboom"));
-        assert_eq!(panic_message(p.as_ref()), "kaboom");
-        let p: Box<dyn std::any::Any + Send> = Box::new(17u32);
-        assert_eq!(panic_message(p.as_ref()), "opaque panic payload");
     }
 }

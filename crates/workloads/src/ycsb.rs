@@ -6,6 +6,7 @@
 //! or 100k main-phase operations. This module produces exactly that shape:
 //! a deterministic, seedable per-thread operation schedule.
 
+use hawkset_core::hash::fnv1a_u64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -139,7 +140,7 @@ impl WorkloadSpec {
         // Inserts AND updates both create unseen keys in these stores, so
         // a growth-free seed must avoid both; the corpus mixes read-only,
         // read-mostly and write-heavy compositions.
-        let r = crate::zipfian::fnv1a(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5eed);
+        let r = fnv1a_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5eed);
         let (insert, update) =
             [(0u8, 0u8), (0, 0), (0, 2), (0, 4), (30, 30), (40, 20)][(r % 6) as usize];
         let delete = 10;
@@ -218,7 +219,7 @@ impl WorkloadSpec {
 
 /// Deterministic value payload derivation.
 fn value_for(seed: u64, key: u64, op_index: u64) -> u64 {
-    crate::zipfian::fnv1a(seed ^ key.rotate_left(17) ^ op_index.rotate_left(43)) | 1
+    fnv1a_u64(seed ^ key.rotate_left(17) ^ op_index.rotate_left(43)) | 1
 }
 
 /// A generated workload, ready to execute.

@@ -8,6 +8,7 @@
 //! `ZipfianGenerator`), and scrambled zipfian (zipfian rank hashed over the
 //! key space so the hot keys are spread out).
 
+use hawkset_core::hash::fnv1a_u64;
 use rand::Rng;
 
 /// YCSB's default zipfian skew.
@@ -138,22 +139,10 @@ impl ScrambledZipfian {
     }
 }
 
-/// 64-bit FNV-1a hash.
-pub fn fnv1a(mut x: u64) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for _ in 0..8 {
-        h ^= x & 0xff;
-        h = h.wrapping_mul(PRIME);
-        x >>= 8;
-    }
-    h
-}
-
 impl KeyDistribution for ScrambledZipfian {
     fn next(&mut self, rng: &mut impl Rng) -> u64 {
         let rank = self.inner.next(rng);
-        fnv1a(rank) % self.inner.n
+        fnv1a_u64(rank) % self.inner.n
     }
 
     fn range(&self) -> u64 {
@@ -251,9 +240,9 @@ mod tests {
             counts[d.next(&mut rng) as usize] += 1;
         }
         // The hottest key exists but is not key 0 deterministically — it is
-        // fnv1a(0) % 1000.
+        // fnv1a_u64(0) % 1000.
         let hottest = counts.iter().enumerate().max_by_key(|(_, &c)| c).unwrap().0 as u64;
-        assert_eq!(hottest, fnv1a(0) % 1000);
+        assert_eq!(hottest, fnv1a_u64(0) % 1000);
     }
 
     #[test]

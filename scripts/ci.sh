@@ -43,6 +43,13 @@ echo "==> hawkset-core unit tests"
 # run here.
 cargo test -q -p hawkset-core
 
+echo "==> member crate tests (pmrace, serve, cli, runtime, workloads)"
+# Same reason: these packages' unit and integration tests — the CLI's
+# chaos and serve end-to-end suites among them — run only when named.
+# pm-apps is left out: its ground-truth repair test compares real-thread
+# recordings and flakes on small hosts.
+cargo test -q -p pmrace -p hawkset-serve -p hawkset-cli -p pm-runtime -p pm-workloads
+
 echo "==> e2ebench tests (benchmark unit tests + tiny traced run of every workload)"
 # e2ebench is a workspace of its own, outside the root members, so no
 # workspace-wide command reaches it.

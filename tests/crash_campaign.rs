@@ -142,8 +142,6 @@ fn campaign_survives_hung_and_panicking_rounds_and_resumes() {
         seed: 9,
         round_timeout: Duration::from_secs(30),
         max_retries: 0,
-        retry_backoff: Duration::from_millis(5),
-        max_backoff: Duration::from_millis(20),
         checkpoint: Some(ckpt.clone()),
         resume: false,
         analysis_threads: 1,
@@ -243,8 +241,6 @@ fn campaign_cfg(seed: u64, rounds: u64) -> CrashCampaignConfig {
         seed,
         round_timeout: Duration::from_secs(120),
         max_retries: 1,
-        retry_backoff: Duration::from_millis(5),
-        max_backoff: Duration::from_millis(20),
         analysis_threads: 1,
         ..Default::default()
     }

@@ -759,8 +759,6 @@ fn golden_campaign_metrics_are_pinned() {
         main_ops: 60,
         seed: 5,
         max_retries: 2,
-        retry_backoff: Duration::from_millis(50),
-        max_backoff: Duration::from_millis(200),
         ..Default::default()
     };
     let result = CrashCampaignResult {
@@ -797,7 +795,8 @@ fn golden_campaign_metrics_are_pinned() {
     let mut metrics = result.metrics(&cfg);
     assert!(metrics.conservation_violations().is_empty());
     // Mask wall-clock; keep backoff_ms_total, which is reconstructed from
-    // the deterministic capped-doubling schedule (50 + 100 = 150).
+    // the supervisor's deterministic schedule, `Backoff::DEFAULT`
+    // (50 + 100 = 150).
     metrics.timing.total_ms = 0.0;
     metrics.timing.round_ms_total = 0;
     assert_eq!(metrics.timing.backoff_ms_total, 150);
