@@ -6,18 +6,26 @@
 //! atomics included or not — without re-running the application.
 //!
 //! ```text
-//! hawkset analyze   <trace.hwkt> [--no-irh] [--no-atomics] [--json]
-//!                                [--lenient] [--salvage] [--max-pairs N]
-//!                                [--threads N] [--metrics <path>]
-//!                                [--metrics-stderr]
-//! hawkset info      <trace.hwkt>
-//! hawkset demo      <out.hwkt>
-//! hawkset crashtest <app> [--rounds N] [--crash-points N] [--resume P]
+//! hawkset analyze   <trace.hwkt> [OPTIONS]   race report (exit 1: races)
+//! hawkset info      <trace.hwkt>             trace statistics
+//! hawkset demo      <out.hwkt>               record the Figure-1c trace
+//! hawkset crashtest <app> [OPTIONS]          crash-injection campaign
+//! hawkset serve     [OPTIONS]                always-on analysis daemon
+//! hawkset submit    <trace.hwkt> (--socket PATH | --tcp ADDR) [OPTIONS]
+//! hawkset query     [--db DIR] [--json] [--verify TENANT=REPORT.json]...
 //! ```
+//!
+//! `hawkset help` prints every option ([`USAGE`]). Each command declares
+//! its options as one flag table — a flag name and a typed setter per row
+//! ([`Kind`]) — and reads its arguments with [`parse`], so `--flag V` and
+//! `--flag=V`, unknown flags, missing or malformed values and stray
+//! positionals are handled once: one line on stderr, exit 2
+//! ([`usage_err`]).
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 use hawkset_core::analysis::checkpoint::{
     config_fingerprint, AnalysisCheckpoint, CheckpointSession,
@@ -26,6 +34,9 @@ use hawkset_core::analysis::{AnalysisConfig, Analyzer, StallInjection, Strictnes
 use hawkset_core::ioplane::{plane_from_env, write_atomic, IoPlane};
 use hawkset_core::trace::io;
 use hawkset_core::{HawkSetError, Trace};
+use hawkset_serve::ServeConfig;
+use pmrace::CrashCampaignConfig;
+use Kind::{AtLeast1, Float, Int, Millis, Parsed, Switch, Text, U32};
 
 /// SIGINT/SIGTERM land here: a single shared flag the analysis pipeline
 /// polls at its safe points (between ingested events, between pairing
@@ -85,10 +96,7 @@ fn main() -> ExitCode {
             print!("{USAGE}");
             ExitCode::SUCCESS
         }
-        Some(other) => {
-            eprintln!("hawkset: unknown command `{other}`\n{USAGE}");
-            ExitCode::from(2)
-        }
+        Some(other) => usage_err(other, "unknown command"),
     }
 }
 
@@ -292,49 +300,117 @@ EXIT STATUS:
   130  serve: immediate exit on a second signal
 ";
 
-/// Parses `--flag N` / `--flag=N` style values; advances `i` past a
-/// space-separated value.
-fn flag_value(args: &[String], i: &mut usize, flag: &str) -> Result<u64, String> {
-    let a = &args[*i];
-    let raw = if let Some(rest) = a.strip_prefix(&format!("{flag}=")) {
-        rest.to_string()
-    } else {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))?
-    };
-    raw.parse::<u64>()
-        .map_err(|_| format!("{flag} needs an integer, got `{raw}`"))
+/// How a flag reads its value. The kind converts the raw text and owns the
+/// error message; [`parse`] does everything else once.
+enum Kind<O> {
+    /// `--flag`: no value.
+    Switch(fn(&mut O)),
+    /// Any text (paths, addresses, names).
+    Text(fn(&mut O, String)),
+    /// An unsigned integer.
+    Int(fn(&mut O, u64)),
+    /// An unsigned integer; 0 is refused (a cap or cadence of 0 would
+    /// mean "never make progress").
+    AtLeast1(fn(&mut O, u64)),
+    /// A count stored as `u32`: a larger value is refused, never wrapped.
+    U32(fn(&mut O, u32)),
+    /// Milliseconds.
+    Millis(fn(&mut O, Duration)),
+    /// A float. Range checks stay with config validation, but NaN never
+    /// parses: a value that compares false to everything is a typo.
+    Float(fn(&mut O, f64)),
+    /// A value with its own syntax; the setter's error is the message.
+    Parsed(fn(&mut O, &str) -> Result<(), String>),
 }
 
-/// [`flag_value`] for counts stored as `u32`: a larger value is a usage
-/// error, never a silent wrap.
-fn u32_value(args: &[String], i: &mut usize, flag: &str) -> Result<u32, String> {
-    let v = flag_value(args, i, flag)?;
-    u32::try_from(v).map_err(|_| format!("{flag} must be at most {}, got {v}", u32::MAX))
-}
+/// One row of a command's flag table.
+type Flag<O> = (&'static str, Kind<O>);
 
-/// Parses `--flag F` / `--flag=F` style floating-point values. Range
-/// checks stay with the caller (config validation), but NaN never parses:
-/// a probability that compares false to everything is a typo, not a knob.
-fn float_value(args: &[String], i: &mut usize, flag: &str) -> Result<f64, String> {
-    let a = &args[*i];
-    let raw = if let Some(rest) = a.strip_prefix(&format!("{flag}=")) {
-        rest.to_string()
-    } else {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))?
-    };
-    let v = raw
-        .parse::<f64>()
-        .map_err(|_| format!("{flag} needs a number, got `{raw}`"))?;
-    if v.is_nan() {
-        return Err(format!("{flag} cannot be NaN"));
+impl<O> Kind<O> {
+    fn apply(&self, o: &mut O, flag: &str, raw: &str) -> Result<(), String> {
+        let int = || {
+            raw.parse::<u64>()
+                .map_err(|_| format!("{flag} needs an integer, got `{raw}`"))
+        };
+        match self {
+            Switch(set) => set(o),
+            Text(set) => set(o, raw.to_string()),
+            Int(set) => set(o, int()?),
+            AtLeast1(set) => match int()? {
+                0 => return Err(format!("{flag} needs at least 1")),
+                n => set(o, n),
+            },
+            U32(set) => {
+                let n = int()?;
+                let n = u32::try_from(n)
+                    .map_err(|_| format!("{flag} must be at most {}, got {n}", u32::MAX))?;
+                set(o, n)
+            }
+            Millis(set) => set(o, Duration::from_millis(int()?)),
+            Float(set) => {
+                let v = raw
+                    .parse::<f64>()
+                    .map_err(|_| format!("{flag} needs a number, got `{raw}`"))?;
+                if v.is_nan() {
+                    return Err(format!("{flag} cannot be NaN"));
+                }
+                set(o, v)
+            }
+            Parsed(set) => set(o, raw)?,
+        }
+        Ok(())
     }
-    Ok(v)
+}
+
+/// Reads `args` into `o` through the command's flag table and returns the
+/// positionals (at most `positionals` of them). An argument that does not
+/// start with `--` is a positional, so `-` names stdin. Any problem is a
+/// [`usage_err`].
+fn parse<O>(
+    cmd: &str,
+    flags: &[Flag<O>],
+    args: &[String],
+    o: &mut O,
+    positionals: usize,
+) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            if found.len() == positionals {
+                usage_err(cmd, &format!("unexpected argument `{arg}`"));
+            }
+            found.push(arg.clone());
+            continue;
+        }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let Some((_, kind)) = flags.iter().find(|(f, _)| *f == name) else {
+            usage_err(cmd, &format!("unknown flag {arg}"));
+        };
+        let raw = match (kind, inline) {
+            (Switch(_), Some(_)) => usage_err(cmd, &format!("{name} takes no value")),
+            (Switch(_), None) => "",
+            (_, Some(v)) => v,
+            (_, None) => match rest.next() {
+                Some(v) => v,
+                None => usage_err(cmd, &format!("{name} needs a value")),
+            },
+        };
+        if let Err(e) = kind.apply(o, name, raw) {
+            usage_err(cmd, &e);
+        }
+    }
+    found
+}
+
+/// The one way a command reports a usage error: `hawkset <cmd>: <msg>`, a
+/// pointer at the help text, exit 2.
+fn usage_err(cmd: &str, msg: &str) -> ! {
+    eprintln!("hawkset {cmd}: {msg}\nrun `hawkset help` for the options");
+    std::process::exit(2)
 }
 
 fn load_trace(path: &str) -> Result<Trace, HawkSetError> {
@@ -422,201 +498,119 @@ impl MetricsOut {
 }
 
 /// The process's I/O plane ([`plane_from_env`]), resolved once per
-/// command; a malformed fault script is a usage error (exit 2).
-fn command_plane(cmd: &str) -> Result<Arc<dyn IoPlane>, ExitCode> {
-    plane_from_env().map_err(|e| {
-        eprintln!("hawkset {cmd}: {e}");
-        ExitCode::from(2)
-    })
+/// command; a malformed fault script is a usage error.
+fn command_plane(cmd: &str) -> Arc<dyn IoPlane> {
+    plane_from_env().unwrap_or_else(|e| usage_err(cmd, &e))
 }
 
+/// `hawkset analyze`'s options: the analysis config plus what the command
+/// does with the trace and the report.
+#[derive(Default)]
+struct AnalyzeOpts {
+    cfg: AnalysisConfig,
+    json: bool,
+    salvage: bool,
+    stream: bool,
+    metrics: MetricsOut,
+    checkpoint: Option<String>,
+    resume: Option<String>,
+}
+
+const ANALYZE_FLAGS: &[Flag<AnalyzeOpts>] = &[
+    ("--no-irh", Switch(|o| o.cfg.irh = false)),
+    ("--no-atomics", Switch(|o| o.cfg.include_atomics = false)),
+    ("--no-hb", Switch(|o| o.cfg.use_hb = false)),
+    ("--store-store", Switch(|o| o.cfg.check_store_store = true)),
+    ("--eadr", Switch(|o| o.cfg.eadr = true)),
+    ("--suggest-fixes", Switch(|o| o.cfg.suggest_fixes = true)),
+    ("--json", Switch(|o| o.json = true)),
+    (
+        "--strict",
+        Switch(|o| o.cfg.strictness = Strictness::Strict),
+    ),
+    (
+        "--lenient",
+        Switch(|o| o.cfg.strictness = Strictness::Lenient),
+    ),
+    ("--salvage", Switch(|o| o.salvage = true)),
+    ("--stream", Switch(|o| o.stream = true)),
+    ("--metrics-stderr", Switch(|o| o.metrics.to_stderr = true)),
+    ("--metrics", Text(|o, p| o.metrics.path = Some(p))),
+    (
+        "--memory-budget",
+        Int(|o, n| o.cfg.budget.memory_budget = Some(n)),
+    ),
+    (
+        "--stage-timeout-ms",
+        Millis(|o, d| o.cfg.budget.stage_timeout = Some(d)),
+    ),
+    ("--checkpoint", Text(|o, p| o.checkpoint = Some(p))),
+    (
+        "--checkpoint-every",
+        AtLeast1(|o, n| o.cfg.checkpoint_every = Some(n)),
+    ),
+    ("--resume", Text(|o, p| o.resume = Some(p))),
+    (
+        "--max-pairs",
+        Int(|o, n| o.cfg.budget.max_candidate_pairs = Some(n)),
+    ),
+    (
+        "--max-events",
+        Int(|o, n| o.cfg.budget.max_events = Some(n)),
+    ),
+    ("--threads", Int(|o, n| o.cfg.threads = n as usize)),
+];
+
 fn cmd_analyze(args: &[String]) -> ExitCode {
-    let mut path = None;
-    let mut cfg = AnalysisConfig::default();
-    let mut json = false;
-    let mut salvage = false;
-    let mut metrics = MetricsOut::default();
-    let mut stream = false;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        match a.as_str() {
-            "--no-irh" => cfg.irh = false,
-            "--no-atomics" => cfg.include_atomics = false,
-            "--no-hb" => cfg.use_hb = false,
-            "--store-store" => cfg.check_store_store = true,
-            "--eadr" => cfg.eadr = true,
-            "--suggest-fixes" => cfg.suggest_fixes = true,
-            "--json" => json = true,
-            "--strict" => cfg.strictness = Strictness::Strict,
-            "--lenient" => cfg.strictness = Strictness::Lenient,
-            "--salvage" => salvage = true,
-            "--stream" => stream = true,
-            "--metrics-stderr" => metrics.to_stderr = true,
-            flag if flag == "--memory-budget" || flag.starts_with("--memory-budget=") => {
-                match flag_value(args, &mut i, "--memory-budget") {
-                    Ok(v) => cfg.budget.memory_budget = Some(v),
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--stage-timeout-ms" || flag.starts_with("--stage-timeout-ms=") => {
-                match flag_value(args, &mut i, "--stage-timeout-ms") {
-                    Ok(v) => cfg.budget.stage_timeout = Some(std::time::Duration::from_millis(v)),
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--checkpoint-every" || flag.starts_with("--checkpoint-every=") => {
-                match flag_value(args, &mut i, "--checkpoint-every") {
-                    Ok(0) => {
-                        eprintln!(
-                            "hawkset analyze: --checkpoint-every needs a cadence of at \
-                             least 1 event (0 would mean \"never make progress\")"
-                        );
-                        return ExitCode::from(2);
-                    }
-                    Ok(v) => cfg.checkpoint_every = Some(v),
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--checkpoint" || flag.starts_with("--checkpoint=") => {
-                match path_value(args, &mut i, "--checkpoint") {
-                    Ok(p) => checkpoint_path = Some(p),
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--resume" || flag.starts_with("--resume=") => {
-                match path_value(args, &mut i, "--resume") {
-                    Ok(p) => resume_path = Some(p),
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--metrics" || flag.starts_with("--metrics=") => {
-                match path_value(args, &mut i, "--metrics") {
-                    Ok(p) => metrics.path = Some(p),
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--max-pairs" || flag.starts_with("--max-pairs=") => {
-                match flag_value(args, &mut i, "--max-pairs") {
-                    Ok(v) => cfg.budget.max_candidate_pairs = Some(v),
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--max-events" || flag.starts_with("--max-events=") => {
-                match flag_value(args, &mut i, "--max-events") {
-                    Ok(v) => cfg.budget.max_events = Some(v),
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--threads" || flag.starts_with("--threads=") => {
-                match flag_value(args, &mut i, "--threads") {
-                    Ok(v) => cfg.threads = v as usize,
-                    Err(e) => {
-                        eprintln!("hawkset analyze: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("hawkset analyze: unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-            p => path = Some(p.to_string()),
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
-        eprintln!("hawkset analyze: missing trace path\n{USAGE}");
-        return ExitCode::from(2);
+    let mut o = AnalyzeOpts::default();
+    let Some(path) = parse("analyze", ANALYZE_FLAGS, args, &mut o, 1).pop() else {
+        usage_err("analyze", "missing trace path");
     };
     let from_stdin = path == "-";
-    let streaming = stream || from_stdin || checkpoint_path.is_some() || resume_path.is_some();
-    if from_stdin && resume_path.is_some() {
-        eprintln!(
-            "hawkset analyze: --resume needs a seekable trace file: resuming replays \
-             ingestion from the trace, and stdin (`-`) cannot be read twice"
+    if from_stdin && o.resume.is_some() {
+        usage_err(
+            "analyze",
+            "--resume needs a seekable trace file: resuming replays ingestion from the \
+             trace, and stdin (`-`) cannot be read twice",
         );
-        return ExitCode::from(2);
     }
-    if from_stdin && cfg.suggest_fixes {
-        eprintln!(
-            "hawkset analyze: --suggest-fixes needs a seekable trace file: validation \
-             replays the trace with each patch applied, and stdin (`-`) cannot be \
-             read twice"
+    if from_stdin && o.cfg.suggest_fixes {
+        usage_err(
+            "analyze",
+            "--suggest-fixes needs a seekable trace file: validation replays the trace \
+             with each patch applied, and stdin (`-`) cannot be read twice",
         );
-        return ExitCode::from(2);
     }
-    if streaming && salvage && cfg.strictness != Strictness::Lenient {
-        eprintln!(
-            "hawkset analyze: --salvage with --stream requires --lenient \
-             (lenient streaming salvages automatically)"
+    let streaming = o.stream || from_stdin || o.checkpoint.is_some() || o.resume.is_some();
+    if streaming && o.salvage && o.cfg.strictness != Strictness::Lenient {
+        usage_err(
+            "analyze",
+            "--salvage with --stream requires --lenient (lenient streaming salvages \
+             automatically)",
         );
-        return ExitCode::from(2);
     }
     // Test hook for the watchdog/kill-resume suites: stall one pairing
     // shard so a run is reliably mid-pairing when a signal arrives.
     if let Ok(ms) = std::env::var("HAWKSET_TEST_SHARD_DELAY_MS") {
-        match ms.parse::<u64>() {
-            Ok(ms) => {
-                let shard = std::env::var("HAWKSET_TEST_SHARD")
-                    .ok()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .unwrap_or(0);
-                cfg.stall_injection = Some(StallInjection {
-                    shard,
-                    delay: std::time::Duration::from_millis(ms),
-                });
-            }
-            Err(_) => {
-                eprintln!("hawkset analyze: HAWKSET_TEST_SHARD_DELAY_MS needs an integer");
-                return ExitCode::from(2);
-            }
-        }
+        let Ok(ms) = ms.parse::<u64>() else {
+            usage_err("analyze", "HAWKSET_TEST_SHARD_DELAY_MS needs an integer");
+        };
+        let shard = std::env::var("HAWKSET_TEST_SHARD")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .unwrap_or(0);
+        o.cfg.stall_injection = Some(StallInjection {
+            shard,
+            delay: Duration::from_millis(ms),
+        });
     }
-    let plane = match command_plane("analyze") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    cfg.interrupt = Some(interrupt::install());
+    let plane = command_plane("analyze");
+    o.cfg.interrupt = Some(interrupt::install());
     if streaming {
-        return analyze_stream(
-            &path,
-            cfg,
-            json,
-            checkpoint_path,
-            resume_path,
-            &metrics,
-            plane,
-        );
+        return analyze_stream(&path, o, plane);
     }
     let decode_started = std::time::Instant::now();
-    let loaded = if salvage {
+    let loaded = if o.salvage {
         load_trace_salvage(&path).map(LoadedTrace::Salvaged)
     } else {
         load_trace(&path).map(LoadedTrace::Plain)
@@ -630,8 +624,8 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         }
     };
     let trace = loaded.trace();
-    let lenient = cfg.strictness == Strictness::Lenient;
-    let mut report = match Analyzer::new(cfg).try_run(trace) {
+    let lenient = o.cfg.strictness == Strictness::Lenient;
+    let mut report = match Analyzer::new(o.cfg).try_run(trace) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("hawkset: {path}: {e} (use --lenient to quarantine and continue)");
@@ -646,25 +640,25 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             s.record_metrics(m);
         }
     }
-    report_exit(&report, trace, json, lenient, &metrics, plane.as_ref())
+    report_exit(&report, trace, o.json, lenient, &o.metrics, plane.as_ref())
 }
 
 /// Streaming `analyze`: chunked ingestion straight into the simulator from
 /// a file or stdin, with optional checkpointing (`--checkpoint`) and resume
 /// (`--resume`). Checkpoints and the metrics file go through `plane`.
-fn analyze_stream(
-    path: &str,
-    mut cfg: AnalysisConfig,
-    json: bool,
-    checkpoint_path: Option<String>,
-    resume_path: Option<String>,
-    metrics: &MetricsOut,
-    plane: Arc<dyn IoPlane>,
-) -> ExitCode {
+fn analyze_stream(path: &str, o: AnalyzeOpts, plane: Arc<dyn IoPlane>) -> ExitCode {
     use hawkset_core::analysis::BudgetExceeded;
 
+    let AnalyzeOpts {
+        mut cfg,
+        json,
+        metrics,
+        checkpoint,
+        resume,
+        ..
+    } = o;
     let lenient = cfg.strictness == Strictness::Lenient;
-    let prior: Option<AnalysisCheckpoint> = match &resume_path {
+    let prior: Option<AnalysisCheckpoint> = match &resume {
         Some(p) => match AnalysisCheckpoint::load(std::path::Path::new(p)) {
             Ok(ck) => Some(ck),
             Err(e) => {
@@ -676,7 +670,7 @@ fn analyze_stream(
     };
     // --resume keeps checkpointing to the same file unless --checkpoint
     // redirects it.
-    let session_path = checkpoint_path.or_else(|| resume_path.clone());
+    let session_path = checkpoint.or(resume);
     let session = session_path.map(|p| {
         let session = match &prior {
             Some(ck) => CheckpointSession::resuming(p.into(), ck.clone(), cfg.checkpoint_every),
@@ -762,7 +756,7 @@ fn analyze_stream(
             ),
         }
     }
-    report_exit(&report, &header, json, lenient, metrics, plane.as_ref())
+    report_exit(&report, &header, json, lenient, &metrics, plane.as_ref())
 }
 
 /// Prints the report (JSON or rendered), emits metrics per the flags, and
@@ -821,19 +815,8 @@ fn format_duration(d: std::time::Duration) -> String {
 }
 
 fn cmd_info(args: &[String]) -> ExitCode {
-    let mut path = None;
-    for a in args {
-        match a.as_str() {
-            flag if flag.starts_with("--") => {
-                eprintln!("hawkset info: unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-            p => path = Some(p.to_string()),
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("hawkset info: missing trace path");
-        return ExitCode::from(2);
+    let Some(path) = parse("info", &[], args, &mut (), 1).pop() else {
+        usage_err("info", "missing trace path");
     };
     let trace = match load_trace(&path) {
         Ok(t) => t,
@@ -870,19 +853,8 @@ fn cmd_demo(args: &[String]) -> ExitCode {
         EventKind, Frame, LockId, LockMode, PmRegion, ThreadId, TraceBuilder,
     };
 
-    let mut path = None;
-    for a in args {
-        match a.as_str() {
-            flag if flag.starts_with("--") => {
-                eprintln!("hawkset demo: unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-            p => path = Some(p.to_string()),
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("hawkset demo: missing output path");
-        return ExitCode::from(2);
+    let Some(path) = parse("demo", &[], args, &mut (), 1).pop() else {
+        usage_err("demo", "missing output path");
     };
     let mut b = TraceBuilder::new();
     b.add_region(PmRegion {
@@ -960,116 +932,60 @@ fn cmd_demo(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_crashtest(args: &[String]) -> ExitCode {
-    use pmrace::{run_crash_campaign, CampaignCheckpoint, CrashCampaignConfig, RoundOutcome};
+/// `hawkset crashtest`'s options: the campaign config plus its outputs.
+#[derive(Default)]
+struct CrashtestOpts {
+    cfg: CrashCampaignConfig,
+    json: bool,
+    metrics: MetricsOut,
+}
 
-    let mut app_name = None;
-    let mut cfg = CrashCampaignConfig::default();
-    let mut json = false;
-    let mut metrics = MetricsOut::default();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let numeric = |args: &[String], i: &mut usize, flag: &str| flag_value(args, i, flag);
-        match a.as_str() {
-            "--json" => json = true,
-            "--metrics-stderr" => metrics.to_stderr = true,
-            "--suggest-fixes" => cfg.suggest_fixes = true,
-            "--steer" => cfg.steer = true,
-            flag if flag == "--axes" || flag.starts_with("--axes=") => {
-                match path_value(args, &mut i, "--axes") {
-                    Ok(list) => match pmrace::AxisSet::parse(&list) {
-                        Ok(axes) => cfg.axes = axes,
-                        Err(e) => return crashtest_usage_err(&e),
-                    },
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--delay-probability" || flag.starts_with("--delay-probability=") => {
-                match float_value(args, &mut i, "--delay-probability") {
-                    Ok(v) => cfg.delay_probability = v,
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--max-delay-us" || flag.starts_with("--max-delay-us=") => {
-                match numeric(args, &mut i, "--max-delay-us") {
-                    Ok(v) => cfg.max_delay_us = v,
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--metrics" || flag.starts_with("--metrics=") => {
-                match path_value(args, &mut i, "--metrics") {
-                    Ok(p) => metrics.path = Some(p),
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--rounds" || flag.starts_with("--rounds=") => {
-                match numeric(args, &mut i, "--rounds") {
-                    Ok(v) => cfg.rounds = v,
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--ops" || flag.starts_with("--ops=") => {
-                match numeric(args, &mut i, "--ops") {
-                    Ok(v) => cfg.main_ops = v,
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--seed" || flag.starts_with("--seed=") => {
-                match numeric(args, &mut i, "--seed") {
-                    Ok(v) => cfg.seed = v,
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--crash-points" || flag.starts_with("--crash-points=") => {
-                match numeric(args, &mut i, "--crash-points") {
-                    Ok(v) => cfg.crash_points = v as usize,
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--round-timeout-ms" || flag.starts_with("--round-timeout-ms=") => {
-                match numeric(args, &mut i, "--round-timeout-ms") {
-                    Ok(v) => cfg.round_timeout = std::time::Duration::from_millis(v),
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--max-retries" || flag.starts_with("--max-retries=") => {
-                match u32_value(args, &mut i, "--max-retries") {
-                    Ok(v) => cfg.max_retries = v,
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--threads" || flag.starts_with("--threads=") => {
-                match numeric(args, &mut i, "--threads") {
-                    Ok(v) => cfg.analysis_threads = v as usize,
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--checkpoint" || flag.starts_with("--checkpoint=") => {
-                match path_value(args, &mut i, "--checkpoint") {
-                    Ok(p) => cfg.checkpoint = Some(p.into()),
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag == "--resume" || flag.starts_with("--resume=") => {
-                match path_value(args, &mut i, "--resume") {
-                    Ok(p) => {
-                        cfg.checkpoint = Some(p.into());
-                        cfg.resume = true;
-                    }
-                    Err(e) => return crashtest_usage_err(&e),
-                }
-            }
-            flag if flag.starts_with("--") => {
-                return crashtest_usage_err(&format!("unknown flag {flag}"));
-            }
-            name => app_name = Some(name.to_string()),
-        }
-        i += 1;
-    }
-    let Some(app_name) = app_name else {
-        return crashtest_usage_err("missing application name");
+const CRASHTEST_FLAGS: &[Flag<CrashtestOpts>] = &[
+    ("--json", Switch(|o| o.json = true)),
+    ("--metrics-stderr", Switch(|o| o.metrics.to_stderr = true)),
+    ("--metrics", Text(|o, p| o.metrics.path = Some(p))),
+    ("--suggest-fixes", Switch(|o| o.cfg.suggest_fixes = true)),
+    ("--steer", Switch(|o| o.cfg.steer = true)),
+    (
+        "--axes",
+        Parsed(|o, list| pmrace::AxisSet::parse(list).map(|axes| o.cfg.axes = axes)),
+    ),
+    (
+        "--delay-probability",
+        Float(|o, p| o.cfg.delay_probability = p),
+    ),
+    ("--max-delay-us", Int(|o, n| o.cfg.max_delay_us = n)),
+    ("--rounds", Int(|o, n| o.cfg.rounds = n)),
+    ("--ops", Int(|o, n| o.cfg.main_ops = n)),
+    ("--seed", Int(|o, n| o.cfg.seed = n)),
+    (
+        "--crash-points",
+        Int(|o, n| o.cfg.crash_points = n as usize),
+    ),
+    ("--round-timeout-ms", Millis(|o, d| o.cfg.round_timeout = d)),
+    ("--max-retries", U32(|o, n| o.cfg.max_retries = n)),
+    ("--threads", Int(|o, n| o.cfg.analysis_threads = n as usize)),
+    (
+        "--checkpoint",
+        Text(|o, p| o.cfg.checkpoint = Some(p.into())),
+    ),
+    (
+        "--resume",
+        Text(|o, p| {
+            o.cfg.checkpoint = Some(p.into());
+            o.cfg.resume = true;
+        }),
+    ),
+];
+
+fn cmd_crashtest(args: &[String]) -> ExitCode {
+    use pmrace::{run_crash_campaign, CampaignCheckpoint, RoundOutcome};
+
+    let mut o = CrashtestOpts::default();
+    let Some(app_name) = parse("crashtest", CRASHTEST_FLAGS, args, &mut o, 1).pop() else {
+        usage_err("crashtest", "missing application name");
     };
+    let CrashtestOpts { cfg, json, metrics } = o;
     // Accept `fast-fair`, `fastfair`, `P-CLHT`, `pclht`, … — compare with
     // case and punctuation folded away.
     let fold = |s: &str| {
@@ -1083,19 +999,19 @@ fn cmd_crashtest(args: &[String]) -> ExitCode {
         .find(|a| fold(a.name()) == fold(&app_name))
     else {
         let names: Vec<&str> = pm_apps::all_apps().iter().map(|a| a.name()).collect();
-        return crashtest_usage_err(&format!(
-            "unknown application `{app_name}` (one of: {})",
-            names.join(", ")
-        ));
+        usage_err(
+            "crashtest",
+            &format!(
+                "unknown application `{app_name}` (one of: {})",
+                names.join(", ")
+            ),
+        );
     };
     let app: Arc<dyn pm_apps::Application> = Arc::from(app);
     if let Err(e) = cfg.validate() {
-        return crashtest_usage_err(&e);
+        usage_err("crashtest", &e);
     }
-    let plane = match command_plane("crashtest") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+    let plane = command_plane("crashtest");
     if !app.supports_recovery() {
         eprintln!(
             "hawkset crashtest: note: `{}` has no recovery audit; rounds only exercise \
@@ -1214,176 +1130,60 @@ fn cmd_crashtest(args: &[String]) -> ExitCode {
     }
 }
 
-fn crashtest_usage_err(msg: &str) -> ExitCode {
-    eprintln!("hawkset crashtest: {msg}\n{USAGE}");
-    ExitCode::from(2)
-}
-
-/// Parses `--flag PATH` / `--flag=PATH` style values.
-fn path_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    let a = &args[*i];
-    if let Some(rest) = a.strip_prefix(&format!("{flag}=")) {
-        Ok(rest.to_string())
-    } else {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // serve / submit / query — the daemon front door
 // ---------------------------------------------------------------------------
+
+const SERVE_FLAGS: &[Flag<ServeConfig>] = &[
+    ("--db", Text(|c, p| c.db_dir = p.into())),
+    ("--socket", Text(|c, p| c.unix_socket = Some(p.into()))),
+    ("--tcp", Text(|c, addr| c.tcp_addr = Some(addr))),
+    ("--metrics", Text(|c, p| c.metrics_path = Some(p.into()))),
+    ("--workers", AtLeast1(|c, n| c.worker.workers = n as usize)),
+    ("--suggest-fixes", Switch(|c| c.worker.suggest_fixes = true)),
+    ("--queue-cap", AtLeast1(|c, n| c.queue_cap = n as usize)),
+    ("--tenant-cap", AtLeast1(|c, n| c.tenant_cap = n as usize)),
+    (
+        "--checkpoint-every-jobs",
+        AtLeast1(|c, n| c.worker.checkpoint_every_jobs = n),
+    ),
+    (
+        "--memory-budget",
+        Int(|c, n| c.worker.memory_budget = Some(n)),
+    ),
+    (
+        "--stage-timeout-ms",
+        Millis(|c, d| c.worker.stage_timeout = Some(d)),
+    ),
+    ("--job-timeout-ms", Millis(|c, d| c.worker.job_timeout = d)),
+    ("--max-retries", U32(|c, n| c.worker.max_retries = n)),
+    ("--drain-timeout-ms", Millis(|c, d| c.drain_timeout = d)),
+    (
+        "--max-trace-bytes",
+        Int(|c, n| c.worker.max_trace_bytes = Some(n)),
+    ),
+    (
+        "--max-connections",
+        AtLeast1(|c, n| c.max_connections = n as usize),
+    ),
+    (
+        "--io-timeout-ms",
+        AtLeast1(|c, n| c.io_timeout = Duration::from_millis(n)),
+    ),
+    (
+        "--idle-timeout-ms",
+        AtLeast1(|c, n| c.idle_timeout = Duration::from_millis(n)),
+    ),
+    ("--min-free-bytes", Int(|c, n| c.min_free_bytes = n)),
+    ("--probe-interval-ms", Millis(|c, d| c.probe_interval = d)),
+];
 
 /// `hawkset serve`: run the always-on analysis daemon until a signal
 /// drains it (see the exit-code contract in the USAGE text and
 /// `hawkset_serve::server`).
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut cfg = hawkset_serve::ServeConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let fail = |msg: String| {
-            eprintln!("hawkset serve: {msg}");
-            ExitCode::from(2)
-        };
-        match a.as_str() {
-            flag if flag == "--db" || flag.starts_with("--db=") => {
-                match path_value(args, &mut i, "--db") {
-                    Ok(p) => cfg.db_dir = p.into(),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--socket" || flag.starts_with("--socket=") => {
-                match path_value(args, &mut i, "--socket") {
-                    Ok(p) => cfg.unix_socket = Some(p.into()),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--tcp" || flag.starts_with("--tcp=") => {
-                match path_value(args, &mut i, "--tcp") {
-                    Ok(addr) => cfg.tcp_addr = Some(addr),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--metrics" || flag.starts_with("--metrics=") => {
-                match path_value(args, &mut i, "--metrics") {
-                    Ok(p) => cfg.metrics_path = Some(p.into()),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--workers" || flag.starts_with("--workers=") => {
-                match flag_value(args, &mut i, "--workers") {
-                    Ok(0) => return fail("--workers needs at least 1".into()),
-                    Ok(v) => cfg.worker.workers = v as usize,
-                    Err(e) => return fail(e),
-                }
-            }
-            "--suggest-fixes" => cfg.worker.suggest_fixes = true,
-            flag if flag == "--queue-cap" || flag.starts_with("--queue-cap=") => {
-                match flag_value(args, &mut i, "--queue-cap") {
-                    Ok(0) => return fail("--queue-cap needs at least 1".into()),
-                    Ok(v) => cfg.queue_cap = v as usize,
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--tenant-cap" || flag.starts_with("--tenant-cap=") => {
-                match flag_value(args, &mut i, "--tenant-cap") {
-                    Ok(0) => return fail("--tenant-cap needs at least 1".into()),
-                    Ok(v) => cfg.tenant_cap = v as usize,
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--checkpoint-every-jobs"
-                || flag.starts_with("--checkpoint-every-jobs=") =>
-            {
-                match flag_value(args, &mut i, "--checkpoint-every-jobs") {
-                    Ok(0) => {
-                        return fail(
-                            "--checkpoint-every-jobs needs a cadence of at least 1 job".into(),
-                        )
-                    }
-                    Ok(v) => cfg.worker.checkpoint_every_jobs = v,
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--memory-budget" || flag.starts_with("--memory-budget=") => {
-                match flag_value(args, &mut i, "--memory-budget") {
-                    Ok(v) => cfg.worker.memory_budget = Some(v),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--stage-timeout-ms" || flag.starts_with("--stage-timeout-ms=") => {
-                match flag_value(args, &mut i, "--stage-timeout-ms") {
-                    Ok(v) => cfg.worker.stage_timeout = Some(std::time::Duration::from_millis(v)),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--job-timeout-ms" || flag.starts_with("--job-timeout-ms=") => {
-                match flag_value(args, &mut i, "--job-timeout-ms") {
-                    Ok(v) => cfg.worker.job_timeout = std::time::Duration::from_millis(v),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--max-retries" || flag.starts_with("--max-retries=") => {
-                match u32_value(args, &mut i, "--max-retries") {
-                    Ok(v) => cfg.worker.max_retries = v,
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--drain-timeout-ms" || flag.starts_with("--drain-timeout-ms=") => {
-                match flag_value(args, &mut i, "--drain-timeout-ms") {
-                    Ok(v) => cfg.drain_timeout = std::time::Duration::from_millis(v),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--max-trace-bytes" || flag.starts_with("--max-trace-bytes=") => {
-                match flag_value(args, &mut i, "--max-trace-bytes") {
-                    Ok(v) => cfg.worker.max_trace_bytes = Some(v),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--max-connections" || flag.starts_with("--max-connections=") => {
-                match flag_value(args, &mut i, "--max-connections") {
-                    Ok(0) => return fail("--max-connections needs at least 1".into()),
-                    Ok(v) => cfg.max_connections = v as usize,
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--io-timeout-ms" || flag.starts_with("--io-timeout-ms=") => {
-                match flag_value(args, &mut i, "--io-timeout-ms") {
-                    Ok(0) => return fail("--io-timeout-ms needs at least 1".into()),
-                    Ok(v) => cfg.io_timeout = std::time::Duration::from_millis(v),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--idle-timeout-ms" || flag.starts_with("--idle-timeout-ms=") => {
-                match flag_value(args, &mut i, "--idle-timeout-ms") {
-                    Ok(0) => return fail("--idle-timeout-ms needs at least 1".into()),
-                    Ok(v) => cfg.idle_timeout = std::time::Duration::from_millis(v),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--min-free-bytes" || flag.starts_with("--min-free-bytes=") => {
-                match flag_value(args, &mut i, "--min-free-bytes") {
-                    Ok(v) => cfg.min_free_bytes = v,
-                    Err(e) => return fail(e),
-                }
-            }
-            flag if flag == "--probe-interval-ms" || flag.starts_with("--probe-interval-ms=") => {
-                match flag_value(args, &mut i, "--probe-interval-ms") {
-                    Ok(v) => cfg.probe_interval = std::time::Duration::from_millis(v),
-                    Err(e) => return fail(e),
-                }
-            }
-            flag => {
-                eprintln!("hawkset serve: unknown flag {flag}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
+    let mut cfg = ServeConfig::default();
+    parse("serve", SERVE_FLAGS, args, &mut cfg, 0);
     cfg.worker = cfg.worker.clone().with_env_hooks();
     match hawkset_serve::run(&cfg) {
         Ok(code) => ExitCode::from(code.clamp(0, 255) as u8),
@@ -1394,80 +1194,35 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
 }
 
+/// `hawkset submit`'s options.
+#[derive(Default)]
+struct SubmitOpts {
+    tenant: String,
+    socket: Option<String>,
+    tcp: Option<String>,
+    json: bool,
+    retries: u32,
+    retry_max_ms: u64,
+}
+
+const SUBMIT_FLAGS: &[Flag<SubmitOpts>] = &[
+    ("--json", Switch(|o| o.json = true)),
+    ("--retries", U32(|o, n| o.retries = n)),
+    ("--retry-max-ms", AtLeast1(|o, n| o.retry_max_ms = n)),
+    ("--tenant", Text(|o, t| o.tenant = t)),
+    ("--socket", Text(|o, p| o.socket = Some(p))),
+    ("--tcp", Text(|o, addr| o.tcp = Some(addr))),
+];
+
 /// `hawkset submit`: one submission round trip against a running daemon.
 fn cmd_submit(args: &[String]) -> ExitCode {
-    let mut path: Option<String> = None;
-    let mut tenant = "default".to_string();
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut json = false;
-    let mut retries = 0u32;
-    let mut retry_max_ms = 5_000u64;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        match a.as_str() {
-            "--json" => json = true,
-            flag if flag == "--retries" || flag.starts_with("--retries=") => {
-                match u32_value(args, &mut i, "--retries") {
-                    Ok(v) => retries = v,
-                    Err(e) => {
-                        eprintln!("hawkset submit: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--retry-max-ms" || flag.starts_with("--retry-max-ms=") => {
-                match flag_value(args, &mut i, "--retry-max-ms") {
-                    Ok(0) => {
-                        eprintln!("hawkset submit: --retry-max-ms needs at least 1");
-                        return ExitCode::from(2);
-                    }
-                    Ok(v) => retry_max_ms = v,
-                    Err(e) => {
-                        eprintln!("hawkset submit: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--tenant" || flag.starts_with("--tenant=") => {
-                match path_value(args, &mut i, "--tenant") {
-                    Ok(t) => tenant = t,
-                    Err(e) => {
-                        eprintln!("hawkset submit: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--socket" || flag.starts_with("--socket=") => {
-                match path_value(args, &mut i, "--socket") {
-                    Ok(p) => socket = Some(p),
-                    Err(e) => {
-                        eprintln!("hawkset submit: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--tcp" || flag.starts_with("--tcp=") => {
-                match path_value(args, &mut i, "--tcp") {
-                    Ok(addr) => tcp = Some(addr),
-                    Err(e) => {
-                        eprintln!("hawkset submit: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("hawkset submit: unknown flag {flag}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            p => path = Some(p.to_string()),
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
-        eprintln!("hawkset submit: missing trace path\n{USAGE}");
-        return ExitCode::from(2);
+    let mut o = SubmitOpts {
+        tenant: "default".into(),
+        retry_max_ms: 5_000,
+        ..SubmitOpts::default()
+    };
+    let Some(path) = parse("submit", SUBMIT_FLAGS, args, &mut o, 1).pop() else {
+        usage_err("submit", "missing trace path");
     };
     let trace = match std::fs::read(&path) {
         Ok(b) => b,
@@ -1477,22 +1232,22 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         }
     };
     let policy = hawkset_serve::RetryPolicy {
-        retries,
+        retries: o.retries,
         backoff: hawkset_core::supervise::Backoff {
-            start: std::time::Duration::from_millis(100.min(retry_max_ms)),
-            cap: std::time::Duration::from_millis(retry_max_ms),
+            start: Duration::from_millis(100.min(o.retry_max_ms)),
+            cap: Duration::from_millis(o.retry_max_ms),
         },
     };
     // Each retry dials a fresh connection: a `draining:` shed means the
     // daemon on the other end is going away, and the retry should land on
     // its replacement.
-    let outcome = match (&socket, &tcp) {
+    let outcome = match (&o.socket, &o.tcp) {
         (Some(p), None) => {
             #[cfg(unix)]
             {
                 hawkset_serve::submit_with_retry(
                     || std::os::unix::net::UnixStream::connect(p),
-                    &tenant,
+                    &o.tenant,
                     &trace,
                     &policy,
                 )
@@ -1508,14 +1263,11 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         }
         (None, Some(addr)) => hawkset_serve::submit_with_retry(
             || std::net::TcpStream::connect(addr),
-            &tenant,
+            &o.tenant,
             &trace,
             &policy,
         ),
-        _ => {
-            eprintln!("hawkset submit: need exactly one of --socket PATH or --tcp ADDR");
-            return ExitCode::from(2);
-        }
+        _ => usage_err("submit", "need exactly one of --socket PATH or --tcp ADDR"),
     };
     match outcome {
         Ok(hawkset_serve::SubmitOutcome::Done {
@@ -1523,7 +1275,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
             clean,
             report_json,
         }) => {
-            if json {
+            if o.json {
                 println!("{report_json}");
             } else {
                 println!(
@@ -1551,53 +1303,39 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     }
 }
 
+/// `hawkset query`'s options.
+#[derive(Default)]
+struct QueryOpts {
+    db: String,
+    json: bool,
+    verify: Vec<(String, String)>,
+}
+
+const QUERY_FLAGS: &[Flag<QueryOpts>] = &[
+    ("--json", Switch(|o| o.json = true)),
+    ("--db", Text(|o, p| o.db = p)),
+    (
+        "--verify",
+        Parsed(|o, spec| match spec.split_once('=') {
+            Some((tenant, report)) if !tenant.is_empty() && !report.is_empty() => {
+                o.verify.push((tenant.into(), report.into()));
+                Ok(())
+            }
+            _ => Err(format!("--verify needs TENANT=REPORT.json, got `{spec}`")),
+        }),
+    ),
+];
+
 /// `hawkset query`: read the race database's stable snapshot (safe against
 /// a live daemon — snapshots are immutable and the root swap is atomic).
 fn cmd_query(args: &[String]) -> ExitCode {
-    let mut db_dir = "hawkset-db".to_string();
-    let mut json = false;
-    let mut verify: Vec<(String, String)> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        match a.as_str() {
-            "--json" => json = true,
-            flag if flag == "--db" || flag.starts_with("--db=") => {
-                match path_value(args, &mut i, "--db") {
-                    Ok(p) => db_dir = p,
-                    Err(e) => {
-                        eprintln!("hawkset query: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag if flag == "--verify" || flag.starts_with("--verify=") => {
-                match path_value(args, &mut i, "--verify") {
-                    Ok(spec) => match spec.split_once('=') {
-                        Some((tenant, report)) if !tenant.is_empty() && !report.is_empty() => {
-                            verify.push((tenant.to_string(), report.to_string()))
-                        }
-                        _ => {
-                            eprintln!(
-                                "hawkset query: --verify needs TENANT=REPORT.json, got `{spec}`"
-                            );
-                            return ExitCode::from(2);
-                        }
-                    },
-                    Err(e) => {
-                        eprintln!("hawkset query: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            flag => {
-                eprintln!("hawkset query: unknown flag {flag}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    let snapshot = match hawkset_serve::load_stable(std::path::Path::new(&db_dir)) {
+    let mut o = QueryOpts {
+        db: "hawkset-db".into(),
+        ..QueryOpts::default()
+    };
+    parse("query", QUERY_FLAGS, args, &mut o, 0);
+    let QueryOpts { db, json, verify } = o;
+    let snapshot = match hawkset_serve::load_stable(Path::new(&db)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("hawkset query: {e}");
@@ -1611,7 +1349,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
         println!("{}", snapshot.to_json());
     } else {
         println!(
-            "race database {db_dir}: generation {}, {} job(s) recorded, {} distinct race(s)",
+            "race database {db}: generation {}, {} job(s) recorded, {} distinct race(s)",
             snapshot.generation,
             snapshot.jobs_recorded,
             snapshot.records.len()
@@ -1754,4 +1492,40 @@ fn query_verify(snapshot: &hawkset_serve::DbSnapshot, verify: &[(String, String)
         verify.len()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn names<O>(table: &[Flag<O>]) -> Vec<&'static str> {
+        table.iter().map(|(name, _)| *name).collect()
+    }
+
+    /// USAGE is written by hand, so it is checked against the tables: every
+    /// table flag is documented, every documented flag is accepted by some
+    /// command, and no table lists a flag twice (`parse` would never reach
+    /// the second row).
+    #[test]
+    fn flag_tables_and_usage_agree() {
+        let tables = [
+            names(ANALYZE_FLAGS),
+            names(CRASHTEST_FLAGS),
+            names(SERVE_FLAGS),
+            names(SUBMIT_FLAGS),
+            names(QUERY_FLAGS),
+        ];
+        for table in &tables {
+            let distinct: BTreeSet<_> = table.iter().collect();
+            assert_eq!(distinct.len(), table.len(), "duplicate row in {table:?}");
+        }
+        let accepted: BTreeSet<&str> = tables.into_iter().flatten().collect();
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .collect();
+        assert_eq!(accepted, documented);
+        assert_eq!(accepted.len(), 50);
+    }
 }

@@ -860,3 +860,81 @@ fn kill_and_resume_reproduces_the_uninterrupted_report() {
         "resumed run must reproduce the uninterrupted report (wall-clock masked)",
     );
 }
+
+/// Every usage error exits 2 and names its cause on stderr. No case may
+/// start a daemon or a campaign: each one fails while its arguments are
+/// read (the crashtest extra-positional case also sets `--rounds 0`, which
+/// older parsers refused before running anything). An extra positional is
+/// an error, not a replacement for the first: `analyze missing extra` must
+/// not report on `extra`.
+#[test]
+fn usage_errors_exit_2_and_name_the_cause() {
+    let missing = "/nonexistent-hawkset-dir/a.hwkt";
+    let extra = demo_trace("extra-positional");
+    let extra = extra.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        // The nine flags that refuse 0; half use the `--flag=0` form.
+        (&["analyze", "--checkpoint-every=0", missing], "at least 1"),
+        (&["serve", "--workers", "0"], "at least 1"),
+        (&["serve", "--queue-cap=0"], "at least 1"),
+        (&["serve", "--tenant-cap", "0"], "at least 1"),
+        (&["serve", "--checkpoint-every-jobs=0"], "at least 1"),
+        (&["serve", "--max-connections", "0"], "at least 1"),
+        (&["serve", "--io-timeout-ms=0"], "at least 1"),
+        (&["serve", "--idle-timeout-ms", "0"], "at least 1"),
+        (&["submit", "--retry-max-ms=0", missing], "at least 1"),
+        // A valued flag with nothing after it, once per subcommand.
+        (
+            &["analyze", missing, "--max-pairs"],
+            "--max-pairs needs a value",
+        ),
+        (
+            &["crashtest", "fast-fair", "--rounds"],
+            "--rounds needs a value",
+        ),
+        (&["serve", "--db"], "--db needs a value"),
+        (&["submit", missing, "--tenant"], "--tenant needs a value"),
+        (&["query", "--db"], "--db needs a value"),
+        // Values a kind refuses.
+        (
+            &["crashtest", "fast-fair", "--rounds", "lots"],
+            "--rounds needs an integer, got `lots`",
+        ),
+        (
+            &["serve", "--workers=x"],
+            "--workers needs an integer, got `x`",
+        ),
+        (
+            &["crashtest", "fast-fair", "--delay-probability", "NaN"],
+            "cannot be NaN",
+        ),
+        (
+            &["crashtest", "fast-fair", "--axes", "bogus"],
+            "unknown axis `bogus`",
+        ),
+        (
+            &["query", "--verify", "nope"],
+            "--verify needs TENANT=REPORT.json",
+        ),
+        // One positional too many.
+        (&["analyze", missing, extra], "unexpected argument"),
+        (&["info", missing, extra], "unexpected argument"),
+        (&["demo", missing, extra], "unexpected argument"),
+        (
+            &["crashtest", "fast-fair", "pclht", "--rounds", "0"],
+            "unexpected argument",
+        ),
+        (&["submit", missing, extra], "unexpected argument"),
+        (&["serve", "stray"], "unexpected argument"),
+        (&["query", "stray"], "unexpected argument"),
+    ];
+    for (args, fragment) in cases {
+        let out = hawkset().args(*args).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{err}");
+        assert!(
+            err.contains(fragment),
+            "{args:?}: want `{fragment}` in:\n{err}"
+        );
+    }
+}

@@ -16,7 +16,7 @@
 //!   quadratic in the worst case) and are persisted output-by-output. On
 //!   resume a finished shard is not re-executed: its recorded output is
 //!   merged verbatim, preserving bit-identical reports because only
-//!   deterministic outputs ([`ShardOutput::cacheable`]) are ever stored —
+//!   deterministic outputs (`ShardOutput::cacheable`) are ever stored —
 //!   deadline/watchdog/interrupt truncations are schedule-dependent and
 //!   never cached.
 //!
@@ -143,7 +143,8 @@ pub struct RaceEntry {
     pub race: Race,
 }
 
-/// One finished pairing shard, mirroring [`ShardOutput`] field-for-field.
+/// One finished pairing shard, mirroring the engine's `ShardOutput`
+/// field-for-field.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardEntry {
     /// Shard index within the fixed shard plan.
@@ -368,13 +369,12 @@ pub fn config_fingerprint(cfg: &AnalysisConfig) -> String {
 /// Live checkpoint writer attached to one analysis run.
 ///
 /// Shared across the pipeline's threads: ingest progress is recorded from
-/// the streaming loop, shard outputs from the pairing workers (via
-/// [`PairingControls::on_shard`](super::engine::PairingControls)). Every
-/// record flushes atomically — shard completions are rare and ingest
-/// records already ride a caller-side cadence, so each flush is worth its
-/// rename. Write failures from worker threads are deferred (a checkpoint
-/// problem must not kill the analysis) and surfaced by
-/// [`take_error`](Self::take_error).
+/// the streaming loop, shard outputs from the pairing workers (via the
+/// engine's `PairingControls::on_shard`). Every record flushes
+/// atomically — shard completions are rare and ingest records already
+/// ride a caller-side cadence, so each flush is worth its rename. Write
+/// failures from worker threads are deferred (a checkpoint problem must
+/// not kill the analysis) and surfaced by [`take_error`](Self::take_error).
 #[derive(Debug)]
 pub struct CheckpointSession {
     path: PathBuf,
@@ -729,5 +729,16 @@ mod tests {
         cfg.irh = true;
         cfg.budget.memory_budget = Some(1 << 20);
         assert_ne!(config_fingerprint(&cfg), base);
+    }
+
+    /// Checkpoints on disk carry the fingerprint and `--resume` compares
+    /// it byte for byte, so the string is pinned.
+    #[test]
+    fn config_fingerprint_values_are_pinned() {
+        assert_eq!(
+            config_fingerprint(&AnalysisConfig::default()),
+            "v1;irh=1;atomics=1;eadr=0;hb=1;ss=0;strict=strict;pairs=none;events=none;\
+             mem=none;fixes=0"
+        );
     }
 }

@@ -230,7 +230,7 @@ impl Analyzer {
     /// The report is **bit-identical** to [`try_run`](Self::try_run) on
     /// the batch-decoded trace: the decoder yields the same events
     /// ([`StreamDecoder`] equivalence), quarantine/validation make the
-    /// same per-event decisions ([`QuarantineFilter`] /
+    /// same per-event decisions (`QuarantineFilter` /
     /// [`StreamValidator`] are the batch paths' own internals), and the
     /// incremental simulator replays locks inline with the same clocks
     /// the batch timeline replay produces.

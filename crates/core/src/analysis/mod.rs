@@ -10,7 +10,7 @@
 //! accesses are grouped by address word, lockset/vector-clock checks are
 //! memoized on interned ids, and reports are deduplicated by the (store
 //! backtrace, load backtrace) pair. The pairing loop itself is sharded by
-//! address and runs on multiple worker threads ([`engine`] internals,
+//! address and runs on multiple worker threads (`engine` internals,
 //! [`AnalysisConfig::threads`] knob) with bit-identical output for every
 //! worker count.
 //!

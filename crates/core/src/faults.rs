@@ -138,7 +138,7 @@ pub fn truncations(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
     (0..bytes.len()).map(|len| bytes[..len].to_vec())
 }
 
-/// A [`Read`] wrapper that fails with a deterministic I/O error once
+/// A [`Read`](std::io::Read) wrapper that fails with a deterministic I/O error once
 /// `fail_at` bytes have been served — the storage-dies-mid-stream failure
 /// mode for the streaming analyzer. Bytes before the fault are served
 /// verbatim; afterwards every read fails with [`ErrorKind::Other`].
@@ -173,7 +173,7 @@ impl<R: std::io::Read> std::io::Read for IoFaultReader<R> {
     }
 }
 
-/// A [`Read`] wrapper that serves at most `trickle` bytes per call —
+/// A [`Read`](std::io::Read) wrapper that serves at most `trickle` bytes per call —
 /// allocation-pressure injection for the streaming decoder: every refill
 /// returns a sliver, maximizing the buffer-stitching and retry paths and
 /// the number of partial-decode attempts per event.

@@ -12,8 +12,9 @@
 //!   behind every value that leaves the process or must replay: workload
 //!   keys and app bucket placement, crash-point placement, delay
 //!   decisions and serve snapshot checksums. Its outputs are part of those
-//!   formats, so they never change. [`legacy_campaign_hash`] is the same
-//!   loop with another multiplier, kept for campaign config fingerprints.
+//!   formats, so they never change. Config fingerprints are not hashed at
+//!   all: the analysis and campaign checkpoints carry readable
+//!   `key=value` strings, so a refused resume can name the knob.
 //!
 //! Safety rule for call sites: swap in [`FxHashMap`] only on maps whose
 //! iteration order never reaches an observable result (lookup-only memos,
@@ -102,23 +103,15 @@ impl Hasher for FxHasher {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
-/// Not the FNV prime: the multiplier the crash-campaign config fingerprint
-/// has always used ([`FNV_PRIME`] with one zero too many).
-const CAMPAIGN_PRIME: u64 = 0x1000_0000_01b3;
-
-#[inline]
-fn fnv_fold(bytes: &[u8], prime: u64) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(prime);
-    }
-    h
-}
 
 /// 64-bit FNV-1a over `bytes`.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv_fold(bytes, FNV_PRIME)
+    let mut h = FNV_OFFSET;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
 /// 64-bit FNV-1a over the little-endian bytes of `x` — the integer mixer
@@ -134,14 +127,6 @@ pub fn fnv1a_u64(mut x: u64) -> u64 {
         x >>= 8;
     }
     h
-}
-
-/// The crash-campaign config fingerprint's hash: FNV-1a's loop with
-/// `0x1000_0000_01b3` in place of the FNV prime. Campaign checkpoints on
-/// disk carry its values and `--resume` compares them, so it keeps them;
-/// use [`fnv1a`] for anything new.
-pub fn legacy_campaign_hash(bytes: &[u8]) -> u64 {
-    fnv_fold(bytes, CAMPAIGN_PRIME)
 }
 
 #[cfg(test)]
@@ -180,14 +165,12 @@ mod tests {
     #[test]
     fn fnv1a_values_are_pinned() {
         // Reference vectors of 64-bit FNV-1a; workload keys, crash
-        // placement, campaign fingerprints and snapshot checksums all
-        // depend on these exact values.
+        // placement, delay decisions and snapshot checksums all depend on
+        // these exact values.
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         for x in [0u64, 1, 0xff, 0xdead_beef, u64::MAX] {
             assert_eq!(fnv1a_u64(x), fnv1a(&x.to_le_bytes()));
         }
-        assert_eq!(legacy_campaign_hash(b""), fnv1a(b""));
-        assert_eq!(legacy_campaign_hash(b"a"), 0xaf74d84c8601ec8c);
     }
 }

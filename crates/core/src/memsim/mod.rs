@@ -332,7 +332,7 @@ pub fn simulate_view(view: TraceView<'_>, cfg: &SimConfig) -> AccessSet {
 /// Event-at-a-time simulator for the streaming path.
 ///
 /// Produces output bit-identical to [`simulate_view`] over the same event
-/// sequence: it shares the whole per-event engine ([`SimCore`]) and differs
+/// sequence: it shares the whole per-event engine (`SimCore`) and differs
 /// only in how locksets after lock events are obtained — replayed inline
 /// with per-thread logical clocks instead of precomputed timelines, which
 /// yields the exact same lockset values interned at the exact same points.

@@ -488,7 +488,7 @@ pub const DEFAULT_MAX_FILE_BYTES: u64 = 1 << 30;
 /// columns, never a copy of the raw bytes. Platforms (or exotic files)
 /// where mapping fails fall back to a buffered read.
 ///
-/// The three failure families map onto the [`HawkSetError`] taxonomy:
+/// The three failure families map onto the [`HawkSetError`](crate::HawkSetError) taxonomy:
 /// unreadable file → `Io`, file larger than `max_bytes` (default
 /// [`DEFAULT_MAX_FILE_BYTES`]) → `Resource`, ill-formed bytes → `Decode`.
 pub fn load_file(

@@ -188,198 +188,11 @@ impl Epoch {
     pub fn le_clock(&self, other: &VectorClock) -> bool {
         self.time <= other.get(self.tid)
     }
-
-    /// The vector clock that is zero everywhere except `tid` — the
-    /// expansion used by [`ClockRepr`] comparisons for clocks that never
-    /// left their owning thread.
-    pub fn expand(&self) -> VectorClock {
-        let mut v = VectorClock::new();
-        if self.time > 0 {
-            if v.counters.len() <= self.tid.index() {
-                v.counters.resize(self.tid.index() + 1, 0);
-            }
-            v.counters[self.tid.index()] = self.time;
-        }
-        v
-    }
 }
 
 impl core::fmt::Debug for Epoch {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}@{}", self.tid, self.time)
-    }
-}
-
-/// A clock in whichever representation fits: a compressed [`Epoch`] while
-/// the clock has at most one non-zero counter, a full [`VectorClock`] once
-/// a second thread's history is merged in. The enum is the *representation*
-/// seam of the clock API — reports and serialized schemas never see it
-/// (they carry plain counters), and every operation is semantically the
-/// expansion: `Compressed(tid@c)` behaves exactly like the vector that is
-/// zero everywhere except `tid ↦ c`.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub enum ClockRepr {
-    /// Single-thread clock, stored inline (no heap).
-    Compressed(Epoch),
-    /// Full per-thread counters.
-    Vector(VectorClock),
-}
-
-impl ClockRepr {
-    /// The zero clock (compressed: `T0@0`).
-    pub fn new() -> Self {
-        ClockRepr::Compressed(Epoch {
-            tid: ThreadId::MAIN,
-            time: 0,
-        })
-    }
-
-    /// Builds a clock from explicit counters, compressing to an [`Epoch`]
-    /// when at most one counter is non-zero. The epoch-aware analogue of
-    /// [`VectorClock::from_counters`].
-    pub fn from_counters(counters: impl Into<Vec<u32>>) -> Self {
-        let v = VectorClock::from_counters(counters);
-        let mut nonzero = v.counters.iter().enumerate().filter(|(_, &c)| c > 0);
-        match (nonzero.next(), nonzero.next()) {
-            (None, _) => Self::new(),
-            (Some((i, &c)), None) => ClockRepr::Compressed(Epoch {
-                tid: ThreadId(i as u32),
-                time: c,
-            }),
-            _ => ClockRepr::Vector(v),
-        }
-    }
-
-    /// Returns thread `tid`'s counter.
-    pub fn get(&self, tid: ThreadId) -> u32 {
-        match self {
-            ClockRepr::Compressed(e) => {
-                if e.tid == tid {
-                    e.time
-                } else {
-                    0
-                }
-            }
-            ClockRepr::Vector(v) => v.get(tid),
-        }
-    }
-
-    /// Increments thread `tid`'s counter, staying compressed when the tick
-    /// is by the owning thread and promoting to a vector otherwise.
-    pub fn tick(&mut self, tid: ThreadId) {
-        match self {
-            ClockRepr::Compressed(e) if e.tid == tid || e.time == 0 => {
-                e.tid = tid;
-                e.time += 1;
-            }
-            _ => {
-                let mut v = self.to_vector();
-                v.tick(tid);
-                *self = ClockRepr::Vector(v);
-            }
-        }
-    }
-
-    /// Merges `other` into `self` (pointwise maximum). Merging a second
-    /// thread's history is exactly the demotion point: the result is a full
-    /// vector unless both sides live on the same single thread.
-    pub fn merge(&mut self, other: &ClockRepr) {
-        match (&mut *self, other) {
-            (ClockRepr::Compressed(a), ClockRepr::Compressed(b))
-                if a.tid == b.tid || b.time == 0 =>
-            {
-                if b.tid == a.tid {
-                    a.time = a.time.max(b.time);
-                }
-            }
-            (ClockRepr::Compressed(a), ClockRepr::Compressed(b)) if a.time == 0 => {
-                *a = *b;
-            }
-            _ => {
-                let mut v = self.to_vector();
-                v.merge(&other.to_vector());
-                *self = ClockRepr::Vector(v);
-            }
-        }
-    }
-
-    /// Compares two clocks under happens-before; agrees with
-    /// [`VectorClock::compare`] on the expansions.
-    pub fn compare(&self, other: &ClockRepr) -> ClockOrder {
-        match (self, other) {
-            (ClockRepr::Compressed(a), ClockRepr::Compressed(b)) => {
-                if a.tid == b.tid || a.time == 0 || b.time == 0 {
-                    // One axis: plain integer order (a zero clock lies on
-                    // every axis).
-                    let (x, y) = if a.time == 0 {
-                        (0, b.time)
-                    } else if b.time == 0 {
-                        (a.time, 0)
-                    } else {
-                        (a.time, b.time)
-                    };
-                    match x.cmp(&y) {
-                        core::cmp::Ordering::Equal => ClockOrder::Equal,
-                        core::cmp::Ordering::Less => ClockOrder::Before,
-                        core::cmp::Ordering::Greater => ClockOrder::After,
-                    }
-                } else {
-                    ClockOrder::Concurrent
-                }
-            }
-            _ => self.to_vector().compare(&other.to_vector()),
-        }
-    }
-
-    /// Returns `true` if `self` happens-before `other` (strictly).
-    pub fn happens_before(&self, other: &ClockRepr) -> bool {
-        self.compare(other) == ClockOrder::Before
-    }
-
-    /// The expansion as a full [`VectorClock`].
-    pub fn to_vector(&self) -> VectorClock {
-        match self {
-            ClockRepr::Compressed(e) => e.expand(),
-            ClockRepr::Vector(v) => v.clone(),
-        }
-    }
-
-    /// Approximate heap footprint in bytes — the epoch-aware analogue of
-    /// [`VectorClock::approx_bytes`]: a compressed clock costs no heap.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            ClockRepr::Compressed(_) => 0,
-            ClockRepr::Vector(v) => v.approx_bytes(),
-        }
-    }
-
-    /// Number of stored counters of the expansion.
-    pub fn width(&self) -> usize {
-        match self {
-            ClockRepr::Compressed(e) => {
-                if e.time == 0 {
-                    0
-                } else {
-                    e.tid.index() + 1
-                }
-            }
-            ClockRepr::Vector(v) => v.width(),
-        }
-    }
-}
-
-impl Default for ClockRepr {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl core::fmt::Debug for ClockRepr {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ClockRepr::Compressed(e) => write!(f, "{e:?}"),
-            ClockRepr::Vector(v) => write!(f, "{v:?}"),
-        }
     }
 }
 
@@ -462,12 +275,6 @@ mod tests {
                 let e = Epoch::of(ThreadId(tid), owner);
                 assert_eq!(e.tid, ThreadId(tid));
                 assert_eq!(e.time, owner.get(ThreadId(tid)));
-                // Expansion is the zero-elsewhere vector.
-                let exp = e.expand();
-                for t in 0..4u32 {
-                    let want = if t == tid { e.time } else { 0 };
-                    assert_eq!(exp.get(ThreadId(t)), want);
-                }
             }
         }
         // Snapshot semantics: T1's snapshot at own-time 1 (clock (3,1,0))
@@ -476,85 +283,5 @@ mod tests {
         assert!(snap.le_clock(&vc(&[3, 1, 0])));
         assert!(snap.le_clock(&vc(&[4, 2, 1])));
         assert!(!snap.le_clock(&vc(&[9, 0, 9])));
-    }
-
-    #[test]
-    fn clock_repr_compresses_single_thread_clocks() {
-        assert!(matches!(ClockRepr::new(), ClockRepr::Compressed(_)));
-        assert!(matches!(
-            ClockRepr::from_counters(vec![0, 0, 5]),
-            ClockRepr::Compressed(Epoch {
-                tid: ThreadId(2),
-                time: 5
-            })
-        ));
-        assert!(matches!(
-            ClockRepr::from_counters(vec![1, 0, 5]),
-            ClockRepr::Vector(_)
-        ));
-        // Compressed clocks cost no heap; the vector analogue does.
-        assert_eq!(ClockRepr::from_counters(vec![0, 7]).approx_bytes(), 0);
-        assert!(ClockRepr::from_counters(vec![1, 7]).approx_bytes() > 0);
-    }
-
-    #[test]
-    fn clock_repr_ops_match_vector_clock_on_expansions() {
-        let cases: &[&[u32]] = &[
-            &[],
-            &[1],
-            &[0, 3],
-            &[2, 0, 0],
-            &[1, 2],
-            &[0, 2, 5],
-            &[4, 4, 4],
-        ];
-        for &a in cases {
-            for &b in cases {
-                let ra = ClockRepr::from_counters(a.to_vec());
-                let rb = ClockRepr::from_counters(b.to_vec());
-                let va = VectorClock::from_counters(a.to_vec());
-                let vb = VectorClock::from_counters(b.to_vec());
-                assert_eq!(ra.compare(&rb), va.compare(&vb), "compare {a:?} {b:?}");
-                assert_eq!(
-                    ra.happens_before(&rb),
-                    va.happens_before(&vb),
-                    "hb {a:?} {b:?}"
-                );
-                let mut rm = ra.clone();
-                rm.merge(&rb);
-                let mut vm = va.clone();
-                vm.merge(&vb);
-                assert_eq!(rm.to_vector(), vm, "merge {a:?} {b:?}");
-                for t in 0..4u32 {
-                    assert_eq!(ra.get(ThreadId(t)), va.get(ThreadId(t)));
-                }
-                assert_eq!(ra.width(), va.width(), "width {a:?}");
-            }
-            for t in 0..3u32 {
-                let mut r = ClockRepr::from_counters(a.to_vec());
-                let mut v = VectorClock::from_counters(a.to_vec());
-                r.tick(ThreadId(t));
-                v.tick(ThreadId(t));
-                assert_eq!(r.to_vector(), v, "tick {a:?} T{t}");
-            }
-        }
-    }
-
-    #[test]
-    fn clock_repr_tick_stays_compressed_on_own_thread() {
-        let mut r = ClockRepr::new();
-        r.tick(ThreadId(2));
-        r.tick(ThreadId(2));
-        assert!(matches!(
-            r,
-            ClockRepr::Compressed(Epoch {
-                tid: ThreadId(2),
-                time: 2
-            })
-        ));
-        // A second thread's tick demotes to a full vector.
-        r.tick(ThreadId(0));
-        assert!(matches!(r, ClockRepr::Vector(_)));
-        assert_eq!(r.to_vector(), vc(&[1, 0, 2]));
     }
 }

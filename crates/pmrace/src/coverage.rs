@@ -7,7 +7,7 @@
 //!
 //! * **race sites** — distinct `(store site, load site)` pairs, rendered
 //!   to `file:line (function)` strings so they compare across rounds
-//!   ([`SiteSignature`]), plus their lockset state (never-persisted /
+//!   ([`CoveragePoint::Site`]), plus their lockset state (never-persisted /
 //!   empty-effective-lockset flags);
 //! * **audit outcomes** — what the crash-state audit concluded, keyed by
 //!   the *invariant name* rather than the crash op index (op indices vary

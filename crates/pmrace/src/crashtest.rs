@@ -33,7 +33,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hawkset_core::analysis::{AnalysisConfig, Analyzer, FixReport, FixSuggestion, Race};
-use hawkset_core::hash::legacy_campaign_hash;
 use hawkset_core::ioplane::{plane_from_env, write_atomic, FaultScript, ScriptedIo};
 use hawkset_core::supervise::{run_isolated, Backoff, Failure};
 use pm_apps::registry::{KnownRace, RaceClass};
@@ -164,7 +163,7 @@ pub struct CampaignCheckpoint {
     /// resume refuses those, since the records carry no plans to rebuild
     /// the corpus from.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub fingerprint: Option<u64>,
+    pub fingerprint: Option<String>,
 }
 
 /// Which transient failure a test harness wants simulated.
@@ -274,22 +273,22 @@ impl CrashCampaignConfig {
         DelaySpec::uniform(self.delay_probability, self.max_delay_us)
     }
 
-    /// Fingerprint of every config knob that changes what rounds *do* —
-    /// a resumed campaign must match the checkpoint's fingerprint exactly,
+    /// Fingerprint of every config knob that changes what rounds *do*, as
+    /// readable `key=value` pairs (the analysis checkpoint's style) — a
+    /// resumed campaign must match the checkpoint's fingerprint exactly,
     /// otherwise steering state rebuilt from the records would diverge
     /// from the rounds that produced them.
-    pub fn fingerprint(&self) -> u64 {
+    pub fn fingerprint(&self) -> String {
         let base = self.base_delay();
-        let repr = format!(
-            "steer={} axes={} crash_points={} main_ops={} delay={}:{}",
-            self.steer,
+        format!(
+            "v1;steer={};axes={};crash_points={};main_ops={};delay={}:{}",
+            u8::from(self.steer),
             self.axes.render(),
             self.crash_points,
             self.main_ops,
             base.prob_1024,
             base.max_delay_us,
-        );
-        legacy_campaign_hash(repr.as_bytes())
+        )
     }
 }
 
@@ -805,7 +804,7 @@ pub fn run_crash_campaign(
                     Some(f) if f != cfg.fingerprint() => {
                         return Err(format!(
                             "checkpoint was recorded under a different campaign configuration \
-                             (fingerprint {f:#018x} != {:#018x}); steering state rebuilt from \
+                             (fingerprint `{f}`, this run `{}`); steering state rebuilt from \
                              its records would diverge from the rounds that produced them",
                             cfg.fingerprint()
                         ));
@@ -1031,8 +1030,7 @@ mod tests {
     }
 
     /// Checkpoints on disk carry fingerprints and `--resume` compares
-    /// them, so their values are pinned (this one is what earlier
-    /// releases' `crashtest --json` reported for the same config).
+    /// them, so their values are pinned.
     #[test]
     fn config_fingerprint_values_are_pinned() {
         let cfg = CrashCampaignConfig {
@@ -1040,7 +1038,11 @@ mod tests {
             main_ops: 10,
             ..Default::default()
         };
-        assert_eq!(cfg.fingerprint(), 13_809_533_269_261_224_384);
+        assert_eq!(
+            cfg.fingerprint(),
+            "v1;steer=0;axes=workload,delay,crash,threads,memory;crash_points=1;\
+             main_ops=10;delay=0:0"
+        );
     }
 
     #[test]
@@ -1073,7 +1075,7 @@ mod tests {
                 }],
                 plan: None,
             }],
-            fingerprint: Some(0xdead_beef),
+            fingerprint: Some("v1;steer=1".into()),
         };
         let json = serde_json::to_string_pretty(&ck).expect("serializes");
         let back: CampaignCheckpoint = serde_json::from_str(&json).expect("parses");

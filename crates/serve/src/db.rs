@@ -278,7 +278,7 @@ pub struct DbSnapshot {
     /// Records sorted by [`RaceSiteKey`] — the canonical order, so equal
     /// states serialize to equal bytes.
     pub records: Vec<RaceRecord>,
-    /// FNV-1a 64 over the canonical content (see [`content_digest`]);
+    /// FNV-1a 64 over the canonical content (see `content_digest`);
     /// detects torn and truncated files on recovery.
     pub checksum: String,
 }

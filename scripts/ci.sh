@@ -31,6 +31,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings: broken or private intra-doc links)"
+# Our crates only: the vendored stubs under vendor/ are not held to it.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p hawkset -p hawkset-core -p pm-runtime \
+    -p pm-apps -p pmrace -p pm-workloads -p hawkset-serve -p hawkset-cli -p hawkset-bench
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
