@@ -18,9 +18,10 @@
 //! memory-budget and kill/resume checks without shipping fixture files.
 //!
 //! `--bench-json DIR` measures the per-stage throughput trajectory
-//! (decode / memsim / irh / pairing / repair / campaign, see
+//! (record / decode / memsim / irh / pairing / repair / campaign, see
 //! [`hawkset_bench::trajectory`]) and writes `BENCH_<stage>.json` files
-//! into `DIR`, then exits. The campaign stage's unit is rounds/sec on a
+//! into `DIR`, then exits. The record stage's unit is recorded events/sec
+//! of a fixed-seed Fast-Fair run; the campaign stage's is rounds/sec on a
 //! fixed-seed steered PCLHT crash campaign.
 //!
 //! `--ratchet DIR` measures the same trajectory and fails (exit 1) if any
@@ -130,7 +131,8 @@ fn main() -> ExitCode {
     let access = simulate(&trace, &SimConfig::default());
 
     if bench_json.is_some() || ratchet_dir.is_some() {
-        let mut measurements = trajectory::measure(&trace, &access);
+        let mut measurements = vec![trajectory::measure_record(trajectory::RECORD_OPS)];
+        measurements.extend(trajectory::measure(&trace, &access));
         measurements.push(trajectory::measure_campaign(trajectory::CAMPAIGN_ROUNDS));
         for m in &measurements {
             println!(

@@ -1,13 +1,13 @@
 //! Per-stage throughput trajectory: the pinned `BENCH_<stage>.json` files.
 //!
-//! Each file records the events/sec of one pipeline stage — `decode`,
-//! `memsim`, `irh`, `pairing`, `repair`, `campaign` — on the fixed-seed
-//! synthetic smoke trace (the campaign stage runs a fixed-seed steered
-//! crash campaign instead),
-//! together with the commit it was measured at. The committed copies at
-//! the repo root are the performance *baseline*; `scripts/ci.sh` re-runs
-//! the measurement and fails on a >20% regression against them (the
-//! ratchet). Regenerate locally with
+//! Each file records the events/sec of one pipeline stage — `record`,
+//! `decode`, `memsim`, `irh`, `pairing`, `repair`, `campaign` — on the
+//! fixed-seed synthetic smoke trace (the record stage runs a fixed-seed
+//! instrumented app instead, and the campaign stage a fixed-seed steered
+//! crash campaign), together with the commit it was measured at. The
+//! committed copies at the repo root are the performance *baseline*;
+//! `scripts/ci.sh` re-runs the measurement and fails on a >20% regression
+//! against them (the ratchet). Regenerate locally with
 //! `UPDATE_BASELINE=1 cargo run --release -p hawkset-bench --bin smoke -- --ratchet .`
 //! and commit the diff like any other golden.
 //!
@@ -15,6 +15,7 @@
 //!
 //! | stage      | measured work |
 //! |------------|---------------|
+//! | `record`   | pm-runtime trace production: Fast-Fair executing its fixed-seed 1k-op workload under instrumentation, in recorded events |
 //! | `decode`   | zero-copy batch decode of the encoded trace bytes |
 //! | `memsim`   | worst-case persistence simulation, IRH disabled |
 //! | `irh`      | the same simulation with inline IRH publication tracking — the pipeline's production Simulate stage |
@@ -37,6 +38,7 @@ use std::time::Instant;
 use hawkset_core::analysis::Analyzer;
 use hawkset_core::memsim::{simulate, AccessSet, SimConfig};
 use hawkset_core::trace::{io, Trace};
+use pm_apps::fastfair::FastFairApp;
 use pm_apps::pclht::PclhtApp;
 use pm_apps::Application;
 use pmrace::{run_crash_campaign, CrashCampaignConfig};
@@ -54,8 +56,8 @@ pub const PRE_CHANGE_PAIRING_EPS: f64 = 1_684_482.0;
 /// One stage's measured throughput.
 #[derive(Debug, Clone)]
 pub struct StageMeasurement {
-    /// Stable stage name
-    /// (`decode` | `memsim` | `irh` | `pairing` | `repair` | `campaign`).
+    /// Stable stage name (`record` | `decode` | `memsim` | `irh` |
+    /// `pairing` | `repair` | `campaign`).
     pub stage: &'static str,
     /// Events processed by the timed work.
     pub events: u64,
@@ -78,8 +80,9 @@ fn best_of<T>(reps: usize, mut work: impl FnMut() -> T) -> f64 {
     best.max(1e-9)
 }
 
-/// Measures all five stages on `trace` (with `access` as the pairing
-/// input), best-of-3 each, in pipeline order.
+/// Measures the five stages that run on `trace`, decode through repair
+/// (with `access` as the pairing input), best-of-3 each, in pipeline
+/// order. [`measure_record`] and [`measure_campaign`] run the other two.
 pub fn measure(trace: &Trace, access: &AccessSet) -> Vec<StageMeasurement> {
     let events = trace.events.len() as u64;
     let ev_f = events as f64;
@@ -159,6 +162,32 @@ pub fn measure(trace: &Trace, access: &AccessSet) -> Vec<StageMeasurement> {
         events_per_sec: ev_f / repair_secs,
     });
     out
+}
+
+/// Operations the pinned `record` stage runs: Figure 6's small size.
+pub const RECORD_OPS: u64 = 1_000;
+
+/// Measures the `record` stage: Fast-Fair executing its seed-42 workload
+/// of `ops` operations under instrumentation, best of 3, as recorded trace
+/// events per second. This is the runtime layer every app job starts
+/// with. The app runs real threads, so each run's event count is its own.
+pub fn measure_record(ops: u64) -> StageMeasurement {
+    let workload = FastFairApp.default_workload(ops, 42);
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            let trace = FastFairApp.execute(&workload);
+            let secs = t0.elapsed().as_secs_f64().max(1e-9);
+            let events = trace.events.len() as u64;
+            StageMeasurement {
+                stage: "record",
+                events,
+                elapsed_ms: secs * 1e3,
+                events_per_sec: events as f64 / secs,
+            }
+        })
+        .max_by(|a, b| a.events_per_sec.total_cmp(&b.events_per_sec))
+        .expect("three runs were measured")
 }
 
 /// Rounds the pinned `campaign` stage runs. The smoke binary always pins
@@ -324,14 +353,15 @@ mod tests {
     #[test]
     fn baseline_roundtrips_and_ratchet_holds_against_itself() {
         let (trace, access) = tiny_inputs();
-        let mut ms = measure(&trace, &access);
+        let mut ms = vec![measure_record(100)];
+        ms.extend(measure(&trace, &access));
         // Two rounds keep the stage inside the steering warmup (baseline
         // plans, no injected delays), so the unit test stays fast while
         // still running the full campaign path.
         ms.push(measure_campaign(2));
         assert_eq!(
             ms.iter().map(|m| m.stage).collect::<Vec<_>>(),
-            ["decode", "memsim", "irh", "pairing", "repair", "campaign"]
+            ["record", "decode", "memsim", "irh", "pairing", "repair", "campaign"]
         );
         for m in &ms {
             assert!(m.events_per_sec > 0.0, "{}: zero throughput", m.stage);

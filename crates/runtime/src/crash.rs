@@ -28,14 +28,14 @@
 //! [`ShadowPm`]: crate::shadow::ShadowPm
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use hawkset_core::addr::PmAddr;
 use hawkset_core::hash::fnv1a_u64;
 use hawkset_core::trace::ThreadId;
 use parking_lot::Mutex;
 
-use crate::env::{Hook, HookPoint, PmEnv};
+use crate::env::{EnvInner, Hook, HookPoint, PmEnv};
 
 /// What happens when a crash point is reached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +98,10 @@ pub struct CrashInjector {
     counter: AtomicU64,
     captured: AtomicU64,
     crashed: AtomicBool,
-    env: Mutex<Option<PmEnv>>,
+    /// The attached environment, held weakly: the injector's hook lives
+    /// inside that environment, so a strong handle would be a cycle that
+    /// keeps every pool image alive after the run.
+    env: Mutex<Weak<EnvInner>>,
     images: Mutex<Vec<CrashImage>>,
     sink: Mutex<Option<Arc<CaptureSink>>>,
 }
@@ -115,7 +118,7 @@ impl CrashInjector {
             counter: AtomicU64::new(0),
             captured: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
-            env: Mutex::new(None),
+            env: Mutex::new(Weak::new()),
             images: Mutex::new(Vec::new()),
             sink: Mutex::new(None),
         })
@@ -138,9 +141,10 @@ impl CrashInjector {
 
     /// Binds the injector to the environment whose pools it snapshots.
     /// Must be called before the first crash point fires; capturing without
-    /// an attached environment yields an image with no pools.
+    /// an attached (or with an already dropped) environment yields an image
+    /// with no pools. The injector does not keep the environment alive.
     pub fn attach(&self, env: &PmEnv) {
-        *self.env.lock() = Some(env.clone());
+        *self.env.lock() = env.downgrade();
     }
 
     /// Streams captured images to `sink` instead of buffering them —
@@ -199,14 +203,13 @@ impl CrashInjector {
     }
 
     fn capture(&self, op_index: u64, tid: ThreadId) {
-        let pools = match &*self.env.lock() {
-            Some(env) => env
-                .persisted_images()
+        let env = PmEnv::upgrade(&self.env.lock());
+        let pools = env.map_or_else(Vec::new, |env| {
+            env.persisted_images()
                 .into_iter()
                 .map(|(path, base, bytes)| PoolImage { path, base, bytes })
-                .collect(),
-            None => Vec::new(),
-        };
+                .collect()
+        });
         let image = CrashImage {
             op_index,
             tid,

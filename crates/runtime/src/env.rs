@@ -15,12 +15,12 @@
 
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use hawkset_core::addr::{line_base, line_of, AddrRange, PmAddr, CACHE_LINE};
 use hawkset_core::sync_config::{CallEffect, SyncConfig};
 use hawkset_core::trace::{
-    EventKind, Frame, LockId, LockMode, PmRegion, ThreadId, Trace, TraceBuilder,
+    EventKind, Frame, LockId, LockMode, PmRegion, StackId, ThreadId, Trace, TraceBuilder,
 };
 use parking_lot::Mutex;
 
@@ -92,13 +92,44 @@ struct PoolData {
 
 struct EnvState {
     builder: TraceBuilder,
+    /// Process-unique id of `builder`: a [`StackId`] a thread memoized is
+    /// only reused in the builder that issued it.
+    builder_id: u64,
     shadow: ShadowPm,
     pools: Vec<PoolData>,
     observations: Vec<Observation>,
     main_taken: bool,
 }
 
-struct EnvInner {
+/// Numbers every trace builder in the process (see `EnvState::builder_id`).
+fn next_builder_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl EnvState {
+    /// The id of `t`'s backtrace at `loc` in this state's builder.
+    fn stack_id(&mut self, t: &PmThread, loc: &'static Location<'static>) -> StackId {
+        let builder = &mut self.builder;
+        t.stack_id(loc, self.builder_id, |frames| builder.intern_stack(frames))
+    }
+
+    /// Records an [`Observation`] if `t`'s read of `range` sees bytes
+    /// another thread has not persisted.
+    fn observe_read(&mut self, t: &PmThread, range: AddrRange, loc: &'static Location<'static>) {
+        if let Some((writer, store_fn)) = self.shadow.unpersisted_foreign_writer(t.tid(), &range) {
+            self.observations.push(Observation {
+                load_tid: t.tid(),
+                store_tid: writer,
+                store_fn: store_fn.to_string(),
+                range,
+                load_stack: t.capture_stack(loc),
+            });
+        }
+    }
+}
+
+pub(crate) struct EnvInner {
     state: Mutex<EnvState>,
     next_tid: AtomicU32,
     next_lock: AtomicU64,
@@ -127,6 +158,7 @@ impl PmEnv {
             inner: Arc::new(EnvInner {
                 state: Mutex::new(EnvState {
                     builder: TraceBuilder::new(),
+                    builder_id: next_builder_id(),
                     shadow: ShadowPm::new(),
                     pools: Vec::new(),
                     observations: Vec::new(),
@@ -255,6 +287,7 @@ impl PmEnv {
     /// joined; later activity would land in a fresh, discarded builder.
     pub fn finish(&self) -> Trace {
         let mut st = self.inner.state.lock();
+        st.builder_id = next_builder_id();
         std::mem::take(&mut st.builder).finish()
     }
 
@@ -292,6 +325,18 @@ impl PmEnv {
             .collect()
     }
 
+    /// A handle that does not keep the environment alive — what a
+    /// [`CrashInjector`](crate::crash::CrashInjector) holds, since its hook
+    /// lives inside the environment it watches.
+    pub(crate) fn downgrade(&self) -> Weak<EnvInner> {
+        Arc::downgrade(&self.inner)
+    }
+
+    /// The environment behind `weak`, if it is still alive.
+    pub(crate) fn upgrade(weak: &Weak<EnvInner>) -> Option<Self> {
+        weak.upgrade().map(|inner| Self { inner })
+    }
+
     fn fire_hook(&self, tid: ThreadId, point: HookPoint) {
         let hook = self.inner.hook.lock().clone();
         if let Some(h) = hook {
@@ -300,9 +345,8 @@ impl PmEnv {
     }
 
     fn record(&self, t: &PmThread, loc: &'static Location<'static>, kind: EventKind) {
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
-        let stack = st.builder.intern_stack(frames);
+        let stack = st.stack_id(t, loc);
         st.builder.push(t.tid(), stack, kind);
     }
 
@@ -321,18 +365,13 @@ impl PmEnv {
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeStore(addr));
         let range = AddrRange::new(addr, bytes.len() as u32);
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         let pool = &mut st.pools[index];
         let off = (addr - pool.base) as usize;
         pool.volatile[off..off + bytes.len()].copy_from_slice(bytes);
-        let site = frames
-            .first()
-            .map(|f| f.function.as_str())
-            .unwrap_or("<app>");
         st.shadow
-            .store_with_site(t.tid(), range, bytes, non_temporal, site);
-        let stack = st.builder.intern_stack(frames);
+            .store_with_site(t.tid(), range, bytes, non_temporal, t.site_name());
+        let stack = st.stack_id(t, loc);
         st.builder.push(
             t.tid(),
             stack,
@@ -355,25 +394,14 @@ impl PmEnv {
     ) -> Vec<u8> {
         self.fire_hook(t.tid(), HookPoint::BeforeLoad(addr));
         let range = AddrRange::new(addr, len as u32);
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         if self.inner.observe.load(Ordering::Relaxed) {
-            if let Some((writer, store_fn)) = st.shadow.unpersisted_foreign_writer(t.tid(), &range)
-            {
-                let obs = Observation {
-                    load_tid: t.tid(),
-                    store_tid: writer,
-                    store_fn: store_fn.to_string(),
-                    range,
-                    load_stack: frames.clone(),
-                };
-                st.observations.push(obs);
-            }
+            st.observe_read(t, range, loc);
         }
         let pool = &mut st.pools[index];
         let off = (addr - pool.base) as usize;
         let bytes = pool.volatile[off..off + len].to_vec();
-        let stack = st.builder.intern_stack(frames);
+        let stack = st.stack_id(t, loc);
         st.builder
             .push(t.tid(), stack, EventKind::Load { range, atomic });
         bytes
@@ -392,29 +420,14 @@ impl PmEnv {
     ) -> Result<u64, u64> {
         self.fire_hook(t.tid(), HookPoint::BeforeStore(addr));
         let range = AddrRange::new(addr, 8);
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         if self.inner.observe.load(Ordering::Relaxed) {
-            if let Some((writer, store_fn)) = st.shadow.unpersisted_foreign_writer(t.tid(), &range)
-            {
-                let obs = Observation {
-                    load_tid: t.tid(),
-                    store_tid: writer,
-                    store_fn: store_fn.to_string(),
-                    range,
-                    load_stack: frames.clone(),
-                };
-                st.observations.push(obs);
-            }
+            st.observe_read(t, range, loc);
         }
         let pool = &mut st.pools[index];
         let off = (addr - pool.base) as usize;
         let current = u64::from_le_bytes(pool.volatile[off..off + 8].try_into().expect("8 bytes"));
-        let site = frames
-            .first()
-            .map(|f| f.function.clone())
-            .unwrap_or_else(|| "<app>".into());
-        let stack = st.builder.intern_stack(frames);
+        let stack = st.stack_id(t, loc);
         st.builder.push(
             t.tid(),
             stack,
@@ -428,7 +441,7 @@ impl PmEnv {
             let pool = &mut st.pools[index];
             pool.volatile[off..off + 8].copy_from_slice(&bytes);
             st.shadow
-                .store_with_site(t.tid(), range, &bytes, false, &site);
+                .store_with_site(t.tid(), range, &bytes, false, t.site_name());
             st.builder.push(
                 t.tid(),
                 stack,
@@ -452,7 +465,6 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeFlush(addr));
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         let pool = &st.pools[index];
         let line = line_of(addr);
@@ -460,13 +472,12 @@ impl PmEnv {
         let mut line_bytes = [0u8; CACHE_LINE as usize];
         line_bytes.copy_from_slice(&pool.volatile[base_off..base_off + CACHE_LINE as usize]);
         st.shadow.flush(t.tid(), addr, &line_bytes);
-        let stack = st.builder.intern_stack(frames);
+        let stack = st.stack_id(t, loc);
         st.builder.push(t.tid(), stack, EventKind::Flush { addr });
     }
 
     pub(crate) fn fence_at(&self, t: &PmThread, loc: &'static Location<'static>) {
         self.fire_hook(t.tid(), HookPoint::BeforeFence);
-        let frames = t.capture_stack(loc);
         let mut st = self.inner.state.lock();
         let committed = st.shadow.fence(t.tid());
         for w in committed {
@@ -481,7 +492,7 @@ impl PmEnv {
             let off = (w.range.start - pool.base) as usize;
             pool.persistent[off..off + w.bytes.len()].copy_from_slice(&w.bytes);
         }
-        let stack = st.builder.intern_stack(frames);
+        let stack = st.stack_id(t, loc);
         st.builder.push(t.tid(), stack, EventKind::Fence);
     }
 
@@ -532,5 +543,147 @@ impl PmEnv {
             CallEffect::FailedAcquire | CallEffect::NotSync => {}
         }
         effect
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crash::{CrashInjector, CrashMode};
+    use crate::pool::PmPool;
+
+    /// A backtrace as `(function, line)` pairs in this file, innermost
+    /// first.
+    type Stack = Vec<(&'static str, u32)>;
+
+    /// Asserts that `trace` validates and that its events carry exactly
+    /// the backtraces `want`, in order.
+    fn assert_stacks(trace: &Trace, want: &[Stack]) {
+        trace.validate().expect("recorded trace validates");
+        let got: Vec<Vec<(String, String, u32)>> = trace
+            .iter()
+            .map(|e| {
+                trace
+                    .stacks
+                    .frames_of(e.stack)
+                    .map(|f| (f.function.clone(), f.file.clone(), f.line))
+                    .collect()
+            })
+            .collect();
+        let want: Vec<Vec<(String, String, u32)>> = want
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .map(|&(f, l)| (f.to_string(), file!().to_string(), l))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn recorded_backtraces_name_every_open_frame() {
+        let env = PmEnv::new();
+        let pool = env.map_pool("/mnt/pmem/stacks-a", 4096);
+        let t = env.main_thread();
+        let x = pool.base();
+        let mut want: Vec<Stack> = Vec::new();
+
+        // A top-level access is attributed to `<app>`.
+        let top = line!() + 1;
+        pool.store_u64(&t, x, 1);
+        want.push(vec![("<app>", top)]);
+
+        // Three nested frames, innermost first, each at its push site.
+        let (fa, fb, fc, site) = (line!() + 2, line!() + 3, line!() + 4, line!() + 5);
+        {
+            let _a = t.frame("a");
+            let _b = t.frame("b");
+            let _c = t.frame("c");
+            pool.store_u64(&t, x, 2);
+        }
+        want.push(vec![("c", site), ("c", fc), ("b", fb), ("a", fa)]);
+
+        // One access site under two different frame stacks.
+        let shared = line!() + 1;
+        let touch = |t: &PmThread, p: &PmPool| p.store_u64(t, p.base(), 3);
+        let fp = line!() + 2;
+        let under_p = |t: &PmThread, p: &PmPool| {
+            let _p = t.frame("p");
+            touch(t, p)
+        };
+        under_p(&t, &pool);
+        let fq = line!() + 2;
+        {
+            let _q = t.frame("q");
+            touch(&t, &pool);
+        }
+        want.push(vec![("p", shared), ("p", fp)]);
+        want.push(vec![("q", shared), ("q", fq)]);
+
+        // One frame name pushed from two call sites.
+        let (f1, s1, f2, s2) = (line!() + 2, line!() + 3, line!() + 6, line!() + 7);
+        {
+            let _s = t.frame("same");
+            pool.store_u64(&t, x, 4);
+        }
+        {
+            let _s = t.frame("same");
+            pool.store_u64(&t, x, 5);
+        }
+        want.push(vec![("same", s1), ("same", f1)]);
+        want.push(vec![("same", s2), ("same", f2)]);
+
+        // A frame popped and pushed again, then a top-level access.
+        let (fr, sr, after) = (line!() + 2, line!() + 3, line!() + 5);
+        for _ in 0..2 {
+            let _r = t.frame("again");
+            pool.store_u64(&t, x, 6);
+        }
+        pool.store_u64(&t, x, 7);
+        want.push(vec![("again", sr), ("again", fr)]);
+        want.push(vec![("again", sr), ("again", fr)]);
+        want.push(vec![("<app>", after)]);
+
+        // A thread of env A storing into a pool of env B records into B's
+        // builder; the same stack and site then resolve in A again.
+        let other = PmEnv::new();
+        let foreign = other.map_pool("/mnt/pmem/stacks-b", 4096);
+        under_p(&t, &foreign);
+        under_p(&t, &pool);
+        want.push(vec![("p", shared), ("p", fp)]);
+        assert_stacks(&env.finish(), &want);
+        assert_stacks(&other.finish(), &[vec![("p", shared), ("p", fp)]]);
+
+        // After finish() the env records into a new builder, so a stack the
+        // thread used before is interned afresh there.
+        let (fa2, sa2) = (line!() + 2, line!() + 3);
+        {
+            let _a = t.frame("a");
+            pool.store_u64(&t, x, 10);
+        }
+        under_p(&t, &pool);
+        assert_stacks(
+            &env.finish(),
+            &[vec![("a", sa2), ("a", fa2)], vec![("p", shared), ("p", fp)]],
+        );
+    }
+
+    #[test]
+    fn an_attached_crash_injector_does_not_keep_its_env_alive() {
+        let env = PmEnv::new();
+        let pool = env.map_pool("/mnt/pmem/leak", 4096);
+        let t = env.main_thread();
+        let inj = CrashInjector::at_points([0], CrashMode::Continue);
+        inj.attach(&env);
+        env.set_hook(Some(inj.hook()));
+        pool.store_u64(&t, pool.base(), 1);
+        assert_eq!(inj.images_captured(), 1);
+        let weak = Arc::downgrade(&env.inner);
+        drop((env, pool, t));
+        assert!(
+            weak.upgrade().is_none(),
+            "the injector's hook must not keep the environment alive"
+        );
     }
 }

@@ -30,7 +30,7 @@ struct DirtyEntry {
     /// Writing thread.
     tid: ThreadId,
     /// Function name of the store site (for observation attribution).
-    store_fn: std::sync::Arc<str>,
+    store_fn: &'static str,
     /// Once flushed: the captured bytes and the threads whose fence commits
     /// them. `None` until a flush covers the line (or from the start for
     /// non-temporal stores, which carry their own bytes).
@@ -83,9 +83,8 @@ impl ShadowPm {
         range: AddrRange,
         bytes: &[u8],
         non_temporal: bool,
-        store_fn: &str,
+        store_fn: &'static str,
     ) {
-        let store_fn: std::sync::Arc<str> = std::sync::Arc::from(store_fn);
         debug_assert_eq!(bytes.len(), range.len as usize);
         for line in range.lines() {
             let entries = self.lines.entry(line).or_default();
@@ -101,7 +100,7 @@ impl ShadowPm {
                     replacement.push(DirtyEntry {
                         range: piece,
                         tid: entry.tid,
-                        store_fn: std::sync::Arc::clone(&entry.store_fn),
+                        store_fn: entry.store_fn,
                         snapshot: entry.snapshot.as_ref().map(|s| Snapshot {
                             bytes: slice_snapshot(&entry.range, &s.bytes, &piece),
                             flushers: s.flushers.clone(),
@@ -125,7 +124,7 @@ impl ShadowPm {
             entries.push(DirtyEntry {
                 range: piece,
                 tid,
-                store_fn: std::sync::Arc::clone(&store_fn),
+                store_fn,
                 snapshot,
             });
         }
@@ -203,12 +202,12 @@ impl ShadowPm {
         &self,
         reader: ThreadId,
         range: &AddrRange,
-    ) -> Option<(ThreadId, std::sync::Arc<str>)> {
+    ) -> Option<(ThreadId, &'static str)> {
         for line in range.lines() {
             if let Some(entries) = self.lines.get(&line) {
                 for e in entries {
                     if e.tid != reader && e.range.overlaps(range) {
-                        return Some((e.tid, std::sync::Arc::clone(&e.store_fn)));
+                        return Some((e.tid, e.store_fn));
                     }
                 }
             }

@@ -7,20 +7,39 @@
 //! `#[track_caller]` source location as the innermost frame. The result is
 //! the backtrace attached to every event — what lets a race report say
 //! "store at `btree.h:560` in `fastfair::insert`".
+//!
+//! Keeping that cheap takes three things. Frame names are `'static`, so a
+//! push stores two references and allocates nothing. Each push names the
+//! frame stack it opens with a small per-thread node id, keyed by the
+//! addresses of its immutable parts. And each thread memoizes the interned
+//! [`StackId`] of every (node, access site) it has used, so only a
+//! thread's *first* access from a given stack builds the `Frame` list and
+//! interns it; every later one is a single small-integer lookup. A
+//! `StackId` is only valid in the trace builder that issued it, so each
+//! memo entry carries that builder's process-unique id and is used only
+//! for the same builder.
 
 use std::cell::RefCell;
 use std::panic::Location;
 
-use hawkset_core::trace::{Frame, ThreadId};
+use hawkset_core::hash::FxHashMap;
+use hawkset_core::trace::{Frame, StackId, ThreadId};
 
 use crate::env::PmEnv;
 
-/// One pushed application frame.
-#[derive(Clone, Debug)]
-pub(crate) struct AppFrame {
-    pub name: String,
-    pub file: &'static str,
-    pub line: u32,
+/// One pushed application frame, and the node id of the frame stack it
+/// ends.
+#[derive(Clone, Copy, Debug)]
+struct AppFrame {
+    name: &'static str,
+    at: &'static Location<'static>,
+    node: u32,
+}
+
+/// Address of `'static` data, as a memo key part. Equal addresses of
+/// immutable data always mean equal content.
+fn addr<T: ?Sized>(r: &'static T) -> usize {
+    r as *const T as *const () as usize
 }
 
 /// Per-thread instrumentation context.
@@ -32,6 +51,12 @@ pub struct PmThread {
     env: PmEnv,
     tid: ThreadId,
     frames: RefCell<Vec<AppFrame>>,
+    /// Node id of each frame stack this thread opened, keyed by (parent
+    /// node, name address, name length, push-site address). Node 0 is the
+    /// empty stack.
+    nodes: RefCell<FxHashMap<(u32, usize, usize, usize), u32>>,
+    /// (node, access-site address) → (builder id, interned stack).
+    memo: RefCell<FxHashMap<(u32, usize), (u64, StackId)>>,
 }
 
 impl PmThread {
@@ -40,6 +65,8 @@ impl PmThread {
             env,
             tid,
             frames: RefCell::new(Vec::new()),
+            nodes: RefCell::default(),
+            memo: RefCell::default(),
         }
     }
 
@@ -55,6 +82,11 @@ impl PmThread {
 
     /// Pushes a named frame for the duration of the returned guard.
     ///
+    /// `name` is `'static` (a literal, or a choice between literals):
+    /// pushing a frame then allocates nothing, and the recorder can
+    /// recognize a repeated stack by the addresses of its names and push
+    /// sites instead of rebuilding and hashing it on every access.
+    ///
     /// # Examples
     ///
     /// ```ignore
@@ -62,13 +94,16 @@ impl PmThread {
     /// // ... PM accesses recorded inside carry this frame ...
     /// ```
     #[track_caller]
-    pub fn frame(&self, name: impl Into<String>) -> FrameGuard<'_> {
-        let loc = Location::caller();
-        self.frames.borrow_mut().push(AppFrame {
-            name: name.into(),
-            file: loc.file(),
-            line: loc.line(),
-        });
+    pub fn frame(&self, name: &'static str) -> FrameGuard<'_> {
+        let at = Location::caller();
+        let mut frames = self.frames.borrow_mut();
+        let parent = frames.last().map_or(0, |f| f.node);
+        let mut nodes = self.nodes.borrow_mut();
+        let fresh = nodes.len() as u32 + 1;
+        let node = *nodes
+            .entry((parent, addr(name), name.len(), addr(at)))
+            .or_insert(fresh);
+        frames.push(AppFrame { name, at, node });
         FrameGuard { thread: self }
     }
 
@@ -79,22 +114,46 @@ impl PmThread {
         self.env.fence_at(self, Location::caller());
     }
 
+    /// The function an access is attributed to: the innermost open
+    /// frame's name, or `<app>` at top level.
+    pub(crate) fn site_name(&self) -> &'static str {
+        self.frames.borrow().last().map_or("<app>", |f| f.name)
+    }
+
     /// Builds the current backtrace, innermost first, with `loc` as the
     /// access site. The innermost frame borrows the enclosing frame's name
     /// (or `<app>` at top level), mirroring how a PC-based backtrace names
     /// the containing function.
     pub(crate) fn capture_stack(&self, loc: &'static Location<'static>) -> Vec<Frame> {
         let frames = self.frames.borrow();
-        let top_name = frames
-            .last()
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| "<app>".into());
         let mut stack = Vec::with_capacity(frames.len() + 1);
-        stack.push(Frame::new(top_name, loc.file(), loc.line()));
+        stack.push(Frame::new(self.site_name(), loc.file(), loc.line()));
         for f in frames.iter().rev() {
-            stack.push(Frame::new(f.name.clone(), f.file, f.line));
+            stack.push(Frame::new(f.name, f.at.file(), f.at.line()));
         }
         stack
+    }
+
+    /// The id of the current backtrace at `loc` in the builder numbered
+    /// `builder`. The thread's first use of a (frame stack, site) in that
+    /// builder captures the stack and hands it to `intern`; later uses are
+    /// answered from the memo.
+    pub(crate) fn stack_id(
+        &self,
+        loc: &'static Location<'static>,
+        builder: u64,
+        intern: impl FnOnce(Vec<Frame>) -> StackId,
+    ) -> StackId {
+        let node = self.frames.borrow().last().map_or(0, |f| f.node);
+        let key = (node, addr(loc));
+        if let Some(&(b, id)) = self.memo.borrow().get(&key) {
+            if b == builder {
+                return id;
+            }
+        }
+        let id = intern(self.capture_stack(loc));
+        self.memo.borrow_mut().insert(key, (builder, id));
+        id
     }
 }
 

@@ -73,8 +73,9 @@ echo "==> bench smoke (pairing throughput, 1 vs 4 threads, fixed seed)"
 cargo run --release -q -p hawkset-bench --bin smoke -- --threads 4 --min-speedup 1.5
 
 echo "==> bench ratchet (per-stage events/sec vs committed BENCH_*.json)"
-# Decode / memsim / IRH / pairing / repair throughput on the fixed-seed
-# synthetic trace plus the steered-campaign rounds/sec figure, best-of-3
+# Runtime recording events/sec of a fixed-seed Fast-Fair run, decode /
+# memsim / IRH / pairing / repair throughput on the fixed-seed synthetic
+# trace, plus the steered-campaign rounds/sec figure, best-of-3
 # (campaign best-of-2), against the committed BENCH_<stage>.json baseline:
 # any stage >20% below its pin fails. A missing pin fails on every host;
 # timing enforcement is skipped on single-core hosts, where wall-clock
