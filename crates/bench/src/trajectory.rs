@@ -17,8 +17,8 @@
 //! |------------|---------------|
 //! | `record`   | pm-runtime trace production: Fast-Fair executing its fixed-seed 1k-op workload under instrumentation, in recorded events |
 //! | `decode`   | zero-copy batch decode of the encoded trace bytes |
-//! | `memsim`   | worst-case persistence simulation, IRH disabled |
-//! | `irh`      | the same simulation with inline IRH publication tracking — the pipeline's production Simulate stage |
+//! | `memsim`   | worst-case persistence simulation with `irh: false`: publication is still tracked, only the IRH discard decisions are off |
+//! | `irh`      | the same simulation with the IRH discard decisions on — the pipeline's production Simulate stage |
 //! | `pairing`  | single-threaded sharded pairing over the precomputed access set (`timing.pairing_ms` from the pipeline's own metrics) |
 //! | `repair`   | the `--suggest-fixes` second pass: re-simulation, per-race patch synthesis and every replay validation |
 //! | `campaign` | a fixed-seed steered PCLHT crash campaign end to end — plan derivation, two-pass rounds, audits, per-round analysis and corpus absorption; its `events` unit is *rounds*, not trace events |

@@ -157,7 +157,6 @@ impl Analyzer {
                 &SimConfig {
                     irh: self.cfg.irh,
                     eadr: self.cfg.eadr,
-                    threads: self.cfg.threads,
                     memory_budget: self.cfg.budget.memory_budget,
                 },
             )
@@ -232,8 +231,8 @@ impl Analyzer {
     /// ([`StreamDecoder`] equivalence), quarantine/validation make the
     /// same per-event decisions (`QuarantineFilter` /
     /// [`StreamValidator`] are the batch paths' own internals), and the
-    /// incremental simulator replays locks inline with the same clocks
-    /// the batch timeline replay produces.
+    /// incremental simulator is the batch simulator's own per-event
+    /// engine, fed one event at a time.
     ///
     /// The streaming-ingest knobs — chunk size, byte ceiling,
     /// checkpointing and resume — live on [`AnalysisConfig::stream`]
@@ -305,7 +304,6 @@ impl Analyzer {
             &SimConfig {
                 irh: self.cfg.irh,
                 eadr: self.cfg.eadr,
-                threads: self.cfg.threads,
                 memory_budget: self.cfg.budget.memory_budget,
             },
         );
@@ -480,7 +478,6 @@ impl Analyzer {
             &SimConfig {
                 irh: self.cfg.irh,
                 eadr: self.cfg.eadr,
-                threads: self.cfg.threads,
                 memory_budget: self.cfg.budget.memory_budget,
             },
         );

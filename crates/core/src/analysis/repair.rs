@@ -249,7 +249,6 @@ impl<'a> RepairValidator<'a> {
         SimConfig {
             irh: self.cfg.irh,
             eadr: self.cfg.eadr,
-            threads: self.cfg.threads,
             memory_budget: self.cfg.budget.memory_budget,
         }
     }
@@ -612,7 +611,6 @@ mod tests {
             &SimConfig {
                 irh: cfg.irh,
                 eadr: cfg.eadr,
-                threads: cfg.threads,
                 memory_budget: None,
             },
         );

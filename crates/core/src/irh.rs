@@ -16,27 +16,61 @@
 //!
 //! Publication is tracked at 8-byte-word granularity and is sticky: freed
 //! and reallocated PM stays published, which reproduces the tool's known
-//! limitation on memory-reusing applications such as memcached (§7).
+//! limitation on memory-reusing applications such as memcached (§7). The
+//! state is *stored* per 64-byte cache line — one 8-byte record holds the
+//! eight words of a line — so an access probes the table once per touched
+//! line rather than once per word; the rules stay per word.
 
-use crate::addr::AddrRange;
+use crate::addr::{AddrRange, LineId};
 use crate::hash::FxHashMap;
 use crate::trace::ThreadId;
 
-/// Per-word publication state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WordState {
-    /// Accessed only by this thread so far.
-    Sole(ThreadId),
-    /// A second thread has accessed the word.
-    Published,
+/// Publication state of the eight words of one cache line. Word `i` is
+/// untouched (bit `i` clear in `touched`), published (bit `i` set in
+/// `published`) or private to one thread. A line's private words nearly
+/// always belong to one thread, kept inline as `owner`; a line whose
+/// private words have had two owners at once is `mixed` and keeps an owner
+/// per word in the tracker's `owners` table instead.
+#[derive(Clone, Copy, Debug)]
+struct LineWords {
+    touched: u8,
+    published: u8,
+    mixed: bool,
+    owner: ThreadId,
+}
+
+impl LineWords {
+    const UNTOUCHED: Self = Self {
+        touched: 0,
+        published: 0,
+        mixed: false,
+        owner: ThreadId(0),
+    };
+}
+
+/// The words `range` touches (exactly [`AddrRange::words`]), grouped by
+/// cache line: one `(line, mask)` per line, bit `i` of the mask standing
+/// for word `i` of the line.
+fn line_masks(range: &AddrRange) -> impl Iterator<Item = (LineId, u8)> {
+    let first = range.start / 8;
+    let last = range.end().saturating_sub(1).max(range.start) / 8;
+    (first / 8..=last / 8).map(move |line| {
+        let lo = if line == first / 8 { first % 8 } else { 0 };
+        let hi = if line == last / 8 { last % 8 } else { 7 };
+        (line, (0xff_u8 << lo) & (0xff_u8 >> (7 - hi)))
+    })
 }
 
 /// Tracks which PM words have become visible to more than one thread.
 #[derive(Clone, Debug, Default)]
 pub struct PublicationTracker {
-    /// Probe-only (never iterated), so the fast deterministic hasher is
-    /// safe.
-    words: FxHashMap<u64, WordState>,
+    /// Word states per cache line. Probe-only (never iterated), so the
+    /// fast deterministic hasher is safe.
+    lines: FxHashMap<LineId, LineWords>,
+    /// Per-word owners of the `mixed` lines (probe-only as well).
+    owners: FxHashMap<LineId, [ThreadId; 8]>,
+    /// Words touched so far, each counted at its first access.
+    tracked: usize,
 }
 
 impl PublicationTracker {
@@ -57,20 +91,71 @@ impl PublicationTracker {
     ///
     /// [`was_published_before`]: PublicationTracker::is_published
     pub fn record_access(&mut self, tid: ThreadId, range: &AddrRange) -> bool {
-        let mut any_public = false;
-        for w in range.words() {
-            match self.words.get(&w) {
-                None => {
-                    self.words.insert(w, WordState::Sole(tid));
-                }
-                Some(WordState::Sole(owner)) if *owner == tid => {}
-                Some(WordState::Sole(_)) => {
-                    self.words.insert(w, WordState::Published);
-                }
-                Some(WordState::Published) => any_public = true,
+        self.record(tid, range).0
+    }
+
+    /// [`record_access`](Self::record_access) followed by
+    /// [`all_private_to`](Self::all_private_to) for the same thread and
+    /// range, in one pass: whether the range is still private to `tid`
+    /// once this access is recorded (the load path's drop condition).
+    pub fn record_private_access(&mut self, tid: ThreadId, range: &AddrRange) -> bool {
+        self.record(tid, range).1
+    }
+
+    fn record(&mut self, tid: ThreadId, range: &AddrRange) -> (bool, bool) {
+        let (mut was_public, mut private) = (false, true);
+        for (line, mask) in line_masks(range) {
+            let w = self.lines.entry(line).or_insert(LineWords::UNTOUCHED);
+            was_public |= w.published & mask != 0;
+            let fresh = mask & !w.touched;
+            let owned = w.touched & !w.published;
+            self.tracked += fresh.count_ones() as usize;
+            if !w.mixed && w.owner != tid && owned & !mask != 0 && fresh != 0 {
+                // Another thread keeps private words here while `tid`
+                // claims fresh ones: two owners, so the line goes per word.
+                self.owners.insert(line, [w.owner; 8]);
+                w.mixed = true;
             }
+            if w.mixed {
+                let owners = self.owners.get_mut(&line).expect("a mixed line has owners");
+                for (i, owner) in owners.iter_mut().enumerate() {
+                    let bit = 1 << i;
+                    if fresh & bit != 0 {
+                        *owner = tid;
+                    } else if owned & mask & bit != 0 && *owner != tid {
+                        w.published |= bit;
+                    }
+                }
+            } else if w.owner != tid {
+                // The other thread's words accessed now are published; with
+                // none left to it, the line's private words are `tid`'s.
+                w.published |= owned & mask;
+                if owned & !mask == 0 {
+                    w.owner = tid;
+                }
+            }
+            w.touched |= fresh;
+            // Every word of `mask` is now touched and, unless published,
+            // owned by `tid`.
+            private &= w.published & mask == 0;
         }
-        any_public
+        (was_public, private)
+    }
+
+    /// Whether every word of `mask` in `line` is touched, unpublished and
+    /// `tid`'s.
+    fn private_to(&self, line: LineId, tid: ThreadId, mask: u8) -> bool {
+        let Some(w) = self.lines.get(&line) else {
+            return false;
+        };
+        if w.touched & mask != mask || w.published & mask != 0 {
+            return false;
+        }
+        if !w.mixed {
+            return w.owner == tid;
+        }
+        let owners = self.owners.get(&line).expect("a mixed line has owners");
+        (0..8).all(|i| mask & (1 << i) == 0 || owners[i] == tid)
     }
 
     /// Returns `true` if every word of `range` is still private to `tid`.
@@ -79,27 +164,29 @@ impl PublicationTracker {
     /// store was persisted while its memory was exclusively owned by the
     /// storing thread, so it is initialization and cannot race.
     pub fn all_private_to(&self, tid: ThreadId, range: &AddrRange) -> bool {
-        range
-            .words()
-            .all(|w| matches!(self.words.get(&w), Some(WordState::Sole(t)) if *t == tid))
+        line_masks(range).all(|(line, mask)| self.private_to(line, tid, mask))
     }
 
     /// Returns `true` if any word of `range` has been published.
     pub fn is_published(&self, range: &AddrRange) -> bool {
-        range
-            .words()
-            .any(|w| matches!(self.words.get(&w), Some(WordState::Published)))
+        line_masks(range).any(|(line, mask)| {
+            self.lines
+                .get(&line)
+                .is_some_and(|w| w.published & mask != 0)
+        })
     }
 
     /// Number of tracked words (cost accounting).
     pub fn tracked_words(&self) -> usize {
-        self.words.len()
+        self.tracked
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
@@ -158,5 +245,125 @@ mod tests {
         let p = PublicationTracker::new();
         assert!(!p.all_private_to(T0, &AddrRange::new(0, 8)));
         assert!(!p.is_published(&AddrRange::new(0, 8)));
+    }
+
+    /// Per-word publication state of the reference model.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum WordState {
+        Sole(ThreadId),
+        Published,
+    }
+
+    /// The per-word tracker the line table replaced: one map entry per
+    /// word, the rules of §3.1.3 spelled out word by word. The reference
+    /// the line table must agree with on every query.
+    #[derive(Default)]
+    struct PerWord {
+        words: HashMap<u64, WordState>,
+    }
+
+    impl PerWord {
+        fn record_access(&mut self, tid: ThreadId, range: &AddrRange) -> bool {
+            let mut any_public = false;
+            for w in range.words() {
+                match self.words.get(&w) {
+                    None => {
+                        self.words.insert(w, WordState::Sole(tid));
+                    }
+                    Some(WordState::Sole(owner)) if *owner == tid => {}
+                    Some(WordState::Sole(_)) => {
+                        self.words.insert(w, WordState::Published);
+                    }
+                    Some(WordState::Published) => any_public = true,
+                }
+            }
+            any_public
+        }
+
+        fn all_private_to(&self, tid: ThreadId, range: &AddrRange) -> bool {
+            range
+                .words()
+                .all(|w| self.words.get(&w) == Some(&WordState::Sole(tid)))
+        }
+
+        fn is_published(&self, range: &AddrRange) -> bool {
+            range
+                .words()
+                .any(|w| self.words.get(&w) == Some(&WordState::Published))
+        }
+    }
+
+    /// Thread ids on both sides of every encoding edge: small, the last
+    /// and first past a 64-bit mask, and the largest.
+    const TIDS: [u32; 7] = [0, 1, 2, 3, 63, 64, u32::MAX];
+
+    /// A range in one of two 2 KiB windows — the bottom of the address
+    /// space or its very top, where `end()` saturates — so that random
+    /// accesses collide. Lengths are short (within a line or just across
+    /// one) or up to 4 KiB (across dozens of lines).
+    fn arb_range() -> impl Strategy<Value = AddrRange> {
+        (
+            any::<bool>(),
+            0u64..2048,
+            any::<bool>(),
+            1u32..=16,
+            1u32..=4096,
+        )
+            .prop_map(|(top, off, short, small, large)| {
+                let start = if top { u64::MAX - off } else { off };
+                AddrRange::new(start, if short { small } else { large })
+            })
+    }
+
+    /// One step: who accesses what, whether through the load path's
+    /// combined call, and a probe made afterwards.
+    fn arb_step() -> impl Strategy<Value = (u32, AddrRange, bool, u32, AddrRange)> {
+        (0u32..7, arb_range(), any::<bool>(), 0u32..7, arb_range()).prop_map(
+            |(tid, range, combined, probe_tid, probe)| {
+                (
+                    TIDS[tid as usize],
+                    range,
+                    combined,
+                    TIDS[probe_tid as usize],
+                    probe,
+                )
+            },
+        )
+    }
+
+    proptest! {
+        /// The line table answers every query exactly as the per-word
+        /// reference does, after every step of a random access sequence.
+        #[test]
+        fn line_table_matches_the_per_word_reference(steps in collection::vec(arb_step(), 1..60)) {
+            let mut lines = PublicationTracker::new();
+            let mut words = PerWord::default();
+            for (tid, range, combined, probe_tid, probe) in steps {
+                let (tid, probe_tid) = (ThreadId(tid), ThreadId(probe_tid));
+                let reference = words.record_access(tid, &range);
+                if combined {
+                    prop_assert_eq!(
+                        lines.record_private_access(tid, &range),
+                        words.all_private_to(tid, &range),
+                        "record_private_access({:?}, {:?})", tid, range
+                    );
+                } else {
+                    prop_assert_eq!(
+                        lines.record_access(tid, &range),
+                        reference,
+                        "record_access({:?}, {:?})", tid, range
+                    );
+                }
+                prop_assert_eq!(lines.tracked_words(), words.words.len());
+                for (who, r) in [(tid, range), (probe_tid, probe), (probe_tid, range), (tid, probe)] {
+                    prop_assert_eq!(
+                        lines.all_private_to(who, &r),
+                        words.all_private_to(who, &r),
+                        "all_private_to({:?}, {:?})", who, r
+                    );
+                    prop_assert_eq!(lines.is_published(&r), words.is_published(&r), "is_published({:?})", r);
+                }
+            }
+        }
     }
 }

@@ -77,21 +77,32 @@ impl Lockset {
 
     /// Returns a new lockset with `entry` added (replacing any entry for the
     /// same lock — re-acquisition refreshes the timestamp).
+    ///
+    /// The result is allocated at its exact size, as is [`without`]'s: the
+    /// simulator interns these values as they are, one per distinct
+    /// lockset.
+    ///
+    /// [`without`]: Lockset::without
     pub fn with(&self, entry: LockEntry) -> Self {
-        let mut entries = self.entries.clone();
-        match entries.binary_search_by_key(&entry.lock, |e| e.lock) {
-            Ok(i) => entries[i] = entry,
-            Err(i) => entries.insert(i, entry),
-        }
+        let (head, tail) = match self.entries.binary_search_by_key(&entry.lock, |e| e.lock) {
+            Ok(i) => (&self.entries[..i], &self.entries[i + 1..]),
+            Err(i) => self.entries.split_at(i),
+        };
+        let mut entries = Vec::with_capacity(head.len() + 1 + tail.len());
+        entries.extend_from_slice(head);
+        entries.push(entry);
+        entries.extend_from_slice(tail);
         Self { entries }
     }
 
     /// Returns a new lockset with `lock` removed.
     pub fn without(&self, lock: LockId) -> Self {
-        let mut entries = self.entries.clone();
-        if let Ok(i) = entries.binary_search_by_key(&lock, |e| e.lock) {
-            entries.remove(i);
-        }
+        let Ok(i) = self.entries.binary_search_by_key(&lock, |e| e.lock) else {
+            return self.clone();
+        };
+        let mut entries = Vec::with_capacity(self.entries.len() - 1);
+        entries.extend_from_slice(&self.entries[..i]);
+        entries.extend_from_slice(&self.entries[i + 1..]);
         Self { entries }
     }
 

@@ -21,14 +21,12 @@
 pub mod patch;
 pub mod window;
 
-use std::collections::BTreeSet;
-
 use crate::addr::{line_of, AddrRange, LineId};
 use crate::hash::FxHashMap;
 use crate::intern::Interner;
 use crate::irh::PublicationTracker;
 use crate::lockset::{LockEntry, Lockset};
-use crate::trace::{EventKind, LockId, LockMode, StackId, ThreadId, Trace, TraceView};
+use crate::trace::{EventKind, StackId, ThreadId, Trace, TraceView};
 use crate::vclock::{ClockOrder, Epoch, VectorClock};
 
 pub use window::{CloseReason, LoadAccess, LsId, StoreWindow, VcId};
@@ -166,13 +164,79 @@ impl AccessSet {
 /// Per-thread simulation state.
 #[derive(Clone)]
 struct ThreadState {
-    lockset: Lockset,
+    /// The held lockset, interned: the interner holds the one copy.
     ls_id: LsId,
+    /// Thread-local logical clock stamping [`LockEntry::acq_ts`], bumped
+    /// on every acquisition.
+    lock_clock: u64,
     vc: VectorClock,
     vc_id: VcId,
     /// Set after create/join boundaries; the next PM operation ticks the
     /// vector clock (the §4 batching optimization).
     needs_tick: bool,
+    /// Lines that may hold pieces pending on this thread's next fence, in
+    /// push order. The fence sorts and deduplicates them, so it closes
+    /// windows in ascending line order whatever order the flushes came in.
+    fence_watch: Vec<LineId>,
+}
+
+impl ThreadState {
+    fn new(ls_id: LsId, vc_id: VcId) -> Self {
+        Self {
+            ls_id,
+            lock_clock: 0,
+            vc: VectorClock::new(),
+            vc_id,
+            needs_tick: true,
+            fence_watch: Vec::new(),
+        }
+    }
+
+    /// Adds `line` to the fence watch. A repeat of the last line is
+    /// skipped, and a full list is compacted before it grows, so a thread
+    /// that keeps flushing without fencing holds about one entry per line.
+    fn watch(&mut self, line: LineId) {
+        let lines = &mut self.fence_watch;
+        if lines.last() == Some(&line) {
+            return;
+        }
+        if lines.len() == lines.capacity() {
+            lines.sort_unstable();
+            lines.dedup();
+        }
+        lines.push(line);
+    }
+}
+
+/// A set of thread ids: a bitmask for ids below 64, a list above (empty,
+/// so never allocated, in ordinary traces). The list is a boxed slice, not
+/// a `Vec`, to keep an [`OpenPiece`] at 72 bytes: the memory budget
+/// charges that size per open piece, so a larger piece would move where a
+/// budgeted run starts evicting.
+#[derive(Clone, Default)]
+struct ThreadSet {
+    low: u64,
+    high: Box<[ThreadId]>,
+}
+
+impl ThreadSet {
+    fn insert(&mut self, tid: ThreadId) {
+        if tid.0 < 64 {
+            self.low |= 1 << tid.0;
+        } else if !self.high.contains(&tid) {
+            let mut high = std::mem::take(&mut self.high).into_vec();
+            high.push(tid);
+            self.high = high.into_boxed_slice();
+        }
+    }
+
+    fn contains(&self, tid: ThreadId) -> bool {
+        if tid.0 < 64 {
+            self.low & (1 << tid.0) != 0
+        } else {
+            self.high.contains(&tid)
+        }
+    }
 }
 
 /// An open (still unpersisted, not overwritten) piece of a store, confined
@@ -189,14 +253,65 @@ struct OpenPiece {
     non_temporal: bool,
     /// Threads whose next fence persists this piece (they flushed the line
     /// after the store, or issued the store non-temporally).
-    pending_fence: Vec<ThreadId>,
+    pending_fence: ThreadSet,
+}
+
+impl OpenPiece {
+    /// The window for the `range` part of this piece, closed as `close`.
+    fn window(
+        &self,
+        range: AddrRange,
+        effective_ls: LsId,
+        close_vc: Option<VcId>,
+        close: CloseReason,
+        irh_discarded: bool,
+    ) -> StoreWindow {
+        StoreWindow {
+            tid: self.tid,
+            store_seq: self.store_seq,
+            stack: self.stack,
+            range,
+            store_ls: self.store_ls,
+            store_vc: self.store_vc,
+            effective_ls,
+            close_vc,
+            close,
+            atomic: self.atomic,
+            non_temporal: self.non_temporal,
+            irh_discarded,
+        }
+    }
+}
+
+/// The effective lockset of a piece stored under `store` and closed by a
+/// thread holding `closer` (§3.1.2): timestamp-sensitive within one
+/// thread, lock ids only across threads. An empty side gives the empty
+/// set without intersecting; it is still interned, so the sharing counters
+/// see the same requests.
+fn effective_lockset(
+    locksets: &mut Interner<Lockset>,
+    store: LsId,
+    closer: LsId,
+    same_thread: bool,
+) -> LsId {
+    let (s, c) = (locksets.get(store), locksets.get(closer));
+    let effective = if s.is_empty() || c.is_empty() {
+        Lockset::empty()
+    } else if same_thread {
+        s.intersect_same_thread(c)
+    } else {
+        s.intersect_cross_thread(c)
+    };
+    locksets.intern(effective)
 }
 
 /// Options controlling the simulation.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Apply the Initialization Removal Heuristic (§3.1.3). Table 4 runs
-    /// the pipeline both ways.
+    /// the pipeline both ways. Publication is tracked either way (its
+    /// `tracked_words` is reported); this switch only turns off the
+    /// discard decisions.
     pub irh: bool,
     /// Simulate an eADR platform (§2.1): the persistent domain extends to
     /// the cache, so every store is durable the moment it becomes visible.
@@ -205,12 +320,6 @@ pub struct SimConfig {
     /// paper's argument for why software must not *assume* eADR is that
     /// this convenient world is not the one most deployments run in.
     pub eadr: bool,
-    /// Worker threads for the per-thread lockset precompute (`0` = use
-    /// [`std::thread::available_parallelism`]). The simulation output is
-    /// bit-identical for every value: parallelism only covers the
-    /// embarrassingly-parallel per-thread lock replay, and the main replay
-    /// loop consumes (and interns) its results in trace order.
-    pub threads: usize,
     /// Approximate ceiling (bytes) on live simulation state: closed
     /// windows, recorded loads, open pieces and the interning tables. When
     /// exceeded the simulator degrades instead of aborting: it evicts
@@ -228,73 +337,9 @@ impl Default for SimConfig {
         Self {
             irh: true,
             eadr: false,
-            threads: 0,
             memory_budget: None,
         }
     }
-}
-
-/// One acquire/release as seen by the per-thread lockset replay.
-enum LockOp {
-    Acquire { lock: LockId, mode: LockMode },
-    Release { lock: LockId },
-}
-
-/// Fewer total lock operations than this and worker spawn overhead
-/// outweighs the replay work; fall back to one (inline) worker.
-const PARALLEL_LOCK_OPS: usize = 4096;
-
-/// Computes, for every thread, the lockset value after each of its lock
-/// events, in program order. Pure per-thread work — fanned out with
-/// [`crate::parallel::map_indexed`] when the trace is big enough.
-fn lockset_timelines(view: TraceView<'_>, threads: usize) -> Vec<Vec<Lockset>> {
-    let mut per_thread: Vec<Vec<LockOp>> = Vec::new();
-    let mut total = 0usize;
-    for ev in view.events.iter() {
-        let op = match &ev.kind {
-            EventKind::Acquire { lock, mode } => LockOp::Acquire {
-                lock: *lock,
-                mode: *mode,
-            },
-            EventKind::Release { lock } => LockOp::Release { lock: *lock },
-            _ => continue,
-        };
-        let ti = ev.tid.index();
-        if per_thread.len() <= ti {
-            per_thread.resize_with(ti + 1, Vec::new);
-        }
-        per_thread[ti].push(op);
-        total += 1;
-    }
-    let workers = if total < PARALLEL_LOCK_OPS {
-        1
-    } else {
-        crate::parallel::effective_threads(threads)
-    };
-    crate::parallel::map_indexed(per_thread.len(), workers, |i| replay_locks(&per_thread[i]))
-}
-
-/// Sequential lock replay for one thread: each acquisition bumps the
-/// thread-local logical clock that stamps [`LockEntry::acq_ts`].
-fn replay_locks(ops: &[LockOp]) -> Vec<Lockset> {
-    let mut ls = Lockset::empty();
-    let mut clock = 0u64;
-    let mut out = Vec::with_capacity(ops.len());
-    for op in ops {
-        match op {
-            LockOp::Acquire { lock, mode } => {
-                clock += 1;
-                ls = ls.with(LockEntry {
-                    lock: *lock,
-                    mode: *mode,
-                    acq_ts: clock,
-                });
-            }
-            LockOp::Release { lock } => ls = ls.without(*lock),
-        }
-        out.push(ls.clone());
-    }
-    out
 }
 
 /// Runs the worst-case persistence simulation over a trace.
@@ -307,22 +352,7 @@ pub fn simulate(trace: &Trace, cfg: &SimConfig) -> AccessSet {
 ///
 /// [`AnalysisBudget::max_events`]: crate::analysis::AnalysisBudget::max_events
 pub fn simulate_view(view: TraceView<'_>, cfg: &SimConfig) -> AccessSet {
-    // Per-thread lock replay is independent of everything else in the
-    // trace (acquire/release only mutate the issuing thread's lockset;
-    // a cross-thread handoff release is a no-op `without` on the
-    // releaser's own set), so the lockset after every lock event can be
-    // computed ahead of time, one worker per thread. The replay loop
-    // consumes the timelines in trace order and interns the results
-    // exactly where the sequential code did, keeping intern ids and stats
-    // bit-identical for every worker count.
-    let timelines = lockset_timelines(view, cfg.threads);
-    let cursors = vec![0usize; timelines.len()];
-    let mut core = SimCore::new(
-        view.thread_count,
-        view.regions.to_vec(),
-        cfg.clone(),
-        LockReplay::Timelines { timelines, cursors },
-    );
+    let mut core = SimCore::new(view.thread_count, view.regions.to_vec(), cfg.clone());
     for ev in view.events.iter() {
         core.step(&ev);
     }
@@ -332,10 +362,8 @@ pub fn simulate_view(view: TraceView<'_>, cfg: &SimConfig) -> AccessSet {
 /// Event-at-a-time simulator for the streaming path.
 ///
 /// Produces output bit-identical to [`simulate_view`] over the same event
-/// sequence: it shares the whole per-event engine (`SimCore`) and differs
-/// only in how locksets after lock events are obtained — replayed inline
-/// with per-thread logical clocks instead of precomputed timelines, which
-/// yields the exact same lockset values interned at the exact same points.
+/// sequence: both drive the one per-event engine (`SimCore`), which
+/// replays locks inline with per-thread logical clocks.
 ///
 /// Cloning forks the simulation: the clone continues from the same state
 /// as if it had been fed the same event prefix.
@@ -348,12 +376,7 @@ impl StreamSimulator {
     /// Creates a simulator for a trace with the given header.
     pub fn new(thread_count: u32, regions: Vec<crate::trace::PmRegion>, cfg: &SimConfig) -> Self {
         Self {
-            core: SimCore::new(
-                thread_count,
-                regions,
-                cfg.clone(),
-                LockReplay::Inline { clocks: Vec::new() },
-            ),
+            core: SimCore::new(thread_count, regions, cfg.clone()),
         }
     }
 
@@ -373,21 +396,6 @@ impl StreamSimulator {
     }
 }
 
-/// Where the lockset value after a lock event comes from.
-#[derive(Clone)]
-enum LockReplay {
-    /// Batch path: timelines precomputed per thread (possibly in
-    /// parallel), consumed in trace order.
-    Timelines {
-        timelines: Vec<Vec<Lockset>>,
-        cursors: Vec<usize>,
-    },
-    /// Streaming path: inline replay. `clocks[tid]` is the thread-local
-    /// logical clock that stamps `LockEntry::acq_ts`, advanced exactly as
-    /// [`replay_locks`] does.
-    Inline { clocks: Vec<u64> },
-}
-
 /// Budget checks run every this many events — a fixed cadence so that
 /// enforcement (and therefore the output) is deterministic and identical
 /// between the batch and streaming paths.
@@ -398,17 +406,11 @@ struct SimCore {
     cfg: SimConfig,
     regions: Vec<crate::trace::PmRegion>,
     filter_pm: bool,
-    replay: LockReplay,
     threads: Vec<ThreadState>,
     /// Open store pieces, indexed by cache line. Probe-only hash use
     /// (drains are explicitly sorted), so the fast deterministic hasher
     /// is safe.
     lines: FxHashMap<LineId, Vec<OpenPiece>>,
-    /// For each thread, the lines that may hold pieces pending on its
-    /// fence. An ordered set: a fence closes windows on every watched line
-    /// in one step, and the push order of those windows must not depend on
-    /// hash-iteration order or two simulator instances would disagree.
-    fence_watch: FxHashMap<ThreadId, BTreeSet<LineId>>,
     publication: PublicationTracker,
     locksets: Interner<Lockset>,
     vclocks: Interner<VectorClock>,
@@ -421,34 +423,21 @@ struct SimCore {
 }
 
 impl SimCore {
-    fn new(
-        thread_count: u32,
-        regions: Vec<crate::trace::PmRegion>,
-        cfg: SimConfig,
-        replay: LockReplay,
-    ) -> Self {
+    fn new(thread_count: u32, regions: Vec<crate::trace::PmRegion>, cfg: SimConfig) -> Self {
         let mut locksets = Interner::new();
         let mut vclocks = Interner::new();
         let empty_ls = locksets.intern(Lockset::empty());
         let zero_vc = vclocks.intern(VectorClock::new());
         let threads = (0..thread_count.max(1))
-            .map(|_| ThreadState {
-                lockset: Lockset::empty(),
-                ls_id: empty_ls,
-                vc: VectorClock::new(),
-                vc_id: zero_vc,
-                needs_tick: true,
-            })
+            .map(|_| ThreadState::new(empty_ls, zero_vc))
             .collect();
         let filter_pm = !regions.is_empty();
         let mut core = Self {
             cfg,
             regions,
             filter_pm,
-            replay,
             threads,
             lines: FxHashMap::default(),
-            fence_watch: FxHashMap::default(),
             publication: PublicationTracker::new(),
             locksets,
             vclocks,
@@ -534,34 +523,19 @@ impl SimCore {
                 self.tick_if_needed(ev.tid);
                 self.on_fence(ev.tid);
             }
-            EventKind::Acquire { .. } | EventKind::Release { .. } => {
-                let ti = ev.tid.index();
-                let ls = match &mut self.replay {
-                    LockReplay::Timelines { timelines, cursors } => {
-                        let ls = timelines[ti][cursors[ti]].clone();
-                        cursors[ti] += 1;
-                        ls
-                    }
-                    LockReplay::Inline { clocks } => {
-                        if clocks.len() <= ti {
-                            clocks.resize(ti + 1, 0);
-                        }
-                        match &ev.kind {
-                            EventKind::Acquire { lock, mode } => {
-                                clocks[ti] += 1;
-                                self.threads[ti].lockset.with(LockEntry {
-                                    lock: *lock,
-                                    mode: *mode,
-                                    acq_ts: clocks[ti],
-                                })
-                            }
-                            EventKind::Release { lock } => self.threads[ti].lockset.without(*lock),
-                            _ => unreachable!("outer match arm is Acquire | Release"),
-                        }
-                    }
-                };
-                let t = &mut self.threads[ti];
-                t.lockset = ls.clone();
+            EventKind::Acquire { lock, mode } => {
+                let t = &mut self.threads[ev.tid.index()];
+                t.lock_clock += 1;
+                let ls = self.locksets.get(t.ls_id).with(LockEntry {
+                    lock: *lock,
+                    mode: *mode,
+                    acq_ts: t.lock_clock,
+                });
+                t.ls_id = self.locksets.intern(ls);
+            }
+            EventKind::Release { lock } => {
+                let t = &mut self.threads[ev.tid.index()];
+                let ls = self.locksets.get(t.ls_id).without(*lock);
                 t.ls_id = self.locksets.intern(ls);
             }
             EventKind::ThreadCreate { child } => {
@@ -717,13 +691,8 @@ impl SimCore {
         if self.threads.len() <= tid.index() {
             let empty_ls = self.locksets.intern(Lockset::empty());
             let zero_vc = self.vclocks.intern(VectorClock::new());
-            self.threads.resize_with(tid.index() + 1, || ThreadState {
-                lockset: Lockset::empty(),
-                ls_id: empty_ls,
-                vc: VectorClock::new(),
-                vc_id: zero_vc,
-                needs_tick: true,
-            });
+            self.threads
+                .resize_with(tid.index() + 1, || ThreadState::new(empty_ls, zero_vc));
         }
     }
 
@@ -753,118 +722,81 @@ impl SimCore {
         atomic: bool,
     ) {
         self.publication.record_access(tid, &range);
-        // Close / shrink overlapping open pieces: the overwritten bytes'
-        // visibility window ends here.
-        let closer_ls = self.threads[tid.index()].lockset.clone();
-        let closer_vc = self.threads[tid.index()].vc_id;
-        for line in range.lines() {
-            let Some(pieces) = self.lines.get_mut(&line) else {
-                continue;
-            };
-            let mut replacement = Vec::with_capacity(pieces.len());
-            for piece in pieces.drain(..) {
-                if !piece.range.overlaps(&range) {
-                    replacement.push(piece);
-                    continue;
-                }
-                let hit = piece.range.intersection(&range).expect("overlap checked");
-                let (head, tail) = piece.range.subtract(&range);
-                // The overwritten part closes now.
-                let effective = if piece.tid == tid {
-                    let store_ls = self.locksets.get(piece.store_ls).clone();
-                    store_ls.intersect_same_thread(&closer_ls)
-                } else {
-                    let store_ls = self.locksets.get(piece.store_ls).clone();
-                    store_ls.intersect_cross_thread(&closer_ls)
-                };
-                let effective_ls = self.locksets.intern(effective);
-                let discarded = false; // overwritten stores are never IRH-discarded (§3.1.3)
-                self.stats.windows_overwritten += 1;
-                self.windows.push(StoreWindow {
-                    tid: piece.tid,
-                    store_seq: piece.store_seq,
-                    stack: piece.stack,
-                    range: hit,
-                    store_ls: piece.store_ls,
-                    store_vc: piece.store_vc,
-                    effective_ls,
-                    close_vc: Some(closer_vc),
-                    close: CloseReason::Overwritten,
-                    atomic: piece.atomic,
-                    non_temporal: piece.non_temporal,
-                    irh_discarded: discarded,
-                });
-                for rem in [head, tail].into_iter().flatten() {
-                    replacement.push(OpenPiece {
-                        tid: piece.tid,
-                        store_seq: piece.store_seq,
-                        stack: piece.stack,
-                        range: rem,
-                        store_ls: piece.store_ls,
-                        store_vc: piece.store_vc,
-                        atomic: piece.atomic,
-                        non_temporal: piece.non_temporal,
-                        pending_fence: piece.pending_fence.clone(),
-                    });
-                }
-            }
-            *pieces = replacement;
-        }
-        // Open one new piece per touched cache line.
         let t = &self.threads[tid.index()];
-        let (store_ls, store_vc) = (t.ls_id, t.vc_id);
+        let (ls, vc) = (t.ls_id, t.vc_id);
         for line in range.lines() {
             let start = crate::addr::line_base(line).max(range.start);
             let end = (crate::addr::line_base(line) + crate::addr::CACHE_LINE).min(range.end());
-            let piece_range = AddrRange::new(start, (end - start) as u32);
+            let mut piece = OpenPiece {
+                tid,
+                store_seq: seq,
+                stack,
+                range: AddrRange::new(start, (end - start) as u32),
+                store_ls: ls,
+                store_vc: vc,
+                atomic,
+                non_temporal,
+                pending_fence: ThreadSet::default(),
+            };
             self.stats.windows_created += 1;
             if self.cfg.eadr {
                 // eADR: visibility implies durability — the window is
                 // zero-length and fully protected by the store's lockset.
-                let discarded = self.cfg.irh && self.publication.all_private_to(tid, &piece_range);
+                // No piece ever stays open, so there is nothing to close.
+                let discarded = self.cfg.irh && self.publication.all_private_to(tid, &piece.range);
                 self.stats.windows_persisted += 1;
-                if discarded {
-                    self.stats.irh_discarded_windows += 1;
-                }
-                self.windows.push(StoreWindow {
-                    tid,
-                    store_seq: seq,
-                    stack,
-                    range: piece_range,
-                    store_ls,
-                    store_vc,
-                    effective_ls: store_ls,
-                    close_vc: Some(store_vc),
-                    close: CloseReason::Persisted,
-                    atomic,
-                    non_temporal,
-                    irh_discarded: discarded,
-                });
+                self.stats.irh_discarded_windows += u64::from(discarded);
+                let w = piece.window(piece.range, ls, Some(vc), CloseReason::Persisted, discarded);
+                self.windows.push(w);
                 continue;
             }
-            let pending = if non_temporal {
-                self.fence_watch.entry(tid).or_default().insert(line);
-                vec![tid]
-            } else {
-                Vec::new()
-            };
-            self.lines.entry(line).or_default().push(OpenPiece {
-                tid,
-                store_seq: seq,
-                stack,
-                range: piece_range,
-                store_ls,
-                store_vc,
-                atomic,
-                non_temporal,
-                pending_fence: pending,
-            });
+            // Close / shrink the open pieces this store overlaps, in place:
+            // the overwritten bytes' visibility window ends here, and the
+            // rest of each piece stays open where it was.
+            let pieces = self.lines.entry(line).or_default();
+            let mut i = 0;
+            while i < pieces.len() {
+                let Some(hit) = pieces[i].range.intersection(&range) else {
+                    i += 1;
+                    continue;
+                };
+                let old = &pieces[i];
+                let effective_ls =
+                    effective_lockset(&mut self.locksets, old.store_ls, ls, old.tid == tid);
+                self.stats.windows_overwritten += 1;
+                // Overwritten stores are never IRH-discarded (§3.1.3).
+                let w = old.window(hit, effective_ls, Some(vc), CloseReason::Overwritten, false);
+                self.windows.push(w);
+                match old.range.subtract(&range) {
+                    (None, None) => {
+                        pieces.remove(i);
+                    }
+                    (Some(rest), None) | (None, Some(rest)) => {
+                        pieces[i].range = rest;
+                        i += 1;
+                    }
+                    (Some(head), Some(tail)) => {
+                        let tail = OpenPiece {
+                            range: tail,
+                            ..pieces[i].clone()
+                        };
+                        pieces[i].range = head;
+                        pieces.insert(i + 1, tail);
+                        i += 2;
+                    }
+                }
+            }
+            if non_temporal {
+                piece.pending_fence.insert(tid);
+                self.threads[tid.index()].watch(line);
+            }
+            pieces.push(piece);
         }
     }
 
     fn on_load(&mut self, tid: ThreadId, seq: u64, stack: StackId, range: AddrRange, atomic: bool) {
-        self.publication.record_access(tid, &range);
-        let dropped = self.cfg.irh && self.publication.all_private_to(tid, &range);
+        let private = self.publication.record_private_access(tid, &range);
+        let dropped = self.cfg.irh && private;
         if dropped {
             self.stats.irh_dropped_loads += 1;
         }
@@ -886,69 +818,52 @@ impl SimCore {
         let Some(pieces) = self.lines.get_mut(&line) else {
             return;
         };
-        let mut watched = false;
+        if pieces.is_empty() {
+            return;
+        }
         for piece in pieces.iter_mut() {
-            if !piece.pending_fence.contains(&tid) {
-                piece.pending_fence.push(tid);
-            }
-            watched = true;
+            piece.pending_fence.insert(tid);
         }
-        if watched {
-            self.fence_watch.entry(tid).or_default().insert(line);
-        }
+        self.threads[tid.index()].watch(line);
     }
 
     fn on_fence(&mut self, tid: ThreadId) {
-        let Some(lines) = self.fence_watch.remove(&tid) else {
-            return;
-        };
-        let fencer_ls = self.threads[tid.index()].lockset.clone();
-        let fencer_vc = self.threads[tid.index()].vc_id;
-        for line in lines {
+        let t = &mut self.threads[tid.index()];
+        let (fencer_ls, fencer_vc) = (t.ls_id, t.vc_id);
+        let mut lines = std::mem::take(&mut t.fence_watch);
+        lines.sort_unstable();
+        lines.dedup();
+        for &line in &lines {
             let Some(pieces) = self.lines.get_mut(&line) else {
                 continue;
             };
-            let mut kept = Vec::with_capacity(pieces.len());
-            for piece in pieces.drain(..) {
-                if !piece.pending_fence.contains(&tid) {
-                    kept.push(piece);
-                    continue;
+            pieces.retain(|piece| {
+                if !piece.pending_fence.contains(tid) {
+                    return true;
                 }
-                let effective = if piece.tid == tid {
-                    let store_ls = self.locksets.get(piece.store_ls).clone();
-                    store_ls.intersect_same_thread(&fencer_ls)
-                } else {
-                    let store_ls = self.locksets.get(piece.store_ls).clone();
-                    store_ls.intersect_cross_thread(&fencer_ls)
-                };
-                let effective_ls = self.locksets.intern(effective);
+                let effective_ls = effective_lockset(
+                    &mut self.locksets,
+                    piece.store_ls,
+                    fencer_ls,
+                    piece.tid == tid,
+                );
                 let discarded =
                     self.cfg.irh && self.publication.all_private_to(piece.tid, &piece.range);
                 self.stats.windows_persisted += 1;
-                if discarded {
-                    self.stats.irh_discarded_windows += 1;
-                }
-                self.windows.push(StoreWindow {
-                    tid: piece.tid,
-                    store_seq: piece.store_seq,
-                    stack: piece.stack,
-                    range: piece.range,
-                    store_ls: piece.store_ls,
-                    store_vc: piece.store_vc,
-                    effective_ls,
-                    close_vc: Some(fencer_vc),
-                    close: CloseReason::Persisted,
-                    atomic: piece.atomic,
-                    non_temporal: piece.non_temporal,
-                    irh_discarded: discarded,
-                });
-            }
-            if kept.is_empty() {
+                self.stats.irh_discarded_windows += u64::from(discarded);
+                let close = CloseReason::Persisted;
+                let w = piece.window(piece.range, effective_ls, Some(fencer_vc), close, discarded);
+                self.windows.push(w);
+                false
+            });
+            if pieces.is_empty() {
                 self.lines.remove(&line);
-            } else {
-                *self.lines.get_mut(&line).expect("line present") = kept;
             }
         }
+        // Hand the emptied list back: its allocation serves the next
+        // window of flushes.
+        lines.clear();
+        self.threads[tid.index()].fence_watch = lines;
     }
 
     /// Closes every still-open piece as never-persisted: the value's
@@ -959,24 +874,11 @@ impl SimCore {
         let empty_ls = self.locksets.intern(Lockset::empty());
         let mut lines: Vec<_> = std::mem::take(&mut self.lines).into_iter().collect();
         lines.sort_by_key(|(l, _)| *l);
-        for (_, pieces) in lines {
-            for piece in pieces {
-                self.stats.windows_unpersisted += 1;
-                self.windows.push(StoreWindow {
-                    tid: piece.tid,
-                    store_seq: piece.store_seq,
-                    stack: piece.stack,
-                    range: piece.range,
-                    store_ls: piece.store_ls,
-                    store_vc: piece.store_vc,
-                    effective_ls: empty_ls,
-                    close_vc: None,
-                    close: CloseReason::NeverPersisted,
-                    atomic: piece.atomic,
-                    non_temporal: piece.non_temporal,
-                    irh_discarded: false,
-                });
-            }
+        for piece in lines.iter().flat_map(|(_, pieces)| pieces) {
+            self.stats.windows_unpersisted += 1;
+            let close = CloseReason::NeverPersisted;
+            self.windows
+                .push(piece.window(piece.range, empty_ls, None, close, false));
         }
     }
 }
@@ -1022,7 +924,6 @@ mod tests {
             &SimConfig {
                 irh: false,
                 eadr: false,
-                threads: 1,
                 memory_budget: None,
             },
         )
@@ -1342,7 +1243,6 @@ mod tests {
             &SimConfig {
                 irh: true,
                 eadr: false,
-                threads: 1,
                 memory_budget: None,
             },
         );
@@ -1368,7 +1268,6 @@ mod tests {
             &SimConfig {
                 irh: true,
                 eadr: false,
-                threads: 1,
                 memory_budget: None,
             },
         );
@@ -1390,7 +1289,6 @@ mod tests {
             &SimConfig {
                 irh: true,
                 eadr: false,
-                threads: 1,
                 memory_budget: None,
             },
         );
@@ -1429,7 +1327,6 @@ mod tests {
             &SimConfig {
                 irh: false,
                 eadr: true,
-                threads: 1,
                 memory_budget: None,
             },
         );
@@ -1517,15 +1414,12 @@ mod tests {
     fn stream_simulator_matches_batch() {
         let trace = busy_trace();
         for irh in [false, true] {
-            for threads in [1, 4] {
-                let cfg = SimConfig {
-                    irh,
-                    eadr: false,
-                    threads,
-                    memory_budget: None,
-                };
-                assert_stream_matches_batch(&trace, &cfg);
-            }
+            let cfg = SimConfig {
+                irh,
+                eadr: false,
+                memory_budget: None,
+            };
+            assert_stream_matches_batch(&trace, &cfg);
         }
     }
 
@@ -1552,7 +1446,6 @@ mod tests {
         let cfg = SimConfig {
             irh: false,
             eadr: false,
-            threads: 1,
             memory_budget: Some(8 * 1024),
         };
         let out = simulate(&trace, &cfg);
@@ -1601,5 +1494,55 @@ mod tests {
                 + out.stats.windows_unpersisted,
             out.windows.len() as u64
         );
+    }
+
+    #[test]
+    fn fences_above_thread_64_close_their_own_pieces() {
+        // Threads 3 and 70 each store into the same line, flush it and
+        // fence; thread 6 (70 mod 64) fences in between. Thread 3's piece
+        // is pending on both flushers, thread 70's on 70 alone, so each
+        // closes at its own thread's fence and clock.
+        let (t3, t6, t70) = (ThreadId(3), ThreadId(6), ThreadId(70));
+        let mut b = builder();
+        let s = b.intern_stack([]);
+        for t in [t3, t6, t70] {
+            b.push(T0, s, EventKind::ThreadCreate { child: t });
+        }
+        b.push(t3, s, store(AddrRange::new(0x100, 8)));
+        b.push(t3, s, EventKind::Flush { addr: 0x100 });
+        b.push(t70, s, store(AddrRange::new(0x108, 8)));
+        b.push(t70, s, EventKind::Flush { addr: 0x100 });
+        b.push(t3, s, EventKind::Fence);
+        b.push(t6, s, EventKind::Fence);
+        b.push(t70, s, EventKind::Fence);
+        let out = sim(&b.finish());
+        assert_eq!(out.windows.len(), 2);
+        for (w, t) in out.windows.iter().zip([t3, t70]) {
+            assert_eq!(w.tid, t);
+            assert_eq!(w.close, CloseReason::Persisted);
+            // No create or join between store and fence: the fencer's
+            // clock is still the one the store was stamped with.
+            assert_eq!(w.close_vc, Some(w.store_vc), "{t:?} closes its own piece");
+        }
+    }
+
+    #[test]
+    fn a_fence_closes_watched_lines_once_each_in_ascending_order() {
+        let mut b = builder();
+        let s = b.intern_stack([]);
+        for line in [5u64, 6, 7] {
+            b.push(T0, s, store(AddrRange::new(line * 64, 8)));
+        }
+        for line in [7u64, 6, 7, 5] {
+            b.push(T0, s, EventKind::Flush { addr: line * 64 });
+        }
+        b.push(T0, s, EventKind::Fence);
+        let out = sim(&b.finish());
+        let starts: Vec<u64> = out.windows.iter().map(|w| w.range.start).collect();
+        assert_eq!(starts, [5 * 64, 6 * 64, 7 * 64]);
+        assert!(out
+            .windows
+            .iter()
+            .all(|w| w.close == CloseReason::Persisted));
     }
 }

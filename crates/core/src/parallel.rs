@@ -58,40 +58,15 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Runs `job(i)` for every `i in 0..jobs` on up to `threads` scoped workers
-/// and returns the results in index order.
+/// Runs `job(i, heartbeat)` for every `i in 0..jobs` on up to `threads`
+/// scoped workers and returns the results in index order, with how long
+/// each worker spent executing jobs and whether a stall was detected.
 ///
 /// Jobs are claimed from a shared atomic cursor, so uneven job sizes
-/// load-balance across workers. With `threads <= 1` (or a single job) the
-/// map degenerates to a plain sequential loop — no threads are spawned.
-pub fn map_indexed<T, F>(jobs: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    map_indexed_timed(jobs, threads, job).0
-}
-
-/// [`map_indexed`], additionally reporting how long each worker spent
-/// executing jobs (one [`Duration`] per worker actually used, in worker
-/// order).
-///
-/// Busy time excludes the idle tail a worker spends waiting for its
-/// siblings, so the spread across the returned durations is the
-/// load-imbalance picture the observability layer reports as
-/// `timing.worker_busy_ms`. On the sequential fallback the single entry
-/// covers the whole loop.
-pub fn map_indexed_timed<T, F>(jobs: usize, threads: usize, job: F) -> (Vec<T>, Vec<Duration>)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let (out, busy, _) = map_indexed_watched(jobs, threads, None, |i, _| job(i));
-    (out, busy)
-}
-
-/// [`map_indexed_timed`] with per-worker heartbeats and an optional
-/// supervising watchdog.
+/// load-balance across workers. Busy time (one [`Duration`] per worker
+/// actually used, in worker order) excludes the idle tail a worker spends
+/// waiting for its siblings, so its spread is the load-imbalance picture
+/// the observability layer reports as `timing.worker_busy_ms`.
 ///
 /// Every job receives a [`Heartbeat`] it should beat from long inner
 /// loops. When a [`Watchdog`] is supplied, a supervisor thread polls the
@@ -104,7 +79,9 @@ where
 ///
 /// With a watchdog present the map always runs on at least one spawned
 /// worker (the supervisor needs the caller's job loop off its own
-/// thread); the sequential fast path applies only to unwatched maps.
+/// thread). Unwatched, `threads <= 1` (or a single job) degenerates to a
+/// plain sequential loop — no threads are spawned — whose single busy
+/// entry covers the whole loop.
 pub fn map_indexed_watched<T, F>(
     jobs: usize,
     threads: usize,
@@ -213,18 +190,30 @@ where
 mod tests {
     use super::*;
 
+    /// The unwatched map: results in index order, one busy duration per
+    /// worker used.
+    fn map<T: Send>(
+        jobs: usize,
+        threads: usize,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, Vec<Duration>) {
+        let (out, busy, stalled) = map_indexed_watched(jobs, threads, None, |i, _| job(i));
+        assert!(!stalled, "an unwatched map never reports a stall");
+        (out, busy)
+    }
+
     #[test]
     fn map_preserves_index_order() {
         for threads in [1, 2, 8] {
-            let out = map_indexed(100, threads, |i| i * i);
+            let (out, _) = map(100, threads, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn map_handles_zero_and_one_jobs() {
-        assert_eq!(map_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(map_indexed(1, 4, |i| i + 7), vec![7]);
+        assert_eq!(map(0, 4, |i| i).0, Vec::<usize>::new());
+        assert_eq!(map(1, 4, |i| i + 7).0, vec![7]);
     }
 
     #[test]
@@ -235,13 +224,13 @@ mod tests {
 
     #[test]
     fn timed_map_reports_one_busy_duration_per_worker() {
-        let (out, busy) = map_indexed_timed(16, 3, |i| i + 1);
+        let (out, busy) = map(16, 3, |i| i + 1);
         assert_eq!(out, (1..=16).collect::<Vec<_>>());
         assert_eq!(busy.len(), 3, "one duration per worker");
-        let (out, busy) = map_indexed_timed(5, 1, |i| i);
+        let (out, busy) = map(5, 1, |i| i);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(busy.len(), 1, "sequential fallback reports one entry");
-        let (out, busy) = map_indexed_timed(0, 4, |i| i);
+        let (out, busy) = map(0, 4, |i| i);
         assert!(out.is_empty());
         assert!(busy.is_empty(), "no jobs, no busy time");
     }
@@ -324,7 +313,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
-        map_indexed(4, 2, |i| {
+        map(4, 2, |i| {
             if i == 2 {
                 panic!("boom");
             }

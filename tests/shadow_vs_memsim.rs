@@ -55,7 +55,7 @@ proptest! {
 
         let image = pool.crash_image();
         let trace = env.finish();
-        let out = simulate(&trace, &SimConfig { irh: false, eadr: false, threads: 1, memory_budget: None });
+        let out = simulate(&trace, &SimConfig { irh: false, eadr: false, memory_budget: None });
 
         // For every word: the newest window decides durability.
         for word in 0..32u64 {
