@@ -17,9 +17,9 @@
 //! Publication is tracked at 8-byte-word granularity and is sticky: freed
 //! and reallocated PM stays published, which reproduces the tool's known
 //! limitation on memory-reusing applications such as memcached (§7). The
-//! state is *stored* per 64-byte cache line — one 8-byte record holds the
-//! eight words of a line — so an access probes the table once per touched
-//! line rather than once per word; the rules stay per word.
+//! state is *stored* per 64-byte cache line — one record holds the eight
+//! words of a line — so an access probes the table once per touched line
+//! rather than once per word; the rules stay per word.
 
 use crate::addr::{AddrRange, LineId};
 use crate::hash::FxHashMap;
@@ -27,25 +27,25 @@ use crate::trace::ThreadId;
 
 /// Publication state of the eight words of one cache line. Word `i` is
 /// untouched (bit `i` clear in `touched`), published (bit `i` set in
-/// `published`) or private to one thread. A line's private words nearly
-/// always belong to one thread, kept inline as `owner`; a line whose
-/// private words have had two owners at once is `mixed` and keeps an owner
-/// per word in the tracker's `owners` table instead.
+/// `published`) or private to `owners[i]`.
 #[derive(Clone, Copy, Debug)]
 struct LineWords {
     touched: u8,
     published: u8,
-    mixed: bool,
-    owner: ThreadId,
+    owners: [ThreadId; 8],
 }
 
 impl LineWords {
     const UNTOUCHED: Self = Self {
         touched: 0,
         published: 0,
-        mixed: false,
-        owner: ThreadId(0),
+        owners: [ThreadId(0); 8],
     };
+}
+
+/// The word indices (0–7) whose bits are set in `mask`.
+fn bits(mask: u8) -> impl Iterator<Item = usize> {
+    (0..8).filter(move |i| mask & (1 << i) != 0)
 }
 
 /// The words `range` touches (exactly [`AddrRange::words`]), grouped by
@@ -67,8 +67,6 @@ pub struct PublicationTracker {
     /// Word states per cache line. Probe-only (never iterated), so the
     /// fast deterministic hasher is safe.
     lines: FxHashMap<LineId, LineWords>,
-    /// Per-word owners of the `mixed` lines (probe-only as well).
-    owners: FxHashMap<LineId, [ThreadId; 8]>,
     /// Words touched so far, each counted at its first access.
     tracked: usize,
 }
@@ -107,36 +105,17 @@ impl PublicationTracker {
         for (line, mask) in line_masks(range) {
             let w = self.lines.entry(line).or_insert(LineWords::UNTOUCHED);
             was_public |= w.published & mask != 0;
-            let fresh = mask & !w.touched;
-            let owned = w.touched & !w.published;
-            self.tracked += fresh.count_ones() as usize;
-            if !w.mixed && w.owner != tid && owned & !mask != 0 && fresh != 0 {
-                // Another thread keeps private words here while `tid`
-                // claims fresh ones: two owners, so the line goes per word.
-                self.owners.insert(line, [w.owner; 8]);
-                w.mixed = true;
-            }
-            if w.mixed {
-                let owners = self.owners.get_mut(&line).expect("a mixed line has owners");
-                for (i, owner) in owners.iter_mut().enumerate() {
-                    let bit = 1 << i;
-                    if fresh & bit != 0 {
-                        *owner = tid;
-                    } else if owned & mask & bit != 0 && *owner != tid {
-                        w.published |= bit;
-                    }
-                }
-            } else if w.owner != tid {
-                // The other thread's words accessed now are published; with
-                // none left to it, the line's private words are `tid`'s.
-                w.published |= owned & mask;
-                if owned & !mask == 0 {
-                    w.owner = tid;
+            self.tracked += (mask & !w.touched).count_ones() as usize;
+            // A fresh word becomes `tid`'s; another thread's private word
+            // is published.
+            for i in bits(mask & !w.published) {
+                if w.touched & (1 << i) == 0 {
+                    w.owners[i] = tid;
+                } else if w.owners[i] != tid {
+                    w.published |= 1 << i;
                 }
             }
-            w.touched |= fresh;
-            // Every word of `mask` is now touched and, unless published,
-            // owned by `tid`.
+            w.touched |= mask;
             private &= w.published & mask == 0;
         }
         (was_public, private)
@@ -145,17 +124,11 @@ impl PublicationTracker {
     /// Whether every word of `mask` in `line` is touched, unpublished and
     /// `tid`'s.
     fn private_to(&self, line: LineId, tid: ThreadId, mask: u8) -> bool {
-        let Some(w) = self.lines.get(&line) else {
-            return false;
-        };
-        if w.touched & mask != mask || w.published & mask != 0 {
-            return false;
-        }
-        if !w.mixed {
-            return w.owner == tid;
-        }
-        let owners = self.owners.get(&line).expect("a mixed line has owners");
-        (0..8).all(|i| mask & (1 << i) == 0 || owners[i] == tid)
+        self.lines.get(&line).is_some_and(|w| {
+            w.touched & mask == mask
+                && w.published & mask == 0
+                && bits(mask).all(|i| w.owners[i] == tid)
+        })
     }
 
     /// Returns `true` if every word of `range` is still private to `tid`.

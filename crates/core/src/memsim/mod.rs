@@ -195,6 +195,8 @@ impl ThreadState {
     /// Adds `line` to the fence watch. A repeat of the last line is
     /// skipped, and a full list is compacted before it grows, so a thread
     /// that keeps flushing without fencing holds about one entry per line.
+    /// A compaction leaves room for as many pushes as it kept lines, so the
+    /// sorting costs O(log n) per push however the flushes repeat.
     fn watch(&mut self, line: LineId) {
         let lines = &mut self.fence_watch;
         if lines.last() == Some(&line) {
@@ -203,6 +205,7 @@ impl ThreadState {
         if lines.len() == lines.capacity() {
             lines.sort_unstable();
             lines.dedup();
+            lines.reserve(lines.len());
         }
         lines.push(line);
     }
