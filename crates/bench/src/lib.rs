@@ -1,9 +1,8 @@
 //! # hawkset-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the
-//! HawkSet evaluation (§5), plus shared plumbing for the criterion
-//! microbenchmarks. One binary per paper artifact, plus two for the
-//! design and for CI:
+//! HawkSet evaluation (§5). One binary per paper artifact, plus two for
+//! the design and for CI:
 //!
 //! | binary     | paper artifact | what it prints |
 //! |------------|----------------|----------------|

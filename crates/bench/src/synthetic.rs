@@ -1,8 +1,9 @@
-//! Synthetic trace generation for microbenchmarks.
+//! Synthetic trace generation for the throughput ratchet.
 //!
-//! The criterion benches need traces whose size and shape are controlled
-//! precisely (number of threads, accesses, locking discipline, persist
-//! discipline), independent of any application's logic.
+//! The `smoke` binary's pairing and per-stage figures need traces whose
+//! size and shape are controlled precisely (number of threads, accesses,
+//! locking discipline, persist discipline), independent of any
+//! application's logic.
 
 use hawkset_core::addr::AddrRange;
 use hawkset_core::trace::ThreadId;

@@ -80,6 +80,51 @@ pub(crate) enum SiteKey {
     Stacks(u32, u32),
 }
 
+impl SiteKey {
+    /// The key a racy pair of a `store_stack` window and a `load_stack`
+    /// load is reported under.
+    pub(crate) fn of(stacks: &StackTable, store_stack: u32, load_stack: u32) -> Self {
+        match (stacks.site(store_stack), stacks.site(load_stack)) {
+            (Some(s), Some(l)) => SiteKey::Functions(s.function.clone(), l.function.clone()),
+            _ => SiteKey::Stacks(store_stack, load_stack),
+        }
+    }
+}
+
+/// The windows and loads of one site pair: those whose racy pairs a report
+/// keys under the same [`SiteKey`] as `race`. A pairing run restricted to
+/// them ([`PairingControls::site`]) examines exactly the pairs the full run
+/// examines at that key, so it reports a race iff the full run does.
+///
+/// Membership is per side. A store stack `s` belongs iff `(s, race's load
+/// stack)` keys like `race`, a load stack `l` iff `(race's store stack, l)`
+/// does, and a pair `(s, l)` keys like `race` iff both belong: under
+/// `Functions` each side is "same innermost function"; under `Stacks` one of
+/// `race`'s stacks has no site, so each side is "`race`'s own stack".
+pub(crate) struct SitePair {
+    /// By stack id: whether windows with that stack belong.
+    stores: Vec<bool>,
+    /// By stack id: whether loads with that stack belong.
+    loads: Vec<bool>,
+}
+
+impl SitePair {
+    /// The site pair `race` is reported under.
+    pub(crate) fn of(stacks: &StackTable, race: RaceKey) -> Self {
+        let target = SiteKey::of(stacks, race.store_stack, race.load_stack);
+        let all = 0..stacks.stack_count() as u32;
+        Self {
+            stores: all
+                .clone()
+                .map(|s| SiteKey::of(stacks, s, race.load_stack) == target)
+                .collect(),
+            loads: all
+                .map(|l| SiteKey::of(stacks, race.store_stack, l) == target)
+                .collect(),
+        }
+    }
+}
+
 /// A race plus the rank of its first witness: `(window-group index,
 /// load-group index)` in the global order the sequential loop examines
 /// pairs. The merge keeps the minimum — i.e. exactly the witness the
@@ -139,7 +184,8 @@ impl ShardOutput {
 /// The checkpoint layer's per-shard write hook (worker-thread context).
 pub(crate) type ShardHook<'a> = &'a (dyn Fn(usize, &ShardOutput) + Sync);
 
-/// Optional hooks into [`run_pairing_controlled`] used by checkpoint/resume.
+/// Optional hooks into [`run_pairing_controlled`]: checkpoint/resume, and
+/// the repair validator's site-pair restriction.
 #[derive(Default)]
 pub(crate) struct PairingControls<'a> {
     /// Finished shard outputs from a previous (killed) run, keyed by shard
@@ -151,6 +197,10 @@ pub(crate) struct PairingControls<'a> {
     /// Called (from worker threads) with every freshly computed cacheable
     /// shard output — the checkpoint layer's write hook.
     pub on_shard: Option<ShardHook<'a>>,
+    /// Pair only this site pair's windows and loads. They are filtered
+    /// before grouping, so the groups, and the pairs examined, are the
+    /// full run's at that site pair.
+    pub site: Option<&'a SitePair>,
 }
 
 /// One load group's pairing-relevant fields, flattened into a contiguous
@@ -486,12 +536,7 @@ impl PairingCtx<'_> {
             let win = &self.access.windows[a.win_i as usize];
             let ld = &self.access.loads[a.load_i as usize];
             let (store_stack, load_stack) = ((skey >> 32) as u32, skey as u32);
-            let store_site = self.stacks.site(store_stack);
-            let load_site = self.stacks.site(load_stack);
-            let key = match (store_site, load_site) {
-                (Some(s), Some(l)) => SiteKey::Functions(s.function.clone(), l.function.clone()),
-                _ => SiteKey::Stacks(store_stack, load_stack),
-            };
+            let key = SiteKey::of(self.stacks, store_stack, load_stack);
             let acc = RaceAcc {
                 rank: a.rank,
                 race: Race {
@@ -499,8 +544,8 @@ impl PairingCtx<'_> {
                         store_stack,
                         load_stack,
                     },
-                    store_site: store_site.cloned(),
-                    load_site: load_site.cloned(),
+                    store_site: self.stacks.site(store_stack).cloned(),
+                    load_site: self.stacks.site(load_stack).cloned(),
                     store_tid: win.tid,
                     load_tid: ld.tid,
                     example_range: win.range.intersection(&ld.range).unwrap_or(win.range),
@@ -592,13 +637,19 @@ pub(crate) fn run_pairing_controlled(
     // locksets are first *normalized* — timestamps stripped and the result
     // re-interned. Without this, every critical section carries a distinct
     // lockset id and the grouping below cannot collapse locked accesses.
-    let mut norm_of_raw: Vec<u32> = Vec::with_capacity(access.locksets.len());
+    // Only the ids the grouped accesses reference are normalized, on first
+    // use; normalized ids enter nothing but equality tests and memo keys.
+    let mut norm_of_raw: Vec<u32> = vec![u32::MAX; access.locksets.len()];
     let mut norm_sets: Vec<Lockset> = Vec::new();
-    {
-        let mut index: FxHashMap<Lockset, u32> = FxHashMap::default();
-        for (_, ls) in access.locksets.iter() {
+    let mut norm_index: FxHashMap<Lockset, u32> = FxHashMap::default();
+    let mut norm = |raw: LsId| -> u32 {
+        let slot = &mut norm_of_raw[raw.id() as usize];
+        if *slot == u32::MAX {
             let stripped = Lockset::from_entries(
-                ls.iter()
+                access
+                    .locksets
+                    .get(raw)
+                    .iter()
                     .map(|e| LockEntry {
                         lock: e.lock,
                         mode: e.mode,
@@ -606,13 +657,13 @@ pub(crate) fn run_pairing_controlled(
                     })
                     .collect(),
             );
-            let id = *index.entry(stripped.clone()).or_insert_with(|| {
+            *slot = *norm_index.entry(stripped.clone()).or_insert_with(|| {
                 norm_sets.push(stripped);
                 (norm_sets.len() - 1) as u32
             });
-            norm_of_raw.push(id);
         }
-    }
+        *slot
+    };
 
     // §4: "we group PM accesses by thread id and address" — accesses with
     // identical (range, thread, lockset, vector clock, backtrace) are
@@ -620,11 +671,15 @@ pub(crate) fn run_pairing_controlled(
     // fields), so each equivalence class is paired once and its population
     // multiplies the pair counts. On zipfian workloads this collapses the
     // hot keys' millions of accesses into a handful of groups.
+    let site = controls.site;
     let mut load_groups: Vec<(u32, u64)> = Vec::new(); // (repr index, count)
     {
         let mut index: FxHashMap<LoadKey, u32> = FxHashMap::default();
         for (i, ld) in access.loads.iter().enumerate() {
-            if !ld.live() || (!cfg.include_atomics && ld.atomic) {
+            if !ld.live()
+                || (!cfg.include_atomics && ld.atomic)
+                || site.is_some_and(|p| !p.loads[ld.stack as usize])
+            {
                 continue;
             }
             stats.live_loads += 1;
@@ -632,7 +687,7 @@ pub(crate) fn run_pairing_controlled(
                 ld.range.start,
                 ld.range.len,
                 ld.tid.0,
-                norm_of_raw[ld.ls.id() as usize],
+                norm(ld.ls),
                 ld.vc.id(),
                 ld.stack,
                 ld.atomic,
@@ -652,7 +707,10 @@ pub(crate) fn run_pairing_controlled(
     {
         let mut index: FxHashMap<WinKey, u32> = FxHashMap::default();
         for (i, w) in access.windows.iter().enumerate() {
-            if !w.live() || (!cfg.include_atomics && w.atomic) {
+            if !w.live()
+                || (!cfg.include_atomics && w.atomic)
+                || site.is_some_and(|p| !p.stores[w.stack as usize])
+            {
                 continue;
             }
             stats.live_windows += 1;
@@ -670,7 +728,7 @@ pub(crate) fn run_pairing_controlled(
                 w.tid.0,
                 0,
                 w.store_vc.id(),
-                norm_of_raw[w.effective_ls.id() as usize],
+                norm(w.effective_ls),
                 w.close_vc.map(|c| c.id()).unwrap_or(u32::MAX),
                 w.stack,
                 close_bits,

@@ -407,6 +407,7 @@ impl Analyzer {
             on_shard: on_shard
                 .as_ref()
                 .map(|f| f as &(dyn Fn(usize, &ShardOutput) + Sync)),
+            site: None,
         };
         let mut report =
             engine::run_pairing_controlled(&header.stacks, &access, &self.cfg, &reg, controls);

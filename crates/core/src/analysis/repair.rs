@@ -19,13 +19,18 @@
 //! (there is no store→persist window to close on the "load" side, and
 //! HawkSet's default analysis deliberately skips them).
 //!
+//! Most patches fail, and most fail the same way: the replay still races
+//! at the target's site pair. So each target is first paired on its site
+//! pair alone, and a replay is paired in full only when that leaves one of
+//! its targets undecided ([`RepairValidator`]'s sweep, DESIGN.md §4k).
+//!
 //! The replay validates the *recorded schedule* with patched events; it
 //! does not explore alternative interleavings the patch might force (a
 //! hoisted lock acquisition can serialize threads that ran concurrently in
 //! the recording). That caveat is inherent to trace-level validation and
 //! is documented with the demotion rules in DESIGN.md §4k.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -36,8 +41,9 @@ use crate::obs::MetricsRegistry;
 use crate::trace::{Event, EventKind, LockId, TraceView};
 use crate::vclock::ClockOrder;
 
+use super::engine::{self, PairingControls, SitePair};
 use super::report::{AnalysisReport, Race, RaceKey};
-use super::{engine, AnalysisConfig};
+use super::AnalysisConfig;
 
 /// Version of the `fixes` section's own schema (the section is an optional
 /// addition to report schema v1, exactly like `metrics`).
@@ -215,33 +221,76 @@ impl<'a> RepairValidator<'a> {
     /// [`validates`](Self::validates) for every `(kind, target)` pair, from
     /// one shared simulation: each distinct patch is replayed once, forked
     /// from the recorded prefix at its first edit ([`simulate_patches`]).
-    /// A verdict is a pure function of the patched event stream, so the
+    ///
+    /// A patched replay that still races at a target's site pair fails that
+    /// target, so each target is first paired on its site pair alone
+    /// ([`SitePair`]). The baseline report holds one race per site pair and
+    /// the target is that race, so a race the replay reports there is the
+    /// target or a key outside the baseline: either fails the verdict. A
+    /// replay is paired in full only when that leaves a target of it
+    /// undecided. The rule needs the full pairing to reach every site pair
+    /// (no candidate-pair budget) and no store-store races, whose keys can
+    /// equal a load race's; otherwise every replay is paired in full. A
+    /// verdict is a pure function of the patched event stream, so the
     /// results equal the one-by-one verdicts.
     fn validates_all(&self, candidates: &[(FixKind, RaceKey)]) -> Vec<bool> {
         // Candidates sharing a patch (a store-anchored flush patches every
         // store at the anchor's stack) share its replay.
         let mut patches: Vec<EventPatch> = Vec::new();
+        let mut targets: Vec<Vec<RaceKey>> = Vec::new();
         let slots: Vec<Option<usize>> = candidates
             .iter()
-            .map(|(kind, _)| {
+            .map(|(kind, target)| {
                 let patch = build_patch(self.view, kind)?;
-                Some(match patches.iter().position(|p| *p == patch) {
-                    Some(i) => i,
-                    None => {
-                        patches.push(patch);
-                        patches.len() - 1
-                    }
-                })
+                let i = patches.iter().position(|p| *p == patch).unwrap_or_else(|| {
+                    patches.push(patch);
+                    targets.push(Vec::new());
+                    patches.len() - 1
+                });
+                if !targets[i].contains(target) {
+                    targets[i].push(*target);
+                }
+                Some(i)
             })
             .collect();
-        let mut reported = vec![Vec::new(); patches.len()];
+        // Without the rule's preconditions no target has a site pair to
+        // try, and every replay is paired in full.
+        let fail_fast =
+            self.cfg.budget.max_candidate_pairs.is_none() && !self.cfg.check_store_store;
+        let sites: BTreeMap<RaceKey, SitePair> = targets
+            .iter()
+            .flatten()
+            .filter(|_| fail_fast)
+            .map(|t| (*t, SitePair::of(self.view.stacks, *t)))
+            .collect();
+        let mut verdicts: BTreeMap<(usize, RaceKey), bool> = BTreeMap::new();
         simulate_patches(self.view, &patches, &self.sim_config(), |i, access| {
-            reported[i] = keys(&self.pair(&access));
+            let failed: Vec<bool> = targets[i]
+                .iter()
+                .map(|t| {
+                    sites
+                        .get(t)
+                        .is_some_and(|site| self.races_at(&access, site))
+                })
+                .collect();
+            // Debug builds pair decided replays in full too, to re-prove
+            // the rule on every test that suggests fixes.
+            let full = (failed.contains(&false) || cfg!(debug_assertions))
+                .then(|| keys(&self.pair(&access)));
+            for (t, failed) in targets[i].iter().zip(failed) {
+                let verdict = full.as_ref().map(|keys| self.verdict(keys, *t));
+                debug_assert!(
+                    !failed || verdict == Some(false),
+                    "{t:?} raced at its site pair yet validated"
+                );
+                let ok = !failed && verdict.expect("undecided targets are paired in full");
+                verdicts.insert((i, *t), ok);
+            }
         });
         candidates
             .iter()
             .zip(slots)
-            .map(|((_, target), slot)| slot.is_some_and(|i| self.verdict(&reported[i], *target)))
+            .map(|((_, target), slot)| slot.is_some_and(|i| verdicts[&(i, *target)]))
             .collect()
     }
 
@@ -256,6 +305,18 @@ impl<'a> RepairValidator<'a> {
     fn pair(&self, access: &AccessSet) -> AnalysisReport {
         let reg = MetricsRegistry::new();
         engine::run_pairing(self.view.stacks, access, &self.cfg, &reg)
+    }
+
+    /// Whether any window/load pair of `site` races in `access`.
+    fn races_at(&self, access: &AccessSet, site: &SitePair) -> bool {
+        let controls = PairingControls {
+            site: Some(site),
+            ..PairingControls::default()
+        };
+        let reg = MetricsRegistry::new();
+        let report =
+            engine::run_pairing_controlled(self.view.stacks, access, &self.cfg, &reg, controls);
+        !report.races.is_empty()
     }
 
     /// The validity rule over a patched replay's race keys.
@@ -817,6 +878,83 @@ mod tests {
             "{:?}",
             fix.kind
         );
+    }
+
+    #[test]
+    fn a_sibling_stack_pair_still_racing_fails_the_verdict() {
+        use crate::addr::AddrRange;
+        use crate::trace::{EventKind, Frame, LockId, LockMode, PmRegion, ThreadId, TraceBuilder};
+        // Two Figure-1c shapes whose stores share the innermost frame
+        // `writer` under different callers: two stack pairs of one site
+        // pair, which the report keys once. Flushing inside the critical
+        // section at the reported store's stack kills that stack pair's
+        // race; the sibling's still races under the same site pair, with
+        // a key the baseline lacks, so the verdict must be false.
+        let mut b = TraceBuilder::new();
+        b.add_region(PmRegion {
+            base: 0x1000,
+            len: 0x1000,
+            path: "/mnt/pmem/repair".into(),
+        });
+        let writer = Frame::new("writer", "f.rs", 1);
+        let stores = [
+            b.intern_stack([writer.clone(), Frame::new("insert", "f.rs", 10)]),
+            b.intern_stack([writer, Frame::new("update", "f.rs", 20)]),
+        ];
+        let ld = b.intern_stack([Frame::new("reader", "f.rs", 2)]);
+        let (t0, t1, a) = (ThreadId(0), ThreadId(1), LockId(0xa));
+        let acquire = EventKind::Acquire {
+            lock: a,
+            mode: LockMode::Exclusive,
+        };
+        b.push(t0, stores[0], EventKind::ThreadCreate { child: t1 });
+        for (st, addr) in stores.into_iter().zip([0x1000, 0x1040]) {
+            let range = AddrRange::new(addr, 8);
+            b.push(t0, st, acquire);
+            let kind = EventKind::Store {
+                range,
+                non_temporal: false,
+                atomic: false,
+            };
+            b.push(t0, st, kind);
+            b.push(t0, st, EventKind::Release { lock: a });
+            b.push(t1, ld, acquire);
+            let kind = EventKind::Load {
+                range,
+                atomic: false,
+            };
+            b.push(t1, ld, kind);
+            b.push(t1, ld, EventKind::Release { lock: a });
+            b.push(t0, st, EventKind::Flush { addr });
+            b.push(t0, st, EventKind::Fence);
+        }
+        b.push(t0, stores[0], EventKind::ThreadJoin { child: t1 });
+        let trace = b.finish();
+
+        let cfg = AnalysisConfig::default();
+        let report = Analyzer::new(cfg.clone()).run(&trace);
+        assert_eq!(report.races.len(), 1, "one site pair, one race");
+        let target = report.races[0].key;
+        let sibling = RaceKey {
+            store_stack: stores[usize::from(target.store_stack == stores[0])],
+            load_stack: ld,
+        };
+        let view = TraceView::full(&trace);
+        let store_seq = view
+            .events
+            .iter()
+            .find(|ev| ev.stack == target.store_stack && matches!(ev.kind, EventKind::Store { .. }))
+            .expect("the target's store")
+            .seq;
+        let flush = FixKind::FlushFence {
+            after_seq: store_seq,
+            line: 0x1000,
+        };
+        let validator = RepairValidator::new(&view, &report.races, &cfg);
+        let patched = keys(&validator.replay(&flush).expect("applicable"));
+        assert_eq!(patched, vec![sibling], "the target dies, the sibling races");
+        assert!(!validator.validates(&flush, target));
+        assert_eq!(validator.validates_all(&[(flush, target)]), vec![false]);
     }
 
     #[test]

@@ -728,13 +728,18 @@ impl SimCore {
         let t = &self.threads[tid.index()];
         let (ls, vc) = (t.ls_id, t.vc_id);
         for line in range.lines() {
-            let start = crate::addr::line_base(line).max(range.start);
-            let end = (crate::addr::line_base(line) + crate::addr::CACHE_LINE).min(range.end());
+            let base = crate::addr::line_base(line);
+            let start = base.max(range.start);
+            // Bytes to the end of the line or of the store, from offsets:
+            // the line's end address overflows on the last line of the
+            // address space.
+            let len = (crate::addr::CACHE_LINE - (start - base))
+                .min(u64::from(range.len) - (start - range.start));
             let mut piece = OpenPiece {
                 tid,
                 store_seq: seq,
                 stack,
-                range: AddrRange::new(start, (end - start) as u32),
+                range: AddrRange::new(start, len as u32),
                 store_ls: ls,
                 store_vc: vc,
                 atomic,
@@ -1063,6 +1068,16 @@ mod tests {
         assert_eq!(first.close, CloseReason::Persisted);
         assert_eq!(second.range.len, 8);
         assert_eq!(second.close, CloseReason::NeverPersisted);
+    }
+
+    #[test]
+    fn store_on_the_last_line_of_the_address_space() {
+        let mut b = builder();
+        let s = b.intern_stack([]);
+        b.push(T0, s, store(AddrRange::new(u64::MAX - 7, 8)));
+        let out = sim(&b.finish());
+        assert_eq!(out.windows.len(), 1);
+        assert_eq!(out.windows[0].range, AddrRange::new(u64::MAX - 7, 8));
     }
 
     #[test]

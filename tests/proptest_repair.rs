@@ -10,6 +10,11 @@
 //!    The engine validates all candidates over one shared simulation;
 //!    every verdict, `false` ones included, must equal the one-by-one
 //!    full replay of [`RepairValidator::validates`].
+//!    That holds under the default config, where most verdicts are
+//!    decided by pairing the target's site pair alone, and under a
+//!    candidate-pair budget and the store-store pass, where that rule
+//!    must stand down. Each function runs under two call stacks, so one
+//!    site pair spans several stack pairs.
 //! 2. **Rejection of wrong insertion points** — fuzzed patch placements
 //!    that provably cannot repair anything (anchors past the end of the
 //!    trace, flush+fence before any store dirtied the line, lock
@@ -17,7 +22,9 @@
 //!    never validate.
 
 use hawkset::core::addr::AddrRange;
-use hawkset::core::analysis::{AnalysisConfig, Analyzer, FixKind, FixStatus, RepairValidator};
+use hawkset::core::analysis::{
+    AnalysisBudget, AnalysisConfig, Analyzer, FixKind, FixStatus, RepairValidator,
+};
 use hawkset::core::trace::{
     EventKind, Frame, LockId, LockMode, ThreadId, Trace, TraceBuilder, TraceView,
 };
@@ -26,28 +33,45 @@ use proptest::prelude::*;
 /// Valid multi-threaded traces biased toward racy schedules: a small
 /// address pool so threads collide, a mix of locked and unlocked stores,
 /// and only occasional flushes so store→persist windows stay open across
-/// conflicting accesses.
+/// conflicting accesses. Each of the four functions is reached from two
+/// callers: two stacks with one innermost frame, hence one site.
 fn arb_racy_trace() -> impl Strategy<Value = Trace> {
     let ops = proptest::collection::vec(
-        (0u8..8, 0u64..24u64, 1u32..17, 0u64..3, any::<bool>()),
+        (
+            0u8..8,
+            0u64..24u64,
+            1u32..17,
+            0u64..3,
+            any::<bool>(),
+            any::<bool>(),
+        ),
         4..90,
     );
     (ops, 2u32..4).prop_map(|(ops, workers)| {
         let mut b = TraceBuilder::new();
-        let stacks: Vec<_> = (0u32..4)
-            .map(|i| b.intern_stack([Frame::new(format!("fn{i}"), "prop.rs", i + 1)]))
+        let stacks: Vec<[_; 2]> = (0u32..4)
+            .map(|i| {
+                let site = Frame::new(format!("fn{i}"), "prop.rs", i + 1);
+                [0, 1].map(|c| {
+                    b.intern_stack([
+                        site.clone(),
+                        Frame::new(format!("caller{c}"), "prop.rs", 90),
+                    ])
+                })
+            })
             .collect();
+        let main = stacks[0][0];
         for w in 1..=workers {
             b.push(
                 ThreadId(0),
-                stacks[0],
+                main,
                 EventKind::ThreadCreate { child: ThreadId(w) },
             );
         }
         let mut held: Vec<Vec<u64>> = vec![Vec::new(); workers as usize + 1];
-        for (i, (kind, addr, len, lock, flag)) in ops.into_iter().enumerate() {
+        for (i, (kind, addr, len, lock, flag, caller)) in ops.into_iter().enumerate() {
             let tid = ThreadId(1 + (i as u32 % workers));
-            let s = stacks[i % stacks.len()];
+            let s = stacks[i % stacks.len()][usize::from(caller)];
             let range = AddrRange::new(0x1000 + addr * 8, len);
             match kind {
                 // Stores twice as likely as anything else: windows are
@@ -99,7 +123,7 @@ fn arb_racy_trace() -> impl Strategy<Value = Trace> {
         for w in 1..=workers {
             b.push(
                 ThreadId(0),
-                stacks[0],
+                main,
                 EventKind::ThreadJoin { child: ThreadId(w) },
             );
         }
@@ -155,20 +179,36 @@ proptest! {
 
     /// Every verdict equals an independent full replay of its patch: a
     /// fix is never falsely demoted, and a candidate never falsely
-    /// validated.
+    /// validated. Checked under the default config, under a small
+    /// candidate-pair budget, and with the store-store pass on.
     #[test]
-    fn every_verdict_matches_an_independent_replay(trace in arb_racy_trace()) {
-        let cfg = AnalysisConfig::default();
-        let report = Analyzer::new(cfg.clone()).suggest_fixes(true).run(&trace);
-        let view = TraceView::full(&trace);
-        let validator = RepairValidator::new(&view, &report.races, &cfg);
-        let suggestions = report.fixes.as_ref().map_or(&[][..], |f| &f.suggestions);
-        for s in suggestions {
-            prop_assert_eq!(
-                s.validated,
-                validator.validates(&s.kind, s.race),
-                "verdict of {} disagrees with a full replay", s.summary()
-            );
+    fn every_verdict_matches_an_independent_replay(
+        trace in arb_racy_trace(),
+        max_pairs in 1u64..32,
+    ) {
+        let budgeted = AnalysisConfig {
+            budget: AnalysisBudget {
+                max_candidate_pairs: Some(max_pairs),
+                ..AnalysisBudget::default()
+            },
+            ..AnalysisConfig::default()
+        };
+        let store_store = AnalysisConfig {
+            check_store_store: true,
+            ..AnalysisConfig::default()
+        };
+        for cfg in [AnalysisConfig::default(), budgeted, store_store] {
+            let report = Analyzer::new(cfg.clone()).suggest_fixes(true).run(&trace);
+            let view = TraceView::full(&trace);
+            let validator = RepairValidator::new(&view, &report.races, &cfg);
+            let suggestions = report.fixes.as_ref().map_or(&[][..], |f| &f.suggestions);
+            for s in suggestions {
+                prop_assert_eq!(
+                    s.validated,
+                    validator.validates(&s.kind, s.race),
+                    "verdict of {} disagrees with a full replay", s.summary()
+                );
+            }
         }
     }
 
