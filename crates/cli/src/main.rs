@@ -513,6 +513,7 @@ struct AnalyzeOpts {
     stream: bool,
     metrics: MetricsOut,
     checkpoint: Option<String>,
+    checkpoint_every: Option<u64>,
     resume: Option<String>,
 }
 
@@ -547,7 +548,7 @@ const ANALYZE_FLAGS: &[Flag<AnalyzeOpts>] = &[
     ("--checkpoint", Text(|o, p| o.checkpoint = Some(p))),
     (
         "--checkpoint-every",
-        AtLeast1(|o, n| o.cfg.checkpoint_every = Some(n)),
+        AtLeast1(|o, n| o.checkpoint_every = Some(n)),
     ),
     ("--resume", Text(|o, p| o.resume = Some(p))),
     (
@@ -654,6 +655,7 @@ fn analyze_stream(path: &str, o: AnalyzeOpts, plane: Arc<dyn IoPlane>) -> ExitCo
         json,
         metrics,
         checkpoint,
+        checkpoint_every,
         resume,
         ..
     } = o;
@@ -673,12 +675,12 @@ fn analyze_stream(path: &str, o: AnalyzeOpts, plane: Arc<dyn IoPlane>) -> ExitCo
     let session_path = checkpoint.or(resume);
     let session = session_path.map(|p| {
         let session = match &prior {
-            Some(ck) => CheckpointSession::resuming(p.into(), ck.clone(), cfg.checkpoint_every),
+            Some(ck) => CheckpointSession::resuming(p.into(), ck.clone(), checkpoint_every),
             None => CheckpointSession::new(
                 p.into(),
                 config_fingerprint(&cfg),
                 path.to_string(),
-                cfg.checkpoint_every,
+                checkpoint_every,
             ),
         };
         Arc::new(session.with_plane(plane.clone()))
@@ -1158,10 +1160,7 @@ const SERVE_FLAGS: &[Flag<ServeConfig>] = &[
     ("--job-timeout-ms", Millis(|c, d| c.worker.job_timeout = d)),
     ("--max-retries", U32(|c, n| c.worker.max_retries = n)),
     ("--drain-timeout-ms", Millis(|c, d| c.drain_timeout = d)),
-    (
-        "--max-trace-bytes",
-        Int(|c, n| c.worker.max_trace_bytes = Some(n)),
-    ),
+    ("--max-trace-bytes", Int(|c, n| c.max_trace_bytes = Some(n))),
     (
         "--max-connections",
         AtLeast1(|c, n| c.max_connections = n as usize),

@@ -540,7 +540,7 @@ fn sharded_trace(name: &str) -> PathBuf {
 fn assert_same_report(a: &[u8], b: &[u8], ctx: &str) {
     let a: serde_json::Value = serde_json::from_slice(a).expect("valid report JSON");
     let b: serde_json::Value = serde_json::from_slice(b).expect("valid report JSON");
-    for key in ["schema_version", "races", "coverage"] {
+    for key in ["schema_version", "races", "coverage", "fixes"] {
         assert_eq!(a[key], b[key], "{ctx}: `{key}` diverged");
     }
     for (section, masked) in [("stats", "duration_ms"), ("metrics", "timing")] {
@@ -560,24 +560,44 @@ fn assert_same_report(a: &[u8], b: &[u8], ctx: &str) {
     }
 }
 
+/// The in-memory and the streamed run share one analysis driver; under
+/// each flag set they must print the same report, fixes included.
 #[test]
 fn stream_flag_matches_batch_report() {
     let path = sharded_trace("stream-vs-batch");
-    let batch = hawkset()
-        .args(["analyze", "--json", path.to_str().unwrap()])
-        .output()
-        .expect("spawn");
-    assert_eq!(batch.status.code(), Some(1));
-    let stream = hawkset()
-        .args(["analyze", "--json", "--stream", path.to_str().unwrap()])
-        .output()
-        .expect("spawn");
-    assert_eq!(stream.status.code(), Some(1));
-    assert_same_report(
-        &stream.stdout,
-        &batch.stdout,
-        "streaming must be bit-identical to batch (wall-clock masked)",
-    );
+    let path = path.to_str().unwrap();
+    for flags in [
+        &[][..],
+        &["--suggest-fixes"],
+        &["--lenient"],
+        &["--max-events", "100"],
+        &["--memory-budget", "4096"],
+        &["--threads", "1"],
+    ] {
+        let run = |stream: bool| {
+            let mut cmd = hawkset();
+            cmd.args(["analyze", "--json"]).args(flags);
+            if stream {
+                cmd.arg("--stream");
+            }
+            cmd.arg(path).output().expect("spawn")
+        };
+        let (batch, stream) = (run(false), run(true));
+        assert_eq!(batch.status.code(), Some(1), "{flags:?}");
+        assert_eq!(stream.status.code(), Some(1), "{flags:?}");
+        assert_same_report(
+            &stream.stdout,
+            &batch.stdout,
+            &format!("{flags:?}: streaming must be bit-identical to batch (wall-clock masked)"),
+        );
+        if flags == ["--suggest-fixes"] {
+            let report: serde_json::Value = serde_json::from_slice(&batch.stdout).unwrap();
+            assert!(
+                report["fixes"].as_object().is_some(),
+                "no fixes section to compare"
+            );
+        }
+    }
 }
 
 #[test]

@@ -17,8 +17,8 @@
 //!   resume a finished shard is not re-executed: its recorded output is
 //!   merged verbatim, preserving bit-identical reports because only
 //!   deterministic outputs (`ShardOutput::cacheable`) are ever stored —
-//!   deadline/watchdog/interrupt truncations are schedule-dependent and
-//!   never cached.
+//!   watchdog and interrupt truncations are schedule-dependent and never
+//!   cached.
 //!
 //! The file is versioned JSON ([`CHECKPOINT_VERSION`]) and stamped with a
 //! [fingerprint](config_fingerprint) of every report-affecting knob plus
@@ -43,8 +43,8 @@ use crate::ioplane::{write_atomic, IoPlane, RealIo};
 /// not).
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// Default events between ingest-progress flushes when the caller does not
-/// set [`AnalysisConfig::checkpoint_every`].
+/// Default events between ingest-progress flushes when a session is made
+/// without a cadence ([`CheckpointSession::new`]).
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1 << 20;
 
 /// Why a checkpoint cannot resume the requested run.
@@ -100,7 +100,7 @@ impl std::error::Error for CheckpointError {}
 /// Ingest-side progress: how far the stream decode + simulation got.
 /// Recorded for resume-time sanity checks and operator visibility; the
 /// linear stages are replayed on resume rather than restored.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestProgress {
     /// Absolute byte offset of the next undecoded byte — in mid-salvage
     /// runs this is the end of the well-formed prefix, so a checkpoint
@@ -341,9 +341,9 @@ impl AnalysisCheckpoint {
 /// Fingerprint of every configuration knob that affects report *content*.
 ///
 /// Deliberately excluded: `threads` (bit-identical by contract), the
-/// wall-clock budgets (`deadline`, `stage_timeout`) and `interrupt`
-/// (schedule-dependent truncations are never cached, so they cannot leak
-/// into a resumed report), and the checkpoint/stream-ingest knobs
+/// wall-clock stops (`stage_timeout`, `interrupt`: schedule-dependent
+/// truncations are never cached, so they cannot leak into a resumed
+/// report), and the checkpoint/stream-ingest knobs
 /// themselves (`AnalysisConfig::stream` carries the session this
 /// fingerprint is written into).
 pub fn config_fingerprint(cfg: &AnalysisConfig) -> String {
@@ -391,7 +391,8 @@ struct SessionState {
 
 impl CheckpointSession {
     /// A fresh session writing to `path`. `every` is the ingest cadence in
-    /// events (the caller's loop consults [`every`](Self::every)).
+    /// events ([`DEFAULT_CHECKPOINT_EVERY`] when `None`); the streamed run
+    /// consults [`every`](Self::every).
     pub fn new(path: PathBuf, fingerprint: String, source: String, every: Option<u64>) -> Self {
         Self {
             path,
@@ -714,10 +715,8 @@ mod tests {
         let base = config_fingerprint(&AnalysisConfig::default());
         let mut cfg = AnalysisConfig {
             threads: 8,
-            checkpoint_every: Some(10),
             ..Default::default()
         };
-        cfg.budget.deadline = Some(std::time::Duration::from_secs(1));
         cfg.budget.stage_timeout = Some(std::time::Duration::from_secs(1));
         assert_eq!(
             config_fingerprint(&cfg),

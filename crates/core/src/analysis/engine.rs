@@ -24,8 +24,9 @@
 //!    pair counts add, flags OR, and the final sort re-establishes the
 //!    report order.
 //!
-//! The deadline budget is the one exception — wall-clock truncation cannot
-//! be deterministic — and is propagated through a shared stop flag.
+//! The wall-clock stops — the stage watchdog and the interrupt — are
+//! schedule-dependent by nature; their truncated shard outputs are never
+//! cached ([`ShardOutput::cacheable`]).
 //!
 //! [`AnalysisBudget::max_candidate_pairs`]: super::AnalysisBudget::max_candidate_pairs
 
@@ -174,8 +175,8 @@ pub(crate) struct ShardOutput {
 
 impl ShardOutput {
     /// True when this output is a pure function of the input (no wall-clock
-    /// or cancellation dependence) and may be cached across runs. Deadline,
-    /// watchdog and interrupt stops are schedule-dependent and never cached.
+    /// or cancellation dependence) and may be cached across runs. Watchdog
+    /// and interrupt stops are schedule-dependent and never cached.
     pub(crate) fn cacheable(&self) -> bool {
         matches!(self.truncated, None | Some(BudgetExceeded::CandidatePairs))
     }
@@ -255,8 +256,6 @@ struct PairingCtx<'a> {
     /// 8-byte word → load-group indices touching it. Probe-only, never
     /// iterated: safe for the fast deterministic hasher.
     by_word: &'a FxHashMap<u64, Vec<u32>>,
-    deadline: Option<std::time::Instant>,
-    stop: &'a AtomicBool,
     /// Tripped by the stage watchdog (or pre-set when `stage_timeout` is
     /// zero): unfinished shards stop with [`BudgetExceeded::StageStalled`].
     stalled: &'a AtomicBool,
@@ -380,7 +379,6 @@ impl PairingCtx<'_> {
         while t0.elapsed() < inj.delay {
             if self.stalled.load(Ordering::Relaxed)
                 || self.interrupt.is_some_and(|i| i.load(Ordering::Relaxed))
-                || self.stop.load(Ordering::Relaxed)
             {
                 return;
             }
@@ -404,7 +402,7 @@ impl PairingCtx<'_> {
         let mut protected_memo: FxHashMap<(u32, u32), bool> = FxHashMap::default();
         let mut race_accs: FxHashMap<u64, StackPairAcc> = FxHashMap::default();
         let mut candidates: Vec<u32> = Vec::new();
-        // First plan index NOT examined (budget/deadline stop point).
+        // First plan index NOT examined (where a stop landed).
         let mut stopped_at = plan.len();
 
         for (idx, &win_gi) in plan.iter().enumerate() {
@@ -425,14 +423,6 @@ impl PairingCtx<'_> {
                 out.truncated = Some(BudgetExceeded::Interrupted);
                 stopped_at = idx;
                 break;
-            }
-            if let Some(at) = self.deadline {
-                if self.stop.load(Ordering::Relaxed) || std::time::Instant::now() >= at {
-                    self.stop.store(true, Ordering::Relaxed);
-                    out.truncated = Some(BudgetExceeded::Deadline);
-                    stopped_at = idx;
-                    break;
-                }
             }
             out.groups_examined += 1;
             let (wi, wcount) = self.window_groups[win_gi as usize];
@@ -567,9 +557,9 @@ impl PairingCtx<'_> {
         }
         // Pair-budget stops leave a deterministic tail of unexamined
         // groups; enumerate (but don't classify) their pairs so the
-        // candidate-pair conservation law stays exact. Deadline stops skip
-        // this: the stop point is wall-clock-dependent, and racing to
-        // enumerate a tail after the deadline would defeat the budget.
+        // candidate-pair conservation law stays exact. Watchdog and
+        // interrupt stops skip this: enumerating a tail after either would
+        // defeat the stop.
         if out.truncated == Some(BudgetExceeded::CandidatePairs) {
             for &win_gi in &plan[stopped_at..] {
                 out.pairs_budget_dropped += self.group_pair_count(win_gi, &mut candidates);
@@ -792,8 +782,6 @@ pub(crate) fn run_pairing_controlled(
         obs.pairing.shard_occupancy.observe(p.len() as u64);
     }
     let slices = budget_slices(cfg.budget.max_candidate_pairs, &plan);
-    let deadline = cfg.budget.deadline.map(|d| std::time::Instant::now() + d);
-    let stop = AtomicBool::new(false);
     // A zero stage timeout is the deterministic degenerate case (pinned by
     // the golden corpus): every shard observes the stall flag immediately,
     // no supervisor scheduling involved.
@@ -808,8 +796,6 @@ pub(crate) fn run_pairing_controlled(
         load_pre: &load_pre,
         window_groups: &window_groups,
         by_word: &by_word,
-        deadline,
-        stop: &stop,
         stalled: &stalled,
         interrupt: cfg.interrupt.as_deref(),
         obs,

@@ -1,27 +1,42 @@
 //! The library's front door: [`Analyzer`] owns an [`AnalysisConfig`] and
 //! runs the full pipeline (simulation → IRH → sharded pairing) or its
-//! pairing stage alone. It is the single entry point — every knob,
-//! including the streaming-ingest options ([`StreamConfig`]), lives on the
-//! configuration, so batch and streamed runs differ only in the call.
+//! pairing stage alone. Every knob, the streaming-ingest options
+//! ([`StreamConfig`]) included, lives on the configuration.
+//!
+//! One private driver runs every entry point. It reads events one at a
+//! time from a source, either a decoded trace's columns ([`Analyzer::run`],
+//! [`Analyzer::try_run`]) or a [`StreamDecoder`]
+//! ([`Analyzer::try_run_stream`]), checks each one, feeds the kept ones to
+//! one incremental simulator, and then pairs, sets the coverage reasons and
+//! ingest metrics, and seals. So batch and streamed runs differ only in
+//! where the events come from. Two things stay with the source: only a
+//! stream sees [`AnalysisConfig::interrupt`] between events (an in-memory
+//! run sees it at pairing), and only a stream records checkpoint progress.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::HawkSetError;
-use crate::memsim::{simulate_view, AccessSet, SimConfig, StreamSimulator};
+use crate::memsim::{simulate_view, AccessSet, StreamSimulator};
 use crate::obs::{MetricsRegistry, MetricsSnapshot, ObsHook, Stage};
 use crate::trace::stream::{StreamDecoder, StreamOptions, DEFAULT_CHUNK_BYTES};
 use crate::trace::validate::StreamValidator;
-use crate::trace::{Event, Trace, TraceView};
+use crate::trace::{Event, EventsView, Trace, TraceView};
 
 use super::checkpoint::{self, AnalysisCheckpoint, CheckpointSession, IngestProgress};
 use super::engine::{PairingControls, ShardOutput};
 use super::{
     engine, quarantine, repair, AnalysisConfig, AnalysisReport, BudgetExceeded, QuarantineFilter,
-    Strictness,
+    QuarantineStats, Strictness,
 };
 
 /// Configured analysis pipeline.
+///
+/// Every entry point runs the same driver over a different event source,
+/// so a trace gives the same report whichever way it arrives. Only
+/// [`try_run_stream`](Self::try_run_stream) checks
+/// [`AnalysisConfig::interrupt`] between events; the in-memory entry
+/// points see it at pairing.
 ///
 /// ```
 /// use hawkset_core::analysis::{AnalysisConfig, Analyzer};
@@ -63,8 +78,7 @@ impl std::fmt::Debug for Analyzer {
 }
 
 impl Analyzer {
-    /// An analyzer over an explicit configuration. See also
-    /// [`AnalysisConfig::builder`].
+    /// An analyzer over an explicit configuration.
     pub fn new(cfg: AnalysisConfig) -> Self {
         Self {
             cfg,
@@ -126,66 +140,19 @@ impl Analyzer {
     /// use [`Analyzer::try_run`], which honors
     /// [`AnalysisConfig::strictness`].
     pub fn run(&self, trace: &Trace) -> AnalysisReport {
-        let reg = self.registry();
-        let mut report = self.run_with(trace, &reg);
-        self.seal_metrics(&reg, &mut report);
-        report
-    }
-
-    /// [`run`](Self::run) against a caller-owned registry; does not seal.
-    fn run_with(&self, trace: &Trace, reg: &MetricsRegistry) -> AnalysisReport {
-        let started = std::time::Instant::now();
-        let total_stage = reg.stage(Stage::Total);
-        let events_total = trace.events.len() as u64;
-        // max_events caps the trace through a borrowed sub-slice view — no
-        // clone of the event vector, which on capped multi-gigabyte traces
-        // used to be the single largest allocation of the run.
-        let view = match self.cfg.budget.max_events {
-            Some(max) if events_total > max => TraceView::prefix(trace, max as usize),
-            _ => TraceView::full(trace),
+        // Nothing past the event cap is analyzed, and with no check to run
+        // nothing past it is read.
+        let cap = self
+            .cfg
+            .budget
+            .max_events
+            .map_or(usize::MAX, |m| usize::try_from(m).unwrap_or(usize::MAX));
+        let mut src = Columns {
+            trace,
+            events: trace.events.prefix(cap),
         };
-        let events_analyzed = view.events.len() as u64;
-        reg.ingest.events_decoded.set(events_total);
-        reg.ingest.events_analyzed.set(events_analyzed);
-        reg.ingest
-            .events_truncated
-            .set(events_total - events_analyzed);
-        let access = {
-            let _stage = reg.stage(Stage::Simulate);
-            simulate_view(
-                view,
-                &SimConfig {
-                    irh: self.cfg.irh,
-                    eadr: self.cfg.eadr,
-                    memory_budget: self.cfg.budget.memory_budget,
-                },
-            )
-        };
-        reg.record_sim(&access.stats);
-        let mut report = engine::run_pairing(view.stacks, &access, &self.cfg, reg);
-        report.stats.sim = access.stats.clone();
-        report.coverage.events_analyzed = events_analyzed;
-        report.coverage.events_total = events_total;
-        if events_analyzed < events_total {
-            report.coverage.truncated = true;
-            report.coverage.reason = Some(BudgetExceeded::Events);
-        }
-        // Memory-budget degradation outranks the other reasons: evicted
-        // simulation state silently removes pairs from *every* later stage,
-        // which is the caveat the report must lead with.
-        if access.stats.memory_budget_hit {
-            report.coverage.truncated = true;
-            report.coverage.reason = Some(BudgetExceeded::MemoryBudget);
-        }
-        if self.cfg.suggest_fixes && !report.races.is_empty() {
-            let fixes = repair::suggest(&view, access, &report.races, &self.cfg);
-            if !fixes.is_empty() {
-                report.fixes = Some(repair::FixReport::new(fixes));
-            }
-        }
-        drop(total_stage);
-        report.stats.duration = started.elapsed();
-        report
+        self.drive(&mut src, None, PairingControls::default(), Some(trace))
+            .expect("an unchecked in-memory run has nothing to fail on")
     }
 
     /// Runs the pipeline with up-front strictness handling.
@@ -200,24 +167,16 @@ impl Analyzer {
     ///
     /// [`PipelineStats::quarantine`]: super::PipelineStats::quarantine
     pub fn try_run(&self, trace: &Trace) -> Result<AnalysisReport, HawkSetError> {
-        match self.cfg.strictness {
-            Strictness::Strict => {
-                trace.validate()?;
-                Ok(self.run(trace))
-            }
-            Strictness::Lenient => {
-                let reg = self.registry();
-                let (kept, stats) = quarantine(trace);
-                let mut report = self.run_with(&kept, &reg);
-                // Re-base the ingest accounting on the original trace:
-                // decoded = kept (analyzed + truncated) + quarantined.
-                reg.ingest.events_decoded.set(trace.events.len() as u64);
-                reg.ingest.events_quarantined.set(stats.total());
-                report.stats.quarantine = stats;
-                self.seal_metrics(&reg, &mut report);
-                Ok(report)
-            }
-        }
+        let mut src = Columns {
+            trace,
+            events: trace.events.view(),
+        };
+        self.drive(
+            &mut src,
+            Some(self.cfg.strictness),
+            PairingControls::default(),
+            Some(trace),
+        )
     }
 
     /// Runs the full pipeline over a **streamed** `.hwkt` trace from any
@@ -228,29 +187,29 @@ impl Analyzer {
     ///
     /// The report is **bit-identical** to [`try_run`](Self::try_run) on
     /// the batch-decoded trace: the decoder yields the same events
-    /// ([`StreamDecoder`] equivalence), quarantine/validation make the
-    /// same per-event decisions (`QuarantineFilter` /
-    /// [`StreamValidator`] are the batch paths' own internals), and the
-    /// incremental simulator is the batch simulator's own per-event
-    /// engine, fed one event at a time.
+    /// ([`StreamDecoder`] equivalence), and from there both runs share the
+    /// one driver.
     ///
-    /// The streaming-ingest knobs — chunk size, byte ceiling,
-    /// checkpointing and resume — live on [`AnalysisConfig::stream`]
-    /// ([`StreamConfig`]), set through the builder like every other
-    /// option; a cooperative [`AnalysisConfig::interrupt`] stops the run
-    /// between events or shards and finalizes a partial report marked
-    /// [`BudgetExceeded::Interrupted`].
+    /// The streaming-ingest knobs — chunk size, checkpointing and resume —
+    /// live on [`AnalysisConfig::stream`] ([`StreamConfig`]). A cooperative
+    /// [`AnalysisConfig::interrupt`] stops the run between events or shards
+    /// and finalizes a partial report marked
+    /// [`BudgetExceeded::Interrupted`]. The report carries no `fixes`:
+    /// call [`attach_fixes`](Self::attach_fixes) with the decoded trace.
     ///
     /// ```
     /// use std::io::Cursor;
-    /// use hawkset_core::analysis::AnalysisConfig;
+    /// use hawkset_core::analysis::{AnalysisConfig, Analyzer, StreamConfig};
     /// use hawkset_core::trace::{io, TraceBuilder};
     ///
     /// let raw = io::encode(&TraceBuilder::new().finish()).to_vec();
-    /// let analyzer = AnalysisConfig::builder()
-    ///     .stream_chunk_bytes(4096)
-    ///     .stream_max_bytes(1 << 20)
-    ///     .build_analyzer();
+    /// let analyzer = Analyzer::new(AnalysisConfig {
+    ///     stream: StreamConfig {
+    ///         chunk_bytes: 4096,
+    ///         ..Default::default()
+    ///     },
+    ///     ..Default::default()
+    /// });
     /// let report = analyzer.try_run_stream(Cursor::new(raw)).unwrap();
     /// assert!(report.is_clean());
     /// ```
@@ -276,128 +235,19 @@ impl Analyzer {
     ) -> Result<(AnalysisReport, Trace), HawkSetError> {
         let checkpoint = self.cfg.stream.checkpoint.as_deref();
         let resume = self.cfg.stream.resume.as_deref();
-        let reg = self.registry();
-        let started = std::time::Instant::now();
-        let total_stage = reg.stage(Stage::Total);
-        let lenient = self.cfg.strictness == Strictness::Lenient;
-        let mut dec = StreamDecoder::new(
+        let dec = StreamDecoder::new(
             reader,
             StreamOptions {
                 chunk_bytes: self.cfg.stream.effective_chunk(),
-                lossy: lenient,
-                max_bytes: self.cfg.stream.max_bytes,
+                lossy: self.cfg.strictness == Strictness::Lenient,
             },
         )?;
         let declared = dec.declared_events();
-        let fingerprint = checkpoint::config_fingerprint(&self.cfg);
         if let Some(prior) = resume {
-            prior.validate_resume(&fingerprint, declared)?;
+            prior.validate_resume(&checkpoint::config_fingerprint(&self.cfg), declared)?;
         }
         if let Some(ck) = checkpoint {
             ck.set_declared_events(declared);
-        }
-
-        let thread_count = dec.header().thread_count;
-        let mut sim = StreamSimulator::new(
-            thread_count,
-            dec.header().regions.clone(),
-            &SimConfig {
-                irh: self.cfg.irh,
-                eadr: self.cfg.eadr,
-                memory_budget: self.cfg.budget.memory_budget,
-            },
-        );
-        let stack_count = dec.header().stacks.stack_count();
-        // Lenient mode streams events through the same per-event filter the
-        // batch quarantine uses; strict mode through the incremental
-        // validator (the whole stream is validated, exactly like the batch
-        // path validates the whole trace before analyzing a prefix).
-        let mut filter = lenient.then(|| QuarantineFilter::new(thread_count, stack_count));
-        let mut validator = (!lenient).then(|| StreamValidator::new(thread_count, stack_count));
-
-        let max_events = self.cfg.budget.max_events;
-        let interrupt = self.cfg.interrupt.clone();
-        let cadence = checkpoint.map(|ck| {
-            self.cfg
-                .checkpoint_every
-                .unwrap_or_else(|| ck.every())
-                .max(1)
-        });
-        let mut decoded: u64 = 0;
-        let mut kept: u64 = 0;
-        let mut analyzed: u64 = 0;
-        let mut interrupted = false;
-        {
-            let _stage = reg.stage(Stage::Simulate);
-            while let Some(ev) = dec.next_event()? {
-                decoded += 1;
-                let keep = match filter.as_mut() {
-                    Some(f) => f.admit(&ev),
-                    None => {
-                        validator
-                            .as_mut()
-                            .expect("strict has a validator")
-                            .push(&ev)?;
-                        true
-                    }
-                };
-                if keep {
-                    if max_events.is_none_or(|m| kept < m) {
-                        if lenient {
-                            // The batch quarantine re-sequences kept events
-                            // densely; replicate for bit-identity.
-                            sim.step(&Event { seq: kept, ..ev });
-                        } else {
-                            sim.step(&ev);
-                        }
-                        analyzed += 1;
-                    }
-                    kept += 1;
-                }
-                if let (Some(ck), Some(every)) = (checkpoint, cadence) {
-                    if decoded.is_multiple_of(every) {
-                        ck.record_ingest(IngestProgress {
-                            stream_offset: dec.offset(),
-                            events_decoded: decoded,
-                            events_kept: kept,
-                            events_analyzed: analyzed,
-                        });
-                    }
-                }
-                if interrupt
-                    .as_ref()
-                    .is_some_and(|i| i.load(Ordering::Relaxed))
-                {
-                    interrupted = true;
-                    break;
-                }
-            }
-            if !interrupted {
-                if let Some(v) = validator.take() {
-                    v.finish()?;
-                }
-            }
-        }
-        let (header, loss) = dec.into_parts();
-        reg.ingest.events_decoded.set(decoded);
-        reg.ingest.events_analyzed.set(analyzed);
-        reg.ingest.events_truncated.set(kept - analyzed);
-        reg.ingest.events_salvage_dropped.set(loss.dropped_events);
-        reg.ingest.bytes_salvage_dropped.set(loss.dropped_bytes);
-        let quarantine_stats = filter.map(QuarantineFilter::into_stats).unwrap_or_default();
-        reg.ingest.events_quarantined.set(quarantine_stats.total());
-
-        let access = sim.finish();
-        reg.record_sim(&access.stats);
-
-        if let Some(ck) = checkpoint {
-            ck.record_ingest(IngestProgress {
-                stream_offset: loss.valid_bytes,
-                events_decoded: decoded,
-                events_kept: kept,
-                events_analyzed: analyzed,
-            });
-            ck.set_phase("pairing");
         }
         let resume_map = resume.map(AnalysisCheckpoint::shard_outputs);
         let on_shard =
@@ -409,15 +259,111 @@ impl Analyzer {
                 .map(|f| f as &(dyn Fn(usize, &ShardOutput) + Sync)),
             site: None,
         };
-        let mut report =
-            engine::run_pairing_controlled(&header.stacks, &access, &self.cfg, &reg, controls);
+        let mut src = Stream {
+            dec,
+            checkpoint,
+            interrupt: self.cfg.interrupt.as_deref(),
+        };
+        let report = self.drive(&mut src, Some(self.cfg.strictness), controls, None)?;
+        if let Some(ck) = checkpoint {
+            ck.set_phase("done");
+        }
+        Ok((report, src.dec.into_parts().0))
+    }
+
+    /// The one driver behind every entry point.
+    ///
+    /// Ingest reads `src` event by event and checks each one: it is
+    /// validated (`Strict`), quarantined if ill-formed (`Lenient`), or
+    /// trusted (`None`, [`run`](Self::run)). The first
+    /// [`AnalysisBudget::max_events`] kept events go to one simulator.
+    /// Then come the pairing, the coverage reasons, the ingest metrics and,
+    /// when `fixes` names the analyzed trace, the repair suggestions.
+    ///
+    /// [`AnalysisBudget::max_events`]: super::AnalysisBudget::max_events
+    fn drive<S: Source>(
+        &self,
+        src: &mut S,
+        strictness: Option<Strictness>,
+        controls: PairingControls<'_>,
+        fixes: Option<&Trace>,
+    ) -> Result<AnalysisReport, HawkSetError> {
+        let reg = self.registry();
+        let started = std::time::Instant::now();
+        let total_stage = reg.stage(Stage::Total);
+        let header = src.header();
+        let (threads, stacks) = (header.thread_count, header.stacks.stack_count());
+        let mut sim = StreamSimulator::new(threads, header.regions.clone(), &self.cfg.sim_config());
+        let mut check = match strictness {
+            None => Check::Trusted,
+            Some(Strictness::Strict) => Check::Strict(StreamValidator::new(threads, stacks)),
+            Some(Strictness::Lenient) => Check::Lenient(QuarantineFilter::new(threads, stacks)),
+        };
+        let cap = self.cfg.budget.max_events.unwrap_or(u64::MAX);
+        let mut n = IngestProgress::default();
+        let (access, quarantine_stats, interrupted) = {
+            let _stage = reg.stage(Stage::Simulate);
+            let interrupted = src.read(|mut ev| {
+                n.events_decoded += 1;
+                let keep = match &mut check {
+                    Check::Trusted => true,
+                    Check::Strict(v) => {
+                        v.push(&ev)?;
+                        true
+                    }
+                    Check::Lenient(f) => {
+                        // Kept events are re-sequenced densely, as
+                        // `quarantine` does.
+                        ev.seq = n.events_kept;
+                        f.admit(&ev)
+                    }
+                };
+                if keep {
+                    if n.events_kept < cap {
+                        sim.step(&ev);
+                        n.events_analyzed += 1;
+                    }
+                    n.events_kept += 1;
+                }
+                Ok(n)
+            })?;
+            let quarantine_stats = match check {
+                // An interrupted run never saw the end it would validate.
+                Check::Strict(v) if !interrupted => {
+                    v.finish()?;
+                    QuarantineStats::default()
+                }
+                Check::Lenient(f) => f.into_stats(),
+                _ => QuarantineStats::default(),
+            };
+            (sim.finish(), quarantine_stats, interrupted)
+        };
+        let end = src.end(&n);
+        let decoded = n.events_decoded + end.unread;
+        let kept = n.events_kept + end.unread;
+        let analyzed = n.events_analyzed;
+        reg.ingest.events_decoded.set(decoded);
+        reg.ingest.events_analyzed.set(analyzed);
+        reg.ingest.events_truncated.set(kept - analyzed);
+        reg.ingest.events_quarantined.set(quarantine_stats.total());
+        reg.ingest.events_salvage_dropped.set(end.dropped_events);
+        reg.ingest.bytes_salvage_dropped.set(end.dropped_bytes);
+        reg.record_sim(&access.stats);
+
+        let mut report = engine::run_pairing_controlled(
+            &src.header().stacks,
+            &access,
+            &self.cfg,
+            &reg,
+            controls,
+        );
         report.stats.sim = access.stats.clone();
         report.stats.quarantine = quarantine_stats;
         report.coverage.events_analyzed = analyzed;
         // Interrupted ingest never learned the true total; the header's
         // declared count is the best available denominator.
         report.coverage.events_total = if interrupted {
-            declared.max(kept)
+            end.declared.max(kept)
         } else {
             kept
         };
@@ -425,6 +371,9 @@ impl Analyzer {
             report.coverage.truncated = true;
             report.coverage.reason = Some(BudgetExceeded::Events);
         }
+        // Memory-budget degradation outranks the event cap: evicted
+        // simulation state silently removes pairs from *every* later stage,
+        // which is the caveat the report must lead with.
         if access.stats.memory_budget_hit {
             report.coverage.truncated = true;
             report.coverage.reason = Some(BudgetExceeded::MemoryBudget);
@@ -433,29 +382,46 @@ impl Analyzer {
             report.coverage.truncated = true;
             report.coverage.reason = Some(BudgetExceeded::Interrupted);
         }
+        if let Some(trace) = fixes {
+            let quarantined = strictness == Some(Strictness::Lenient);
+            self.suggest_into(trace, quarantined, Some(access), &mut report);
+        }
         drop(total_stage);
         report.stats.duration = started.elapsed();
         self.seal_metrics(&reg, &mut report);
-        if let Some(ck) = checkpoint {
-            ck.set_phase("done");
-        }
-        Ok((report, header))
+        Ok(report)
     }
 
     /// Computes repair suggestions for an already-analyzed report and
     /// attaches them as the optional `fixes` section — the entry point for
     /// callers that analyzed a *stream* (which retains no event vector to
-    /// replay) and still hold the trace bytes. The batch paths attach
-    /// fixes inline; calling this is a no-op when
-    /// [`AnalysisConfig::suggest_fixes`] is off, the report is clean, or
-    /// the run was interrupted (a schedule-dependent partial report has no
-    /// stable witnesses to replay).
+    /// replay) and still hold the trace bytes. The in-memory entry points
+    /// attach fixes themselves.
     ///
     /// `trace` must be the same input the report was computed from: the
-    /// analyzed event stream is re-derived with the run's own strictness
-    /// and event budget, so suggestions are bit-identical to the batch
-    /// path's.
+    /// analyzed events are re-derived with the run's own strictness and
+    /// the report's `events_analyzed`, so suggestions are bit-identical to
+    /// the in-memory path's. The rules of
+    /// [`AnalysisConfig::suggest_fixes`] apply as on every path.
     pub fn attach_fixes(&self, trace: &Trace, report: &mut AnalysisReport) {
+        let quarantined = self.cfg.strictness == Strictness::Lenient;
+        self.suggest_into(trace, quarantined, None, report);
+    }
+
+    /// The one place fixes are made. A no-op when
+    /// [`AnalysisConfig::suggest_fixes`] is off, the report is clean, or
+    /// the run was interrupted: a schedule-dependent partial report has no
+    /// stable witnesses to replay. Otherwise the analyzed events are the
+    /// first `events_analyzed` of `trace`, after the lenient quarantine
+    /// when `quarantined`, and `access` is their simulation if the caller
+    /// still holds it.
+    fn suggest_into(
+        &self,
+        trace: &Trace,
+        quarantined: bool,
+        access: Option<AccessSet>,
+        report: &mut AnalysisReport,
+    ) {
         if !self.cfg.suggest_fixes
             || report.races.is_empty()
             || report.coverage.reason == Some(BudgetExceeded::Interrupted)
@@ -463,25 +429,15 @@ impl Analyzer {
             return;
         }
         let kept;
-        let base = match self.cfg.strictness {
-            Strictness::Strict => trace,
-            Strictness::Lenient => {
-                kept = quarantine(trace).0;
-                &kept
-            }
+        let base = if quarantined {
+            kept = quarantine(trace).0;
+            &kept
+        } else {
+            trace
         };
-        let view = match self.cfg.budget.max_events {
-            Some(max) if (base.events.len() as u64) > max => TraceView::prefix(base, max as usize),
-            _ => TraceView::full(base),
-        };
-        let access = simulate_view(
-            view,
-            &SimConfig {
-                irh: self.cfg.irh,
-                eadr: self.cfg.eadr,
-                memory_budget: self.cfg.budget.memory_budget,
-            },
-        );
+        let analyzed = usize::try_from(report.coverage.events_analyzed).unwrap_or(usize::MAX);
+        let view = TraceView::prefix(base, analyzed);
+        let access = access.unwrap_or_else(|| simulate_view(view, &self.cfg.sim_config()));
         let fixes = repair::suggest(&view, access, &report.races, &self.cfg);
         if !fixes.is_empty() {
             report.fixes = Some(repair::FixReport::new(fixes));
@@ -502,22 +458,142 @@ impl Analyzer {
     }
 }
 
+/// How the driver checks each event it reads.
+enum Check {
+    /// [`Analyzer::run`]: the trace is taken as well-formed.
+    Trusted,
+    /// Reject the run at the first ill-formed event.
+    Strict(StreamValidator),
+    /// Drop the ill-formed events and count them.
+    Lenient(QuarantineFilter),
+}
+
+/// What a source reports once ingest has stopped.
+#[derive(Default)]
+struct SourceEnd {
+    /// Events the source holds but never yielded: an unchecked in-memory
+    /// run's events past the cap. They count as decoded and truncated.
+    unread: u64,
+    /// The event count the trace declares.
+    declared: u64,
+    /// Salvage loss: events declared but not decoded.
+    dropped_events: u64,
+    /// Salvage loss: bytes not turned into events.
+    dropped_bytes: u64,
+}
+
+/// Where the driver's events come from.
+trait Source {
+    /// The trace header: thread count, PM regions and stack table.
+    fn header(&self) -> &Trace;
+    /// Hands every event, in trace order, to the driver's `ingest`, which
+    /// returns the counts so far. `Ok(true)` means ingest stopped early,
+    /// at an interrupt.
+    fn read(
+        &mut self,
+        ingest: impl FnMut(Event) -> Result<IngestProgress, HawkSetError>,
+    ) -> Result<bool, HawkSetError>;
+    /// Runs once ingest has stopped and the events it read are checked.
+    fn end(&mut self, n: &IngestProgress) -> SourceEnd;
+}
+
+/// A decoded trace's columns. The whole trace is already in hand, so the
+/// interrupt is left to the pairing.
+struct Columns<'a> {
+    trace: &'a Trace,
+    events: EventsView<'a>,
+}
+
+impl Source for Columns<'_> {
+    fn header(&self) -> &Trace {
+        self.trace
+    }
+
+    fn read(
+        &mut self,
+        mut ingest: impl FnMut(Event) -> Result<IngestProgress, HawkSetError>,
+    ) -> Result<bool, HawkSetError> {
+        for ev in self.events.iter() {
+            ingest(ev)?;
+        }
+        Ok(false)
+    }
+
+    fn end(&mut self, _: &IngestProgress) -> SourceEnd {
+        let total = self.trace.events.len() as u64;
+        SourceEnd {
+            unread: total - self.events.len() as u64,
+            declared: total,
+            ..SourceEnd::default()
+        }
+    }
+}
+
+/// A `.hwkt` byte stream. It checks the interrupt between events and
+/// records checkpoint progress at the session's cadence.
+struct Stream<'a, R> {
+    dec: StreamDecoder<R>,
+    checkpoint: Option<&'a CheckpointSession>,
+    interrupt: Option<&'a AtomicBool>,
+}
+
+impl<R: std::io::Read> Source for Stream<'_, R> {
+    fn header(&self) -> &Trace {
+        self.dec.header()
+    }
+
+    fn read(
+        &mut self,
+        mut ingest: impl FnMut(Event) -> Result<IngestProgress, HawkSetError>,
+    ) -> Result<bool, HawkSetError> {
+        while let Some(ev) = self.dec.next_event()? {
+            let n = ingest(ev)?;
+            if let Some(ck) = self.checkpoint {
+                if n.events_decoded.is_multiple_of(ck.every()) {
+                    ck.record_ingest(IngestProgress {
+                        stream_offset: self.dec.offset(),
+                        ..n
+                    });
+                }
+            }
+            if self.interrupt.is_some_and(|i| i.load(Ordering::Relaxed)) {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    fn end(&mut self, n: &IngestProgress) -> SourceEnd {
+        let loss = self.dec.loss();
+        if let Some(ck) = self.checkpoint {
+            ck.record_ingest(IngestProgress {
+                stream_offset: loss.valid_bytes,
+                ..*n
+            });
+            ck.set_phase("pairing");
+        }
+        SourceEnd {
+            unread: 0,
+            declared: self.dec.declared_events(),
+            dropped_events: loss.dropped_events,
+            dropped_bytes: loss.dropped_bytes,
+        }
+    }
+}
+
 /// Streaming-ingest options, carried on [`AnalysisConfig::stream`]. The
-/// default streams with the decoder's default chunk size, no byte ceiling,
-/// no checkpointing. None of these knobs affect report *content* — they
-/// are excluded from the checkpoint configuration fingerprint
+/// default streams with the decoder's default chunk size and no
+/// checkpointing. None of these knobs affect report *content* — they are
+/// excluded from the checkpoint configuration fingerprint
 /// ([`checkpoint::config_fingerprint`]).
 #[derive(Clone, Debug, Default)]
 pub struct StreamConfig {
     /// Refill granularity of the streaming decoder; `0` uses
     /// [`DEFAULT_CHUNK_BYTES`].
     pub chunk_bytes: usize,
-    /// Ceiling on total bytes pulled from the source (see
-    /// [`StreamOptions::max_bytes`]).
-    pub max_bytes: Option<u64>,
     /// Checkpoint writer: ingest progress every
-    /// [`AnalysisConfig::checkpoint_every`] events (or the session's
-    /// cadence), every finished cacheable pairing shard immediately.
+    /// [`CheckpointSession::every`] events, every finished cacheable
+    /// pairing shard immediately.
     pub checkpoint: Option<Arc<CheckpointSession>>,
     /// A prior run's checkpoint: validated against this run's
     /// configuration and trace, then its finished shards are merged
@@ -535,169 +611,15 @@ impl StreamConfig {
     }
 }
 
-/// Builder for [`AnalysisConfig`]; `AnalysisConfig::builder().build()`
-/// equals `AnalysisConfig::default()`.
-///
-/// ```
-/// use hawkset_core::analysis::{AnalysisBudget, AnalysisConfig, Strictness};
-///
-/// let cfg = AnalysisConfig::builder()
-///     .irh(false)
-///     .strictness(Strictness::Lenient)
-///     .budget(AnalysisBudget {
-///         max_candidate_pairs: Some(1_000_000),
-///         ..Default::default()
-///     })
-///     .threads(4)
-///     .build();
-/// assert!(!cfg.irh);
-/// assert_eq!(cfg.threads, 4);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct AnalysisConfigBuilder {
-    cfg: AnalysisConfig,
-}
-
-impl AnalysisConfig {
-    /// Starts a builder from the default configuration.
-    pub fn builder() -> AnalysisConfigBuilder {
-        AnalysisConfigBuilder::default()
-    }
-}
-
-impl AnalysisConfigBuilder {
-    /// See [`AnalysisConfig::irh`].
-    pub fn irh(mut self, on: bool) -> Self {
-        self.cfg.irh = on;
-        self
-    }
-
-    /// See [`AnalysisConfig::include_atomics`].
-    pub fn include_atomics(mut self, on: bool) -> Self {
-        self.cfg.include_atomics = on;
-        self
-    }
-
-    /// See [`AnalysisConfig::eadr`].
-    pub fn eadr(mut self, on: bool) -> Self {
-        self.cfg.eadr = on;
-        self
-    }
-
-    /// See [`AnalysisConfig::use_hb`].
-    pub fn use_hb(mut self, on: bool) -> Self {
-        self.cfg.use_hb = on;
-        self
-    }
-
-    /// See [`AnalysisConfig::check_store_store`].
-    pub fn check_store_store(mut self, on: bool) -> Self {
-        self.cfg.check_store_store = on;
-        self
-    }
-
-    /// See [`AnalysisConfig::strictness`].
-    pub fn strictness(mut self, s: Strictness) -> Self {
-        self.cfg.strictness = s;
-        self
-    }
-
-    /// See [`AnalysisConfig::budget`].
-    pub fn budget(mut self, b: super::AnalysisBudget) -> Self {
-        self.cfg.budget = b;
-        self
-    }
-
-    /// See [`AnalysisConfig::threads`].
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
-        self
-    }
-
-    /// See [`AnalysisBudget::memory_budget`]: soft cap (bytes) on live
-    /// simulation state, degrading to a partial report instead of OOM.
-    ///
-    /// [`AnalysisBudget::memory_budget`]: super::AnalysisBudget::memory_budget
-    pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.cfg.budget.memory_budget = Some(bytes);
-        self
-    }
-
-    /// See [`AnalysisBudget::stage_timeout`]: the pairing-stage watchdog.
-    ///
-    /// [`AnalysisBudget::stage_timeout`]: super::AnalysisBudget::stage_timeout
-    pub fn stage_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.cfg.budget.stage_timeout = Some(timeout);
-        self
-    }
-
-    /// See [`AnalysisConfig::checkpoint_every`]: events between ingest
-    /// checkpoint flushes when a session is attached.
-    pub fn checkpoint_every(mut self, events: u64) -> Self {
-        self.cfg.checkpoint_every = Some(events);
-        self
-    }
-
-    /// See [`AnalysisConfig::suggest_fixes`]: compute replay-validated
-    /// repair suggestions and attach them as the optional `fixes` section.
-    pub fn suggest_fixes(mut self, on: bool) -> Self {
-        self.cfg.suggest_fixes = on;
-        self
-    }
-
-    /// See [`AnalysisConfig::interrupt`]: the cooperative interrupt flag.
-    pub fn interrupt(mut self, flag: Arc<std::sync::atomic::AtomicBool>) -> Self {
-        self.cfg.interrupt = Some(flag);
-        self
-    }
-
-    /// See [`StreamConfig::chunk_bytes`]: refill granularity of the
-    /// streaming decoder (`0` = default).
-    pub fn stream_chunk_bytes(mut self, bytes: usize) -> Self {
-        self.cfg.stream.chunk_bytes = bytes;
-        self
-    }
-
-    /// See [`StreamConfig::max_bytes`]: ceiling on total bytes pulled from
-    /// a streamed source.
-    pub fn stream_max_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.stream.max_bytes = Some(bytes);
-        self
-    }
-
-    /// See [`StreamConfig::checkpoint`]: attaches a checkpoint session to
-    /// streamed runs.
-    pub fn checkpoint(mut self, session: Arc<CheckpointSession>) -> Self {
-        self.cfg.stream.checkpoint = Some(session);
-        self
-    }
-
-    /// See [`StreamConfig::resume`]: merges a prior run's finished shards
-    /// instead of re-executing them.
-    pub fn resume(mut self, prior: Arc<AnalysisCheckpoint>) -> Self {
-        self.cfg.stream.resume = Some(prior);
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> AnalysisConfig {
-        self.cfg
-    }
-
-    /// Finalizes straight into an [`Analyzer`].
-    pub fn build_analyzer(self) -> Analyzer {
-        Analyzer::new(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::io::Cursor;
-    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     use super::*;
     use crate::addr::AddrRange;
     use crate::analysis::checkpoint::config_fingerprint;
+    use crate::analysis::{AnalysisBudget, StallInjection};
     use crate::trace::io::encode;
     use crate::trace::{EventKind, Frame, LockId, LockMode, ThreadId, TraceBuilder};
 
@@ -765,7 +687,9 @@ mod tests {
         b.finish()
     }
 
-    /// Splices a dangling release into the middle (lenient-mode fodder).
+    /// Splices a dangling release in before the first store
+    /// (lenient-mode fodder): every kept event after it is re-sequenced,
+    /// the fixes' witnesses included.
     fn busy_trace_ill_formed() -> Trace {
         let mut t = busy_trace();
         let bad = Event {
@@ -776,7 +700,7 @@ mod tests {
                 lock: LockId(0xbad),
             },
         };
-        t.events.insert(t.events.len() / 2, bad);
+        t.events.insert(3, bad);
         t.events.reseq();
         t
     }
@@ -787,6 +711,7 @@ mod tests {
         assert_eq!(a.stats.sim, b.stats.sim, "{what}: sim stats");
         assert_eq!(a.stats.pairing, b.stats.pairing, "{what}: pairing stats");
         assert_eq!(a.stats.quarantine, b.stats.quarantine, "{what}: quarantine");
+        assert_eq!(a.fixes, b.fixes, "{what}: fixes");
         assert_eq!(
             a.metrics.as_ref().map(|m| m.masked()),
             b.metrics.as_ref().map(|m| m.masked()),
@@ -794,46 +719,75 @@ mod tests {
         );
     }
 
+    /// The one driver over both sources: the same trace, in memory or
+    /// streamed, gives the same report under every strictness, thread
+    /// count, event cap and chunk size, fixes included. The streamed side
+    /// gets its fixes from `attach_fixes`, so the ill-formed lenient trace
+    /// also pins the quarantined view the fixes replay.
     #[test]
     fn streaming_report_is_bit_identical_to_batch() {
+        let mut with_fixes = 0;
         for (strictness, trace) in [
             (Strictness::Strict, busy_trace()),
             (Strictness::Lenient, busy_trace_ill_formed()),
         ] {
             let raw = encode(&trace).to_vec();
             for threads in [1usize, 2, 8] {
-                let analyzer = AnalysisConfig::builder()
-                    .strictness(strictness)
-                    .threads(threads)
-                    .build_analyzer();
-                let batch = analyzer.try_run(&trace).expect("batch run");
-                for chunk in [0usize, 7, 64] {
-                    let stream = AnalysisConfig::builder()
-                        .strictness(strictness)
-                        .threads(threads)
-                        .stream_chunk_bytes(chunk)
-                        .build_analyzer()
-                        .try_run_stream(Cursor::new(raw.clone()))
-                        .expect("streamed run");
-                    assert_reports_match(
-                        &batch,
-                        &stream,
-                        &format!("{strictness:?} t{threads} c{chunk}"),
-                    );
-                    let m = stream.metrics.as_ref().unwrap();
-                    assert!(m.conservation_violations().is_empty());
+                for max_events in [None, Some(40)] {
+                    for suggest_fixes in [false, true] {
+                        let cfg = AnalysisConfig {
+                            strictness,
+                            threads,
+                            budget: AnalysisBudget {
+                                max_events,
+                                ..Default::default()
+                            },
+                            suggest_fixes,
+                            ..Default::default()
+                        };
+                        let batch = Analyzer::new(cfg.clone()).try_run(&trace).expect("batch");
+                        with_fixes += usize::from(batch.fixes.is_some());
+                        for chunk_bytes in [0usize, 7, 64] {
+                            let analyzer = Analyzer::new(AnalysisConfig {
+                                stream: StreamConfig {
+                                    chunk_bytes,
+                                    ..Default::default()
+                                },
+                                ..cfg.clone()
+                            });
+                            let mut stream = analyzer
+                                .try_run_stream(Cursor::new(raw.clone()))
+                                .expect("streamed run");
+                            analyzer.attach_fixes(&trace, &mut stream);
+                            assert_reports_match(
+                                &batch,
+                                &stream,
+                                &format!(
+                                    "{strictness:?} t{threads} cap {max_events:?} \
+                                     fixes {suggest_fixes} c{chunk_bytes}"
+                                ),
+                            );
+                            let m = stream.metrics.as_ref().unwrap();
+                            assert!(m.conservation_violations().is_empty());
+                        }
+                    }
                 }
             }
         }
+        assert_eq!(with_fixes, 12, "every run with fixes on must suggest some");
     }
 
     #[test]
     fn streaming_under_memory_budget_degrades_identically_to_batch() {
         let trace = busy_trace_n(400);
         let raw = encode(&trace).to_vec();
-        let analyzer = AnalysisConfig::builder()
-            .memory_budget(8 * 1024)
-            .build_analyzer();
+        let analyzer = Analyzer::new(AnalysisConfig {
+            budget: AnalysisBudget {
+                memory_budget: Some(8 * 1024),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let batch = analyzer.try_run(&trace).expect("batch");
         assert_eq!(batch.coverage.reason, Some(BudgetExceeded::MemoryBudget));
         assert!(batch.stats.sim.memory_budget_hit);
@@ -847,6 +801,25 @@ mod tests {
             .is_empty());
     }
 
+    /// A streamed run configured with checkpointing or resume.
+    fn streamed(
+        threads: usize,
+        suggest_fixes: bool,
+        checkpoint: Option<&Arc<CheckpointSession>>,
+        resume: Option<&Arc<AnalysisCheckpoint>>,
+    ) -> Analyzer {
+        Analyzer::new(AnalysisConfig {
+            threads,
+            suggest_fixes,
+            stream: StreamConfig {
+                checkpoint: checkpoint.cloned(),
+                resume: resume.cloned(),
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+    }
+
     #[test]
     fn checkpointed_stream_resumes_to_the_same_report() {
         let trace = busy_trace();
@@ -855,18 +828,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt");
 
-        let base = AnalysisConfig::builder().threads(2).build();
-        let fp = config_fingerprint(&base);
+        let fp = config_fingerprint(&AnalysisConfig {
+            threads: 2,
+            ..Default::default()
+        });
         let session = Arc::new(CheckpointSession::new(
             path.clone(),
             fp.clone(),
             "test".into(),
             Some(16),
         ));
-        let golden = AnalysisConfig::builder()
-            .threads(2)
-            .checkpoint(Arc::clone(&session))
-            .build_analyzer()
+        let golden = streamed(2, false, Some(&session), None)
             .try_run_stream(Cursor::new(raw.clone()))
             .expect("checkpointed run");
         assert!(session.take_error().is_none());
@@ -886,20 +858,21 @@ mod tests {
         // cache, and the report must be bit-identical — at any thread count.
         let ck = Arc::new(ck);
         for threads in [1usize, 2, 8] {
-            let resumed = AnalysisConfig::builder()
-                .threads(threads)
-                .resume(Arc::clone(&ck))
-                .build_analyzer()
+            let resumed = streamed(threads, false, None, Some(&ck))
                 .try_run_stream(Cursor::new(raw.clone()))
                 .expect("resumed run");
             assert_reports_match(&golden, &resumed, &format!("resume t{threads}"));
         }
 
         // A different configuration must be refused.
-        let other = AnalysisConfig::builder()
-            .irh(false)
-            .resume(Arc::clone(&ck))
-            .build_analyzer();
+        let other = Analyzer::new(AnalysisConfig {
+            irh: false,
+            stream: StreamConfig {
+                resume: Some(Arc::clone(&ck)),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let err = other.try_run_stream(Cursor::new(raw.clone())).unwrap_err();
         assert!(matches!(err, HawkSetError::Checkpoint(_)), "got {err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -922,10 +895,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt");
 
-        let base = AnalysisConfig::builder()
-            .threads(2)
-            .suggest_fixes(true)
-            .build();
+        let base = AnalysisConfig {
+            threads: 2,
+            suggest_fixes: true,
+            ..Default::default()
+        };
         let session = Arc::new(CheckpointSession::new(
             path.clone(),
             config_fingerprint(&base),
@@ -934,11 +908,7 @@ mod tests {
         ));
         // Streaming has no trace in hand, so fixes ride the second pass —
         // the same shape `hawkset analyze --suggest-fixes` uses.
-        let analyzer = AnalysisConfig::builder()
-            .threads(2)
-            .suggest_fixes(true)
-            .checkpoint(Arc::clone(&session))
-            .build_analyzer();
+        let analyzer = streamed(2, true, Some(&session), None);
         let mut golden = analyzer
             .try_run_stream(Cursor::new(raw.clone()))
             .expect("checkpointed run");
@@ -955,11 +925,7 @@ mod tests {
 
         let ck = Arc::new(AnalysisCheckpoint::load(&path).expect("checkpoint readable"));
         for threads in [1usize, 2, 8] {
-            let resumed_analyzer = AnalysisConfig::builder()
-                .threads(threads)
-                .suggest_fixes(true)
-                .resume(Arc::clone(&ck))
-                .build_analyzer();
+            let resumed_analyzer = streamed(threads, true, None, Some(&ck));
             let mut resumed = resumed_analyzer
                 .try_run_stream(Cursor::new(raw.clone()))
                 .expect("resumed run");
@@ -973,10 +939,7 @@ mod tests {
 
         // Toggling the flag changes the fingerprint: the checkpoint is for
         // a different report and must be refused, not silently reused.
-        let err = AnalysisConfig::builder()
-            .threads(2)
-            .resume(Arc::clone(&ck))
-            .build_analyzer()
+        let err = streamed(2, false, None, Some(&ck))
             .try_run_stream(Cursor::new(raw.clone()))
             .unwrap_err();
         assert!(matches!(err, HawkSetError::Checkpoint(_)), "got {err}");
@@ -987,10 +950,10 @@ mod tests {
     fn preset_interrupt_finalizes_a_partial_report() {
         let trace = busy_trace();
         let raw = encode(&trace).to_vec();
-        let flag = Arc::new(AtomicBool::new(true));
-        let analyzer = AnalysisConfig::builder()
-            .interrupt(Arc::clone(&flag))
-            .build_analyzer();
+        let analyzer = Analyzer::new(AnalysisConfig {
+            interrupt: Some(Arc::new(AtomicBool::new(true))),
+            ..Default::default()
+        });
         let report = analyzer
             .try_run_stream(Cursor::new(raw))
             .expect("interrupted run still yields a report");
@@ -1005,12 +968,48 @@ mod tests {
             .is_empty());
     }
 
+    /// An interrupt that lands mid-pairing leaves a partial report, and a
+    /// partial report gets no fixes, in memory as in a stream: its races
+    /// depend on where the interrupt landed, and replaying them would only
+    /// delay the exit the interrupt asked for.
+    #[test]
+    fn interrupted_in_memory_run_skips_repair() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let analyzer = Analyzer::new(AnalysisConfig {
+            threads: 1,
+            suggest_fixes: true,
+            interrupt: Some(Arc::clone(&flag)),
+            // The last shard stalls until the interrupt cuts it short; the
+            // shards before it have found races by then.
+            stall_injection: Some(StallInjection {
+                shard: 63,
+                delay: Duration::from_secs(60),
+            }),
+            ..Default::default()
+        });
+        let setter = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            flag.store(true, Ordering::Relaxed);
+        });
+        let report = analyzer
+            .try_run(&busy_trace())
+            .expect("an interrupted run still yields a report");
+        setter.join().unwrap();
+        assert_eq!(report.coverage.reason, Some(BudgetExceeded::Interrupted));
+        assert!(!report.races.is_empty(), "the shards before 63 found races");
+        assert!(report.fixes.is_none(), "an interrupted run was repaired");
+    }
+
     #[test]
     fn zero_stage_timeout_reports_stage_stalled() {
         let trace = busy_trace();
-        let analyzer = AnalysisConfig::builder()
-            .stage_timeout(std::time::Duration::ZERO)
-            .build_analyzer();
+        let analyzer = Analyzer::new(AnalysisConfig {
+            budget: AnalysisBudget {
+                stage_timeout: Some(Duration::ZERO),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
         let report = analyzer.run(&trace);
         assert!(report.coverage.truncated);
         assert_eq!(report.coverage.reason, Some(BudgetExceeded::StageStalled));

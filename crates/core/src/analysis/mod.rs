@@ -24,10 +24,10 @@ pub mod report;
 
 use std::collections::HashMap;
 
-use crate::memsim::SimStats;
+use crate::memsim::{SimConfig, SimStats};
 use crate::trace::{Event, EventColumns, EventKind, LockId, ThreadId, Trace};
 
-pub use facade::{AnalysisConfigBuilder, Analyzer, StreamConfig};
+pub use facade::{Analyzer, StreamConfig};
 pub use repair::{FixKind, FixReport, FixStatus, FixSuggestion, RepairValidator};
 pub use report::{AnalysisReport, Race, RaceKey, SiteSignature};
 
@@ -51,8 +51,6 @@ pub struct AnalysisBudget {
     pub max_candidate_pairs: Option<u64>,
     /// Feed at most this many leading events into the pipeline.
     pub max_events: Option<u64>,
-    /// Stop pairing when this much wall-clock time has elapsed.
-    pub deadline: Option<std::time::Duration>,
     /// Soft cap (bytes) on live simulation state — store windows, loads,
     /// open pieces and interner arenas. When the estimate exceeds the cap
     /// the simulation evicts its coldest report-inert state first and, if
@@ -76,8 +74,6 @@ pub enum BudgetExceeded {
     Events,
     /// [`AnalysisBudget::max_candidate_pairs`].
     CandidatePairs,
-    /// [`AnalysisBudget::deadline`].
-    Deadline,
     /// [`AnalysisBudget::memory_budget`] — the simulation evicted live
     /// state to stay under the cap, so some pairs were never formed.
     MemoryBudget,
@@ -95,7 +91,6 @@ impl core::fmt::Display for BudgetExceeded {
         match self {
             BudgetExceeded::Events => write!(f, "event budget"),
             BudgetExceeded::CandidatePairs => write!(f, "candidate-pair budget"),
-            BudgetExceeded::Deadline => write!(f, "deadline"),
             BudgetExceeded::MemoryBudget => write!(f, "memory budget"),
             BudgetExceeded::StageStalled => write!(f, "stage-stall watchdog"),
             BudgetExceeded::Interrupted => write!(f, "interrupt"),
@@ -186,17 +181,14 @@ pub struct AnalysisConfig {
     /// [`std::thread::available_parallelism`]). Reports are bit-identical
     /// for every value — see [`Analyzer::threads`].
     pub threads: usize,
-    /// Events between checkpoint flushes when a checkpoint session is
-    /// attached to the run (see `Analyzer::checkpoint`); `None` keeps the
-    /// default cadence. Checkpointing never changes the report.
-    pub checkpoint_every: Option<u64>,
     /// Cooperative interrupt flag. When the flag flips to `true` the
-    /// pipeline stops at its next safe point — between ingested events or
-    /// at a pairing-shard boundary — and finalizes a partial report marked
-    /// [`BudgetExceeded::Interrupted`]. The CLI wires SIGINT/SIGTERM here.
+    /// pipeline stops at its next safe point — between streamed events
+    /// ([`Analyzer::try_run_stream`]) or at a pairing-shard boundary — and
+    /// finalizes a partial report marked [`BudgetExceeded::Interrupted`].
+    /// The CLI wires SIGINT/SIGTERM here.
     pub interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Streaming-ingest options (chunk size, byte ceiling, checkpointing,
-    /// resume); only consulted by [`Analyzer::try_run_stream`] and
+    /// Streaming-ingest options (chunk size, checkpointing, resume); only
+    /// consulted by [`Analyzer::try_run_stream`] and
     /// [`Analyzer::try_run_stream_with_header`]. None of them affect
     /// report content.
     pub stream: StreamConfig,
@@ -209,8 +201,20 @@ pub struct AnalysisConfig {
     /// ([`repair`]) and attach it as the optional `fixes` section of the
     /// report. Off by default: suggestion validation replays the trace
     /// once or twice per race, and the flag participates in the checkpoint
-    /// configuration fingerprint.
+    /// configuration fingerprint. A clean or interrupted report gets no
+    /// `fixes`, on every entry point.
     pub suggest_fixes: bool,
+}
+
+impl AnalysisConfig {
+    /// The simulation options this configuration implies.
+    pub(crate) fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            irh: self.irh,
+            eadr: self.eadr,
+            memory_budget: self.budget.memory_budget,
+        }
+    }
 }
 
 /// Test-only pairing-shard stall (see [`AnalysisConfig::stall_injection`]).
@@ -236,7 +240,6 @@ impl Default for AnalysisConfig {
             strictness: Strictness::Strict,
             budget: AnalysisBudget::default(),
             threads: 0,
-            checkpoint_every: None,
             interrupt: None,
             stream: StreamConfig::default(),
             stall_injection: None,
@@ -312,9 +315,9 @@ pub fn quarantine(trace: &Trace) -> (Trace, QuarantineStats) {
     (kept, filter.into_stats())
 }
 
-/// Event-at-a-time form of [`quarantine`], shared by the batch path above
-/// and the streaming analyzer so both make byte-identical keep/drop
-/// decisions. Memory is O(threads + live locks).
+/// Event-at-a-time form of [`quarantine`], shared with the analysis
+/// driver so a lenient run and the fixes view it replays make
+/// byte-identical keep/drop decisions. Memory is O(threads + live locks).
 #[derive(Debug)]
 pub(crate) struct QuarantineFilter {
     thread_count: usize,
@@ -785,25 +788,6 @@ mod tests {
             "the in-budget race is still reported"
         );
         assert!(budgeted.coverage.window_groups_examined < budgeted.coverage.window_groups_total);
-    }
-
-    #[test]
-    fn zero_deadline_truncates_immediately() {
-        let trace = fig1c();
-        let cfg = AnalysisConfig {
-            budget: AnalysisBudget {
-                deadline: Some(std::time::Duration::ZERO),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let report = analyze(&trace, &cfg);
-        assert!(report.coverage.truncated);
-        assert_eq!(report.coverage.reason, Some(BudgetExceeded::Deadline));
-        assert!(
-            report.is_clean(),
-            "nothing was examined before the deadline"
-        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::addr::{line_base, line_of};
 use crate::memsim::patch::{simulate_patched, simulate_patches, EventPatch, SyntheticEvent};
-use crate::memsim::{AccessSet, LoadAccess, SimConfig, StoreWindow};
+use crate::memsim::{AccessSet, LoadAccess, StoreWindow};
 use crate::obs::MetricsRegistry;
 use crate::trace::{Event, EventKind, LockId, TraceView};
 use crate::vclock::ClockOrder;
@@ -208,7 +208,7 @@ impl<'a> RepairValidator<'a> {
     /// does not exist or has the wrong kind).
     pub fn replay(&self, kind: &FixKind) -> Option<AnalysisReport> {
         let patch = build_patch(self.view, kind)?;
-        Some(self.pair(&simulate_patched(self.view, &patch, &self.sim_config())))
+        Some(self.pair(&simulate_patched(self.view, &patch, &self.cfg.sim_config())))
     }
 
     /// The full verdict: `true` iff the patched replay no longer reports
@@ -264,7 +264,7 @@ impl<'a> RepairValidator<'a> {
             .map(|t| (*t, SitePair::of(self.view.stacks, *t)))
             .collect();
         let mut verdicts: BTreeMap<(usize, RaceKey), bool> = BTreeMap::new();
-        simulate_patches(self.view, &patches, &self.sim_config(), |i, access| {
+        simulate_patches(self.view, &patches, &self.cfg.sim_config(), |i, access| {
             let failed: Vec<bool> = targets[i]
                 .iter()
                 .map(|t| {
@@ -292,14 +292,6 @@ impl<'a> RepairValidator<'a> {
             .zip(slots)
             .map(|((_, target), slot)| slot.is_some_and(|i| verdicts[&(i, *target)]))
             .collect()
-    }
-
-    fn sim_config(&self) -> SimConfig {
-        SimConfig {
-            irh: self.cfg.irh,
-            eadr: self.cfg.eadr,
-            memory_budget: self.cfg.budget.memory_budget,
-        }
     }
 
     fn pair(&self, access: &AccessSet) -> AnalysisReport {
@@ -397,7 +389,7 @@ pub fn suggest(
 }
 
 /// A determinism-preserving copy of `cfg` for the validation replays:
-/// wall-clock budgets, interrupts and fault injection are stripped (a
+/// the stage watchdog, the interrupt and fault injection are stripped (a
 /// replay must be a pure function of the patched event stream), the event
 /// budget is dropped (the view is already the analyzed prefix, and the
 /// patch adds events), and `suggest_fixes` is cleared so a replayed
@@ -405,11 +397,9 @@ pub fn suggest(
 fn replay_config(cfg: &AnalysisConfig) -> AnalysisConfig {
     let mut out = cfg.clone();
     out.budget.max_events = None;
-    out.budget.deadline = None;
     out.budget.stage_timeout = None;
     out.interrupt = None;
     out.stall_injection = None;
-    out.checkpoint_every = None;
     out.stream = Default::default();
     out.suggest_fixes = false;
     out
@@ -600,7 +590,7 @@ pub fn build_patch(view: &TraceView<'_>, kind: &FixKind) -> Option<EventPatch> {
 mod tests {
     use super::*;
     use crate::analysis::Analyzer;
-    use crate::memsim::simulate_view;
+    use crate::memsim::{simulate_view, SimConfig};
 
     /// The Figure 1c trace from the analysis tests: store under lock A,
     /// persisted after the critical section, load under the same lock.
@@ -667,14 +657,7 @@ mod tests {
         let report = Analyzer::new(cfg.clone()).run(&trace);
         assert_eq!(report.races.len(), 1);
         let view = TraceView::full(&trace);
-        let access = simulate_view(
-            view,
-            &SimConfig {
-                irh: cfg.irh,
-                eadr: cfg.eadr,
-                memory_budget: None,
-            },
-        );
+        let access = simulate_view(view, &cfg.sim_config());
         let fixes = suggest(&view, access, &report.races, &cfg);
         assert_eq!(fixes.len(), 1);
         let fix = &fixes[0];

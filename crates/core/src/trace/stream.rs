@@ -21,7 +21,7 @@ use bytes::{Buf, Bytes};
 use super::event::Event;
 use super::io::{self, DecodeError};
 use super::Trace;
-use crate::error::{HawkSetError, ResourceError};
+use crate::error::HawkSetError;
 
 /// Default refill granularity (64 KiB): large enough to amortize syscalls,
 /// small enough that the live buffer never matters next to the tables.
@@ -37,10 +37,6 @@ pub struct StreamOptions {
     /// `false`, it is an error (mirroring [`decode`](io::decode)),
     /// including trailing bytes past the declared event count.
     pub lossy: bool,
-    /// Optional ceiling on total bytes pulled from the reader; exceeding it
-    /// is a [`ResourceError`]. `None` (the default) is unbounded — the
-    /// decoder's memory is bounded regardless.
-    pub max_bytes: Option<u64>,
 }
 
 impl Default for StreamOptions {
@@ -48,7 +44,6 @@ impl Default for StreamOptions {
         Self {
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             lossy: false,
-            max_bytes: None,
         }
     }
 }
@@ -96,7 +91,6 @@ pub struct StreamDecoder<R> {
     /// so a partial decode at the chunk boundary is undone for free.
     buf: Bytes,
     eof: bool,
-    total_read: u64,
     /// Absolute stream offset of `buf`'s first byte.
     offset: u64,
     header: Trace,
@@ -116,7 +110,6 @@ impl<R: Read> StreamDecoder<R> {
             opts,
             buf: Bytes::new(),
             eof: false,
-            total_read: 0,
             offset: 0,
             header: Trace::new(),
             stack_map: Vec::new(),
@@ -304,17 +297,6 @@ impl<R: Read> StreamDecoder<R> {
             }
         }
         if filled > 0 {
-            self.total_read += filled as u64;
-            if let Some(limit) = self.opts.max_bytes {
-                if self.total_read > limit {
-                    return Err(ResourceError {
-                        what: "streamed trace size",
-                        limit,
-                        requested: self.total_read,
-                    }
-                    .into());
-                }
-            }
             let mut v = Vec::with_capacity(self.buf.remaining() + filled);
             v.extend_from_slice(&self.buf);
             v.extend_from_slice(&chunk[..filled]);
@@ -410,7 +392,6 @@ mod tests {
         StreamOptions {
             chunk_bytes: chunk,
             lossy,
-            max_bytes: None,
         }
     }
 
@@ -522,25 +503,6 @@ mod tests {
         match StreamDecoder::new(Cursor::new(raw[..cut].to_vec()), opts(4, true)) {
             Err(HawkSetError::Decode(DecodeError::Truncated)) => {}
             other => panic!("expected Truncated, got {:?}", other.map(|_| ())),
-        }
-    }
-
-    #[test]
-    fn max_bytes_ceiling_is_enforced() {
-        let raw = io::encode(&sample_trace()).to_vec();
-        let limit = (raw.len() / 2) as u64;
-        let res = StreamDecoder::new(
-            Cursor::new(raw),
-            StreamOptions {
-                chunk_bytes: 8,
-                lossy: false,
-                max_bytes: Some(limit),
-            },
-        )
-        .and_then(|d| d.collect().map(|_| ()));
-        match res {
-            Err(HawkSetError::Resource(e)) => assert_eq!(e.what, "streamed trace size"),
-            other => panic!("expected Resource error, got {other:?}"),
         }
     }
 

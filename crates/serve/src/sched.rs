@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Why a submission was refused.
@@ -58,8 +58,9 @@ pub struct Job {
     pub id: u64,
     /// Submitting tenant.
     pub tenant: String,
-    /// The raw `.hwkt` byte stream, reassembled from DATA frames.
-    pub trace: Vec<u8>,
+    /// The raw `.hwkt` byte stream, reassembled from DATA frames and
+    /// shared by every attempt.
+    pub trace: Arc<[u8]>,
     /// Completed run attempts (0 on first dispatch).
     pub attempts: u32,
     /// Where the worker reports the terminal outcome; the connection
@@ -206,7 +207,7 @@ impl Scheduler {
         s.push(Job {
             id: res.id,
             tenant: res.tenant,
-            trace,
+            trace: trace.into(),
             attempts: 0,
             reply,
         });
@@ -411,7 +412,6 @@ mod tests {
 
     #[test]
     fn poisoned_state_lock_does_not_take_down_the_scheduler() {
-        use std::sync::Arc;
         let sched = Arc::new(Scheduler::new(8, 8));
         // Poison the state mutex: panic on a thread that holds it.
         let poisoner = sched.clone();

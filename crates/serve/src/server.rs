@@ -74,6 +74,9 @@ pub struct ServeConfig {
     pub tenant_cap: usize,
     /// Largest accepted frame payload.
     pub max_frame_bytes: usize,
+    /// Largest accepted submission: an upload that grows past it gets an
+    /// ERROR before the job is committed. `None` is unbounded.
+    pub max_trace_bytes: Option<u64>,
     /// How long a connection waits for its job's result before giving the
     /// client an ERROR (the job itself keeps running).
     pub reply_timeout: Duration,
@@ -106,6 +109,7 @@ impl Default for ServeConfig {
             queue_cap: 32,
             tenant_cap: 8,
             max_frame_bytes: 8 << 20,
+            max_trace_bytes: None,
             reply_timeout: Duration::from_secs(600),
             drain_timeout: Duration::from_secs(60),
             max_connections: 64,
@@ -251,7 +255,7 @@ pub fn run(cfg: &ServeConfig) -> Result<i32, String> {
         active_conns: AtomicUsize::new(0),
         max_connections: cfg.max_connections.max(1),
         max_frame_bytes: cfg.max_frame_bytes,
-        max_trace_bytes: cfg.worker.max_trace_bytes,
+        max_trace_bytes: cfg.max_trace_bytes,
         reply_timeout: cfg.reply_timeout,
         io_timeout: cfg.io_timeout,
         idle_timeout: cfg.idle_timeout,
@@ -771,6 +775,26 @@ mod tests {
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].kind, FrameKind::Error);
         assert!(frames[0].text().contains("protocol error"));
+    }
+
+    /// The submission limit is enforced while the upload arrives, before
+    /// the job is committed, and the client is told which limit it hit.
+    #[test]
+    fn oversized_upload_gets_an_error_naming_the_submission_limit() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::new(FrameKind::Submit, "t1")).unwrap();
+        for _ in 0..2 {
+            write_frame(&mut wire, &Frame::new(FrameKind::Data, vec![0u8; 40 << 10])).unwrap();
+        }
+        write_frame(&mut wire, &Frame::empty(FrameKind::End)).unwrap();
+        let frames = drive_shared(wire);
+        let kinds: Vec<FrameKind> = frames.iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, [FrameKind::Accepted, FrameKind::Error]);
+        assert!(
+            frames[1].text().contains("65536-byte submission limit"),
+            "{}",
+            frames[1].text()
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hawkset_core::analysis::AnalysisConfig;
+use hawkset_core::analysis::{AnalysisBudget, AnalysisConfig, Analyzer};
 use hawkset_core::supervise::{run_isolated, Backoff, Failure};
 use hawkset_core::{AnalysisReport, HawkSetError};
 
@@ -58,8 +58,6 @@ pub struct WorkerConfig {
     pub memory_budget: Option<u64>,
     /// Per-stage analysis watchdog.
     pub stage_timeout: Option<Duration>,
-    /// Ceiling on one submission's trace bytes.
-    pub max_trace_bytes: Option<u64>,
     /// Checkpoint the database once this many jobs are merged. `1` (the
     /// default) makes RESULT imply durability; larger trades that for
     /// throughput.
@@ -85,7 +83,6 @@ impl Default for WorkerConfig {
             job_timeout: Duration::from_secs(120),
             memory_budget: None,
             stage_timeout: None,
-            max_trace_bytes: None,
             checkpoint_every_jobs: 1,
             suggest_fixes: false,
             job_delay: None,
@@ -174,7 +171,7 @@ fn handle_job(
     health: &StorageHealth,
     mut job: Job,
 ) {
-    let (run_cfg, bytes, attempts) = (cfg.clone(), job.trace.clone(), job.attempts);
+    let (run_cfg, bytes, attempts) = (cfg.clone(), Arc::clone(&job.trace), job.attempts);
     let run = run_isolated(
         &format!("hawkset-job-{}", job.id),
         cfg.job_timeout,
@@ -247,20 +244,17 @@ fn run_analysis(
     if let Some(delay) = cfg.job_delay {
         std::thread::sleep(delay);
     }
-    let mut builder = AnalysisConfig::builder()
-        .threads(1)
-        .suggest_fixes(cfg.suggest_fixes);
-    if let Some(bytes) = cfg.memory_budget {
-        builder = builder.memory_budget(bytes);
-    }
-    if let Some(timeout) = cfg.stage_timeout {
-        builder = builder.stage_timeout(timeout);
-    }
-    if let Some(limit) = cfg.max_trace_bytes {
-        builder = builder.stream_max_bytes(limit);
-    }
-    let analyzer = builder.build_analyzer();
-    let mut report = analyzer.try_run_stream(Cursor::new(bytes.to_vec()))?;
+    let analyzer = Analyzer::new(AnalysisConfig {
+        threads: 1,
+        suggest_fixes: cfg.suggest_fixes,
+        budget: AnalysisBudget {
+            memory_budget: cfg.memory_budget,
+            stage_timeout: cfg.stage_timeout,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let mut report = analyzer.try_run_stream(Cursor::new(bytes))?;
     if cfg.suggest_fixes && !report.is_clean() {
         // The streaming run consumed its reader, but the submission's
         // bytes are still in hand — decode them once more and validate a
