@@ -1,8 +1,8 @@
 //! # hawkset-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the
-//! HawkSet evaluation (§5). One binary per paper artifact, plus two for
-//! the design and for CI:
+//! HawkSet evaluation (§5). One binary per paper artifact, plus three for
+//! the design, for CI and for recording inputs:
 //!
 //! | binary     | paper artifact | what it prints |
 //! |------------|----------------|----------------|
@@ -12,6 +12,7 @@
 //! | `figure6`  | Figure 6       | testing time and peak memory vs workload size |
 //! | `ablation` | DESIGN.md §4/§5 | per-app race counts with IRH, HB, store-store pairing or eADR toggled |
 //! | `smoke`    | —              | pairing speedup at 1 vs N threads, and the per-stage `BENCH_*.json` ratchet |
+//! | `record`   | —              | writes app traces at a given size and seed as `DIR/<App>.hwkt`, for comparing two builds on the same inputs |
 //!
 //! Absolute numbers differ from the paper's Optane testbed — the substrate
 //! is a simulator — but the *shapes* (who wins, what the IRH prunes, how

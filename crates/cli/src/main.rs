@@ -747,10 +747,17 @@ fn analyze_stream(path: &str, o: AnalyzeOpts, plane: Arc<dyn IoPlane>) -> ExitCo
     }
     // The streamed source is gone, but repair validation needs the events
     // back to replay patches: re-read the trace file (the stdin case was
-    // rejected up front). A failed re-read degrades to a fix-less report
-    // rather than discarding the finished analysis.
+    // rejected up front). Lenient streaming analyzed the valid prefix of a
+    // damaged file, so the re-read salvages that same prefix. A failed
+    // re-read degrades to a fix-less report rather than discarding the
+    // finished analysis.
     if suggest && !report.is_clean() {
-        match load_trace(path) {
+        let reread = if lenient {
+            load_trace_salvage(path).map(|s| s.trace)
+        } else {
+            load_trace(path)
+        };
+        match reread {
             Ok(t) => analyzer.attach_fixes(&t, &mut report),
             Err(e) => eprintln!(
                 "hawkset analyze: warning: cannot re-read {path} for --suggest-fixes \

@@ -284,6 +284,41 @@ fn salvage_recovers_truncated_trace() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("salvaged"));
 }
 
+/// A lenient streamed run of a truncated trace analyzes the valid prefix,
+/// as `--salvage` does; its `--suggest-fixes` re-read must salvage that
+/// prefix too, or the races ship without their fixes.
+#[test]
+fn lenient_stream_keeps_fixes_of_a_truncated_trace() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/app_wipe_fixes.hwkt"
+    );
+    let raw = std::fs::read(golden).unwrap();
+    let cut = std::env::temp_dir().join("hawkset-cli-test-lenient-stream-fixes.hwkt");
+    std::fs::write(&cut, &raw[..raw.len() - 3]).unwrap();
+    let run = |mode: &str| {
+        let out = hawkset()
+            .args(["analyze", "--json", "--lenient", "--suggest-fixes", mode])
+            .arg(&cut)
+            .output()
+            .expect("spawn");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{mode}: stderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        serde_json::from_slice::<serde_json::Value>(&out.stdout).expect("valid report JSON")
+    };
+    let (stream, salvage) = (run("--stream"), run("--salvage"));
+    assert_eq!(stream["races"], salvage["races"]);
+    assert_eq!(stream["fixes"], salvage["fixes"]);
+    let fixes = salvage["fixes"]["suggestions"]
+        .as_array()
+        .expect("a fixes section");
+    assert!(!fixes.is_empty(), "the salvaged prefix has races to fix");
+}
+
 #[test]
 fn max_pairs_budget_truncates_the_report() {
     let path = demo_trace("budget");

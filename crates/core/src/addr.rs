@@ -120,9 +120,18 @@ impl AddrRange {
     /// Words are the granularity of the Initialization Removal Heuristic's
     /// publication tracking (§3.1.3).
     pub fn words(&self) -> impl Iterator<Item = u64> {
-        let first = self.start / 8;
-        let last = self.end().saturating_sub(1).max(self.start) / 8;
+        let (first, last) = self.word_span();
         first..=last
+    }
+
+    /// The first and last word ids [`words`](Self::words) yields. An empty
+    /// range touches the word holding its start.
+    #[inline]
+    pub fn word_span(&self) -> (u64, u64) {
+        (
+            self.start / 8,
+            self.end().saturating_sub(1).max(self.start) / 8,
+        )
     }
 
     /// Returns `true` if the range crosses a cache-line boundary.

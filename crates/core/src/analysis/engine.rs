@@ -5,9 +5,16 @@
 //! window's starting cache line, and the per-shard loops run concurrently
 //! on [`std::thread::scope`] workers (claimed from an atomic cursor, see
 //! [`crate::parallel`]). Loads are not partitioned — every shard reads the
-//! same immutable word → load-group index — so a window group is paired
-//! against exactly the candidates the sequential loop would have seen, in
-//! the same order.
+//! same immutable [`AddrIndex`] of load groups — so a window group is
+//! paired against exactly the candidates the sequential loop would have
+//! seen, in the same order.
+//!
+//! The index is flat: a line → slot map and two arrays, however many
+//! words, lines or groups it holds. A slot keeps one ascending run of
+//! groups per word of its line, for the groups that cover only part of
+//! it, and one run for the groups that cover the whole line. A window is
+//! line-confined, so its query is one probe, and it reads only the runs of
+//! the words it touches.
 //!
 //! Determinism contract: the report is **bit-identical for every worker
 //! count**, including truncation. Three mechanisms carry that contract:
@@ -31,10 +38,11 @@
 //! [`AnalysisBudget::max_candidate_pairs`]: super::AnalysisBudget::max_candidate_pairs
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use crate::addr::line_of;
+use crate::addr::{line_of, AddrRange, CACHE_LINE};
 use crate::hash::FxHashMap;
 use crate::lockset::{LockEntry, Lockset};
 use crate::memsim::{AccessSet, CloseReason, LsId, SimStats, StoreWindow, VcId};
@@ -204,15 +212,164 @@ pub(crate) struct PairingControls<'a> {
     pub site: Option<&'a SitePair>,
 }
 
+/// Words per cache line.
+const LINE_WORDS: u64 = CACHE_LINE / 8;
+
+/// Index of the whole-line run among an [`AddrIndex`] slot's runs; runs
+/// `0..WHOLE` are the line's words.
+const WHOLE: usize = LINE_WORDS as usize;
+
+/// Runs per indexed line in an [`AddrIndex`].
+const LINE_RUNS: usize = WHOLE + 1;
+
+/// Each cache line `range` touches, with the first and last of that line's
+/// words (`0..LINE_WORDS`) the range touches.
+fn line_words(range: &AddrRange) -> impl Iterator<Item = (u64, usize, usize)> {
+    let (first, last) = range.word_span();
+    (first / LINE_WORDS..=last / LINE_WORDS).map(move |line| {
+        let lo = first.max(line * LINE_WORDS) % LINE_WORDS;
+        let hi = last.min(line * LINE_WORDS + LINE_WORDS - 1) % LINE_WORDS;
+        (line, lo as usize, hi as usize)
+    })
+}
+
+/// Flat address index: which groups touch which 8-byte words. It serves
+/// the candidate lookup of Algorithm 1 line 15, for loads and for the
+/// store/store pass.
+///
+/// Each cache line some group touches gets a slot, and a slot owns
+/// [`LINE_RUNS`] consecutive runs of `entries`. Run `w` < [`WHOLE`] holds
+/// the groups that touch word `w` of the line without covering the whole
+/// line; a group touching several of its words is in each of their runs.
+/// Run [`WHOLE`] holds the groups covering the whole line, once each.
+/// Groups are filed in index order, so every run is ascending.
+///
+/// The index is three allocations, however many words, lines or groups it
+/// holds. A query costs one probe per cache line and reads only the runs
+/// of the words it touches, plus each line's whole-line run.
+pub(crate) struct AddrIndex {
+    /// Cache line → slot. Probe-only, never iterated: safe for the fast
+    /// deterministic hasher.
+    slots: FxHashMap<u64, u32>,
+    /// Run `k` (of slot `k / LINE_RUNS`) is
+    /// `entries[bounds[k]..bounds[k + 1]]`.
+    bounds: Vec<u32>,
+    /// Group ids, run after run.
+    entries: Vec<u32>,
+}
+
+impl AddrIndex {
+    /// Indexes groups `0..n` by the ranges `ranges` yields, in group order.
+    /// It is iterated twice.
+    pub(crate) fn build<I>(ranges: I) -> Self
+    where
+        I: Iterator<Item = AddrRange> + Clone,
+    {
+        // The runs a group touching words `lo..=hi` of a slot's line is
+        // filed in.
+        fn runs_of(slot: u32, lo: usize, hi: usize) -> Range<usize> {
+            let base = slot as usize * LINE_RUNS;
+            if lo == 0 && hi == WHOLE - 1 {
+                base + WHOLE..base + WHOLE + 1
+            } else {
+                base + lo..base + hi + 1
+            }
+        }
+
+        // Pass 1: give each line a slot and count run `k`'s entries into
+        // `bounds[k + 1]`.
+        let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut bounds: Vec<u32> = vec![0];
+        let mut total = 0usize;
+        for range in ranges.clone() {
+            for (line, lo, hi) in line_words(&range) {
+                let fresh = slots.len() as u32;
+                let slot = *slots.entry(line).or_insert(fresh);
+                if slot == fresh {
+                    bounds.extend_from_slice(&[0; LINE_RUNS]);
+                }
+                for k in runs_of(slot, lo, hi) {
+                    bounds[k + 1] += 1;
+                    total += 1;
+                }
+            }
+        }
+        assert!(
+            u32::try_from(total).is_ok(),
+            "address index exceeds 2^32 entries"
+        );
+        // Exclusive prefix sums: `bounds[k + 1]` becomes run `k`'s start,
+        // the cursor pass 2 advances to the run's end, which is run
+        // `k + 1`'s start. `bounds[0]` stays run 0's start.
+        let mut start = 0;
+        for b in &mut bounds[1..] {
+            let count = *b;
+            *b = start;
+            start += count;
+        }
+        // Pass 2: file each group, in group order.
+        let mut entries = vec![0u32; total];
+        for (group, range) in ranges.enumerate() {
+            for (line, lo, hi) in line_words(&range) {
+                for k in runs_of(slots[&line], lo, hi) {
+                    entries[bounds[k + 1] as usize] = group as u32;
+                    bounds[k + 1] += 1;
+                }
+            }
+        }
+        Self {
+            slots,
+            bounds,
+            entries,
+        }
+    }
+
+    /// The groups whose ranges share a word with `range`, ascending and
+    /// unique. A lone non-empty run is returned in place; several (words
+    /// with different groups, or several lines) are merged in `scratch`.
+    pub(crate) fn query<'a>(&'a self, range: &AddrRange, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        let mut first: Option<&[u32]> = None;
+        let mut merged = false;
+        scratch.clear();
+        for (line, lo, hi) in line_words(range) {
+            let Some(&slot) = self.slots.get(&line) else {
+                continue;
+            };
+            let base = slot as usize * LINE_RUNS;
+            for k in (base + lo..=base + hi).chain([base + WHOLE]) {
+                let run = &self.entries[self.bounds[k] as usize..self.bounds[k + 1] as usize];
+                if run.is_empty() {
+                    continue;
+                }
+                match first {
+                    None => first = Some(run),
+                    Some(prev) => {
+                        if !merged {
+                            scratch.extend_from_slice(prev);
+                            merged = true;
+                        }
+                        scratch.extend_from_slice(run);
+                    }
+                }
+            }
+        }
+        if !merged {
+            return first.unwrap_or(&[]);
+        }
+        scratch.sort_unstable();
+        scratch.dedup();
+        scratch
+    }
+}
+
 /// One load group's pairing-relevant fields, flattened into a contiguous
 /// array indexed by group id. The inner loop visits load groups by the
-/// (sorted) candidate list; reading a 48-byte row here instead of chasing
+/// (sorted) candidate list; reading a 40-byte row here instead of chasing
 /// `load_groups[gi] → loads[li]` through two scattered vecs keeps the
 /// per-candidate work inside one or two cache lines.
 #[derive(Clone, Copy)]
 struct LoadPre {
-    start: u64,
-    end: u64,
+    range: AddrRange,
     tid: u32,
     /// Interned clock id (raw).
     vc: u32,
@@ -253,9 +410,8 @@ struct PairingCtx<'a> {
     load_pre: &'a [LoadPre],
     /// (representative window index, population) per window group.
     window_groups: &'a [(u32, u64)],
-    /// 8-byte word → load-group indices touching it. Probe-only, never
-    /// iterated: safe for the fast deterministic hasher.
-    by_word: &'a FxHashMap<u64, Vec<u32>>,
+    /// The load groups by the words they touch.
+    loads_by_addr: &'a AddrIndex,
     /// Tripped by the stage watchdog (or pre-set when `stage_timeout` is
     /// zero): unfinished shards stop with [`BudgetExceeded::StageStalled`].
     stalled: &'a AtomicBool,
@@ -268,20 +424,6 @@ struct PairingCtx<'a> {
 impl PairingCtx<'_> {
     fn norm(&self, raw: LsId) -> u32 {
         self.norm_of_raw[raw.id() as usize]
-    }
-
-    /// Fills `candidates` with the deduplicated load-group indices sharing
-    /// a word with `win` — the same set, in the same order, for the main
-    /// loop and the budget-dropped tail enumeration.
-    fn collect_candidates(&self, win: &StoreWindow, candidates: &mut Vec<u32>) {
-        candidates.clear();
-        for w in win.range.words() {
-            if let Some(loads) = self.by_word.get(&w) {
-                candidates.extend_from_slice(loads);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
     }
 
     /// The happens-before filter of Algorithm 1 line 17, computed on a memo
@@ -346,15 +488,15 @@ impl PairingCtx<'_> {
     /// them — the cross-thread, byte-overlapping pairs the main loop
     /// *would* have examined. Used to account for the tail a tripped pair
     /// budget skipped.
-    fn group_pair_count(&self, win_gi: u32, candidates: &mut Vec<u32>) -> u64 {
+    fn group_pair_count(&self, win_gi: u32, scratch: &mut Vec<u32>) -> u64 {
         let (wi, wcount) = self.window_groups[win_gi as usize];
         let win = &self.access.windows[wi as usize];
-        self.collect_candidates(win, candidates);
+        let candidates = self.loads_by_addr.query(&win.range, scratch);
         let (win_start, win_end) = (win.range.start, win.range.end());
         let mut pairs = 0;
-        for &gi in candidates.iter() {
+        for &gi in candidates {
             let lp = &self.load_pre[gi as usize];
-            if lp.tid == win.tid.0 || lp.start >= win_end || win_start >= lp.end {
+            if lp.tid == win.tid.0 || lp.range.start >= win_end || win_start >= lp.range.end() {
                 continue;
             }
             pairs += wcount * lp.count;
@@ -401,7 +543,7 @@ impl PairingCtx<'_> {
         let mut hb_memo: FxHashMap<(u32, u32, u32), bool> = FxHashMap::default();
         let mut protected_memo: FxHashMap<(u32, u32), bool> = FxHashMap::default();
         let mut race_accs: FxHashMap<u64, StackPairAcc> = FxHashMap::default();
-        let mut candidates: Vec<u32> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::new();
         // First plan index NOT examined (where a stop landed).
         let mut stopped_at = plan.len();
 
@@ -428,7 +570,12 @@ impl PairingCtx<'_> {
             let (wi, wcount) = self.window_groups[win_gi as usize];
             let win = &self.access.windows[wi as usize];
 
-            self.collect_candidates(win, &mut candidates);
+            // The load groups sharing a word with the window, ascending:
+            // the order witness ranks follow.
+            let candidates = self.loads_by_addr.query(&win.range, &mut scratch);
+            if candidates.is_empty() {
+                continue;
+            }
 
             // Everything the inner loop needs from the window, hoisted out
             // of the per-candidate path.
@@ -440,7 +587,7 @@ impl PairingCtx<'_> {
             let win_never_persisted = win.close == CloseReason::NeverPersisted;
             let win_ls_empty = self.access.locksets.get(win.effective_ls).is_empty();
 
-            for &gi in &candidates {
+            for &gi in candidates {
                 let lp = &self.load_pre[gi as usize];
                 // Algorithm 1 line 16: same-thread pairs cannot race.
                 if lp.tid == win_tid {
@@ -448,7 +595,7 @@ impl PairingCtx<'_> {
                 }
                 // Line 15 (refined): byte-level overlap, not just word
                 // sharing.
-                if lp.start >= win_end || win_start >= lp.end {
+                if lp.range.start >= win_end || win_start >= lp.range.end() {
                     continue;
                 }
                 let pairs = wcount * lp.count;
@@ -562,7 +709,7 @@ impl PairingCtx<'_> {
         // defeat the stop.
         if out.truncated == Some(BudgetExceeded::CandidatePairs) {
             for &win_gi in &plan[stopped_at..] {
-                out.pairs_budget_dropped += self.group_pair_count(win_gi, &mut candidates);
+                out.pairs_budget_dropped += self.group_pair_count(win_gi, &mut scratch);
             }
         }
         self.obs.pairing.shard_candidate_pairs[shard]
@@ -741,8 +888,7 @@ pub(crate) fn run_pairing_controlled(
         .map(|&(li, count)| {
             let ld = &access.loads[li as usize];
             LoadPre {
-                start: ld.range.start,
-                end: ld.range.end(),
+                range: ld.range,
                 tid: ld.tid.0,
                 vc: ld.vc.id(),
                 norm_ls: norm_of_raw[ld.ls.id() as usize],
@@ -752,14 +898,9 @@ pub(crate) fn run_pairing_controlled(
         })
         .collect();
 
-    // Index load groups by 8-byte word. Shared read-only by every shard:
+    // Index load groups by address. Shared read-only by every shard:
     // loads are replicated logically, not physically.
-    let mut by_word: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for (gi, &(li, _)) in load_groups.iter().enumerate() {
-        for w in access.loads[li as usize].range.words() {
-            by_word.entry(w).or_default().push(gi as u32);
-        }
-    }
+    let loads_by_addr = AddrIndex::build(load_pre.iter().map(|lp| lp.range));
 
     // Under eADR (§2.1) every store is durable the instant it is visible:
     // the visible-but-not-durable window Definition 1 requires has zero
@@ -795,7 +936,7 @@ pub(crate) fn run_pairing_controlled(
         load_groups: &load_groups,
         load_pre: &load_pre,
         window_groups: &window_groups,
-        by_word: &by_word,
+        loads_by_addr: &loads_by_addr,
         stalled: &stalled,
         interrupt: cfg.interrupt.as_deref(),
         obs,
@@ -872,27 +1013,18 @@ pub(crate) fn run_pairing_controlled(
     // report count on lock-free designs. Kept sequential: it is off by
     // default and quadratic grouping, not wall-clock, is its cost.
     if cfg.check_store_store && !cfg.eadr && !coverage.truncated {
-        let mut candidates: Vec<u32> = Vec::new();
-        let mut by_word_stores: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (gi, &(wi, _)) in window_groups.iter().enumerate() {
-            for word in access.windows[wi as usize].range.words() {
-                by_word_stores.entry(word).or_default().push(gi as u32);
-            }
-        }
+        let mut scratch: Vec<u32> = Vec::new();
+        let windows_by_addr = AddrIndex::build(
+            window_groups
+                .iter()
+                .map(|&(wi, _)| access.windows[wi as usize].range),
+        );
         for (g1, &(i1, c1)) in window_groups.iter().enumerate() {
             let w1 = &access.windows[i1 as usize];
-            candidates.clear();
-            for word in w1.range.words() {
-                if let Some(v) = by_word_stores.get(&word) {
-                    candidates.extend_from_slice(v);
-                }
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            for &g2 in &candidates {
-                if (g2 as usize) <= g1 {
-                    continue; // each unordered pair once
-                }
+            let candidates = windows_by_addr.query(&w1.range, &mut scratch);
+            // Each unordered pair once: only the groups after `g1`.
+            let after = candidates.partition_point(|&g2| g2 as usize <= g1);
+            for &g2 in &candidates[after..] {
                 let (i2, c2) = window_groups[g2 as usize];
                 let w2 = &access.windows[i2 as usize];
                 if w2.tid == w1.tid || !w2.range.overlaps(&w1.range) {
@@ -999,6 +1131,79 @@ pub(crate) fn run_pairing_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A range near one of three bases: two nearby low ones, so groups
+    /// share lines, and the top of the address space, so some ranges end
+    /// at `u64::MAX` (saturating there when they would pass it). Lengths
+    /// reach five lines.
+    fn arb_range() -> impl Strategy<Value = AddrRange> {
+        (0u8..3, 0u64..512, 0u32..320).prop_map(|(base, offset, len)| {
+            let start = match base {
+                0 => 0x1000 + offset,
+                1 => 0x1100 + offset,
+                _ => u64::MAX - 512 + offset,
+            };
+            AddrRange::new(start, len)
+        })
+    }
+
+    /// The groups sharing an 8-byte word with `q`, straight from the word
+    /// spans: what an [`AddrIndex`] query must answer, in order.
+    fn naive_query(groups: &[AddrRange], q: &AddrRange) -> Vec<u32> {
+        let span = |r: &AddrRange| (r.start / 8, r.end().saturating_sub(1).max(r.start) / 8);
+        let (qa, qb) = span(q);
+        (0..groups.len() as u32)
+            .filter(|&g| {
+                let (a, b) = span(&groups[g as usize]);
+                a <= qb && qa <= b
+            })
+            .collect()
+    }
+
+    #[test]
+    fn addr_index_answers_ranges_ending_at_the_top_of_the_space() {
+        let groups = [
+            AddrRange::new(u64::MAX - 16, 16),
+            AddrRange::new(u64::MAX - 100, 200),
+            AddrRange::new(u64::MAX - 64, 1),
+        ];
+        let index = AddrIndex::build(groups.iter().copied());
+        let mut scratch = Vec::new();
+        for q in [
+            AddrRange::new(u64::MAX - 8, 8),
+            AddrRange::new(u64::MAX - 1, 1),
+            AddrRange::new(u64::MAX - 70, 70),
+            AddrRange::new(u64::MAX - 200, 100),
+        ] {
+            assert_eq!(
+                index.query(&q, &mut scratch),
+                &naive_query(&groups, &q)[..],
+                "{q:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Every query answers the word-sharing groups, ascending and
+        /// unique, whether it reads one run or merges several words' and
+        /// lines' runs.
+        #[test]
+        fn addr_index_matches_the_naive_word_sharing_set(
+            groups in proptest::collection::vec(arb_range(), 0..40),
+            queries in proptest::collection::vec(arb_range(), 1..20),
+        ) {
+            let index = AddrIndex::build(groups.iter().copied());
+            let mut scratch = Vec::new();
+            for q in &queries {
+                prop_assert_eq!(
+                    index.query(q, &mut scratch).to_vec(),
+                    naive_query(&groups, q),
+                    "query {:?}", q
+                );
+            }
+        }
+    }
 
     #[test]
     fn shard_assignment_is_stable_and_in_range() {

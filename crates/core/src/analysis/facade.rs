@@ -265,8 +265,12 @@ impl Analyzer {
             interrupt: self.cfg.interrupt.as_deref(),
         };
         let report = self.drive(&mut src, Some(self.cfg.strictness), controls, None)?;
+        // An interrupted run leaves its phase as it stopped: it has work
+        // left to resume.
         if let Some(ck) = checkpoint {
-            ck.set_phase("done");
+            if report.coverage.reason != Some(BudgetExceeded::Interrupted) {
+                ck.set_phase("done");
+            }
         }
         Ok((report, src.dec.into_parts().0))
     }
@@ -566,8 +570,11 @@ impl<R: std::io::Read> Source for Stream<'_, R> {
     fn end(&mut self, n: &IngestProgress) -> SourceEnd {
         let loss = self.dec.loss();
         if let Some(ck) = self.checkpoint {
+            // The next undecoded byte. Where the stream ended, cleanly or
+            // at a salvaged corruption, that is where its valid prefix
+            // ends; after an interrupt it is where ingest stopped.
             ck.record_ingest(IngestProgress {
-                stream_offset: loss.valid_bytes,
+                stream_offset: self.dec.offset(),
                 ..*n
             });
             ck.set_phase("pairing");
@@ -875,6 +882,46 @@ mod tests {
         });
         let err = other.try_run_stream(Cursor::new(raw.clone())).unwrap_err();
         assert!(matches!(err, HawkSetError::Checkpoint(_)), "got {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An interrupted stream's checkpoint says where ingest stopped and
+    /// that the run is unfinished.
+    #[test]
+    fn interrupted_stream_checkpoints_its_offset_and_stays_unfinished() {
+        let raw = encode(&busy_trace()).to_vec();
+        let len = raw.len() as u64;
+        let dir = std::env::temp_dir().join(format!("hwk-interrupt-ck-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        let session = Arc::new(CheckpointSession::new(
+            path.clone(),
+            config_fingerprint(&AnalysisConfig::default()),
+            "test".into(),
+            None,
+        ));
+        let report = Analyzer::new(AnalysisConfig {
+            interrupt: Some(Arc::new(AtomicBool::new(true))),
+            stream: StreamConfig {
+                checkpoint: Some(Arc::clone(&session)),
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .try_run_stream(Cursor::new(raw))
+        .expect("interrupted run");
+        assert_eq!(report.coverage.reason, Some(BudgetExceeded::Interrupted));
+        assert!(session.take_error().is_none());
+
+        let ck = AnalysisCheckpoint::load(&path).expect("checkpoint readable");
+        let ingest = ck.ingest.expect("ingest progress recorded");
+        assert_eq!(ingest.events_decoded, 1);
+        assert!(
+            ingest.stream_offset > 0 && ingest.stream_offset < len,
+            "stream_offset {} outside (0, {len})",
+            ingest.stream_offset
+        );
+        assert_ne!(ck.phase, "done");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -351,3 +351,152 @@ proptest! {
         prop_assert!(no_atomics.races.len() <= all.races.len());
     }
 }
+
+/// A trace for the candidate-set oracle: loads of 1–4096 bytes and stores
+/// of 1–256 bytes at unaligned addresses in one 4 KiB area, so loads span
+/// several lines and stores split into several line windows. 2–4 worker
+/// threads interleave them with flushes, fences, atomics and, unless
+/// `lock_free`, lock sections, under three call stacks.
+fn arb_pairing_trace(lock_free: bool) -> impl Strategy<Value = Trace> {
+    let ops = proptest::collection::vec(
+        (0u8..6, 0u64..4096, 1u32..4097, 0u64..3, any::<bool>()),
+        1..100,
+    );
+    (ops, 2u32..5).prop_map(move |(ops, workers)| {
+        let mut b = TraceBuilder::new();
+        let stacks = [
+            b.intern_stack([Frame::new("put", "oracle.rs", 1)]),
+            b.intern_stack([Frame::new("get", "oracle.rs", 2)]),
+            b.intern_stack([Frame::new("scan", "oracle.rs", 3)]),
+        ];
+        for w in 1..=workers {
+            let kind = EventKind::ThreadCreate { child: ThreadId(w) };
+            b.push(ThreadId(0), stacks[0], kind);
+        }
+        let mut held: Vec<Vec<u64>> = vec![Vec::new(); workers as usize + 1];
+        for (i, (kind, offset, len, lock, flag)) in ops.into_iter().enumerate() {
+            let tid = ThreadId(1 + (i as u32 % workers));
+            let s = stacks[i % stacks.len()];
+            let start = 0x10_0000 + offset;
+            let kind = match kind {
+                0 => EventKind::Store {
+                    range: AddrRange::new(start, len % 256 + 1),
+                    non_temporal: false,
+                    atomic: flag,
+                },
+                1 => EventKind::Load {
+                    range: AddrRange::new(start, len),
+                    atomic: flag,
+                },
+                2 => EventKind::Flush { addr: start },
+                3 => EventKind::Fence,
+                4 if !lock_free && !held[tid.index()].contains(&lock) => {
+                    held[tid.index()].push(lock);
+                    EventKind::Acquire {
+                        lock: LockId(lock),
+                        mode: LockMode::Exclusive,
+                    }
+                }
+                5 if !lock_free && held[tid.index()].contains(&lock) => {
+                    held[tid.index()].retain(|&l| l != lock);
+                    EventKind::Release { lock: LockId(lock) }
+                }
+                _ => continue,
+            };
+            b.push(tid, s, kind);
+        }
+        for w in 1..=workers {
+            let kind = EventKind::ThreadJoin { child: ThreadId(w) };
+            b.push(ThreadId(0), stacks[0], kind);
+        }
+        b.finish()
+    })
+}
+
+/// Brute force over `simulate`'s live windows and loads (atomics only
+/// with `include_atomics`): the cross-thread, byte-overlapping
+/// (window, load) pairs, and the unordered cross-thread, overlapping
+/// window pairs.
+fn brute_force_pairs(trace: &Trace, irh: bool, include_atomics: bool) -> (u64, u64) {
+    let sim = simulate(
+        trace,
+        &SimConfig {
+            irh,
+            ..Default::default()
+        },
+    );
+    let windows: Vec<_> = sim
+        .windows
+        .iter()
+        .filter(|w| w.live() && (include_atomics || !w.atomic))
+        .collect();
+    let loads: Vec<_> = sim
+        .loads
+        .iter()
+        .filter(|l| l.live() && (include_atomics || !l.atomic))
+        .collect();
+    let mut load_pairs = 0;
+    let mut store_pairs = 0;
+    for (i, w) in windows.iter().enumerate() {
+        for l in &loads {
+            load_pairs += u64::from(w.tid != l.tid && w.range.overlaps(&l.range));
+        }
+        for v in &windows[i + 1..] {
+            store_pairs += u64::from(w.tid != v.tid && w.range.overlaps(&v.range));
+        }
+    }
+    (load_pairs, store_pairs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The engine examines exactly the cross-thread, byte-overlapping
+    /// pairs of live windows and loads: its address index neither misses
+    /// a candidate nor counts one twice, with and without the IRH and
+    /// atomics.
+    #[test]
+    fn candidate_pairs_match_a_brute_force_count(trace in arb_pairing_trace(false)) {
+        for irh in [false, true] {
+            for include_atomics in [false, true] {
+                let cfg = AnalysisConfig { irh, include_atomics, ..Default::default() };
+                let report = Analyzer::new(cfg).run(&trace);
+                let (pairs, _) = brute_force_pairs(&trace, irh, include_atomics);
+                prop_assert_eq!(
+                    report.stats.pairing.candidate_pairs, pairs,
+                    "irh {} include_atomics {}", irh, include_atomics
+                );
+            }
+        }
+    }
+
+    /// Without locks or the happens-before filter every candidate pair is
+    /// racy, and the store/store pass pairs every cross-thread overlapping
+    /// pair of windows exactly once.
+    #[test]
+    fn lock_free_pairs_all_race_without_hb(trace in arb_pairing_trace(true)) {
+        for irh in [false, true] {
+            for include_atomics in [false, true] {
+                let cfg = AnalysisConfig {
+                    irh,
+                    include_atomics,
+                    use_hb: false,
+                    check_store_store: true,
+                    ..Default::default()
+                };
+                let report = Analyzer::new(cfg).run(&trace);
+                let (pairs, store_pairs) = brute_force_pairs(&trace, irh, include_atomics);
+                let ctx = format!("irh {irh} include_atomics {include_atomics}");
+                prop_assert_eq!(report.stats.pairing.candidate_pairs, pairs, "{}", ctx);
+                prop_assert_eq!(report.stats.pairing.racy_pairs, pairs, "{}", ctx);
+                let store_store: u64 = report
+                    .races
+                    .iter()
+                    .filter(|r| r.store_store)
+                    .map(|r| r.pair_count)
+                    .sum();
+                prop_assert_eq!(store_store, store_pairs, "{}", ctx);
+            }
+        }
+    }
+}
