@@ -377,7 +377,7 @@ impl FastFair {
                 if self.grow_root(t, left, sep, child) {
                     return;
                 }
-                std::thread::yield_now();
+                t.yield_now();
                 continue;
             }
             enum Outcome {

@@ -425,7 +425,7 @@ impl Masstree {
                 if self.grow_root(t, left, sep, child) {
                     return;
                 }
-                std::thread::yield_now();
+                t.yield_now();
                 continue;
             }
             enum Outcome {
