@@ -53,10 +53,6 @@ pub struct ExecOptions {
     /// triggering thread). Composed *after* the delay hook, so an injected
     /// delay at the same op still happens before the crash fires.
     pub crash: Option<Arc<CrashInjector>>,
-    /// Run the instrumented threads one at a time under a schedule seeded
-    /// with this value ([`PmEnv::set_schedule`]), so the same workload and
-    /// seed record the same trace. `None` lets the OS interleave them.
-    pub schedule: Option<u64>,
 }
 
 /// The outcome of one instrumented run.
@@ -154,9 +150,6 @@ pub trait Application: Send + Sync {
 /// Sets up an environment according to `opts` (shared by all apps).
 pub(crate) fn env_for(opts: &ExecOptions) -> PmEnv {
     let env = PmEnv::new();
-    if let Some(seed) = opts.schedule {
-        env.set_schedule(seed);
-    }
     env.set_observe(opts.observe);
     let mut hook = opts.hook.clone();
     if let Some(crash) = &opts.crash {

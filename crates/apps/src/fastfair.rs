@@ -377,7 +377,7 @@ impl FastFair {
                 if self.grow_root(t, left, sep, child) {
                     return;
                 }
-                t.yield_now();
+                std::thread::yield_now();
                 continue;
             }
             enum Outcome {

@@ -125,9 +125,7 @@ impl MadFs {
             .pool
             .atomic_load_u64(t, self.pool.base() + OFF_LOG_COUNT)
             .min(self.log_cap);
-        // Held across the entry loads below: taken through the thread so a
-        // scheduled run never blocks on it while holding the run token.
-        let mut table = t.lock_volatile(&self.block_table);
+        let mut table = self.block_table.lock();
         while table.0 < count {
             let i = table.0;
             let entry = self.pool.load_u64(t, self.pool.base() + OFF_LOG + i * 8);

@@ -425,7 +425,7 @@ impl Masstree {
                 if self.grow_root(t, left, sep, child) {
                     return;
                 }
-                t.yield_now();
+                std::thread::yield_now();
                 continue;
             }
             enum Outcome {

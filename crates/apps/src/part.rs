@@ -355,7 +355,7 @@ impl Part {
                 if self.is_obsolete(node) {
                     lock.unlock(t);
                     unlock_parent(&parent_lock);
-                    t.yield_now();
+                    std::thread::yield_now();
                     continue 'outer;
                 }
                 let ty = self.pool.load_u64(t, node + OFF_TYPE);
@@ -459,7 +459,7 @@ impl Part {
                         if self.bugs.late_grow_persist {
                             self.pool.persist(t, parent_slot, 8);
                         }
-                        t.yield_now();
+                        std::thread::yield_now();
                         continue 'outer;
                     }
                 }
@@ -526,7 +526,7 @@ impl Part {
                 if self.is_obsolete(node) {
                     lock.unlock(t);
                     unlock_parent(&parent_lock);
-                    t.yield_now();
+                    std::thread::yield_now();
                     continue 'outer;
                 }
                 let ty = self.pool.load_u64(t, node + OFF_TYPE);

@@ -295,7 +295,7 @@ impl Pclht {
         let _f = t.frame("pclht::put");
         loop {
             while self.resizing.load(Ordering::Acquire) {
-                t.yield_now();
+                std::thread::yield_now();
             }
             let (table, head) = self.table_lookup(t, key);
             let lock = self.lock_of(head);
@@ -368,7 +368,7 @@ impl Pclht {
         let _f = t.frame("pclht::delete");
         loop {
             while self.resizing.load(Ordering::Acquire) {
-                t.yield_now();
+                std::thread::yield_now();
             }
             let (table, head) = self.table_lookup(t, key);
             let lock = self.lock_of(head);

@@ -1161,29 +1161,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn addr_index_answers_ranges_ending_at_the_top_of_the_space() {
-        let groups = [
-            AddrRange::new(u64::MAX - 16, 16),
-            AddrRange::new(u64::MAX - 100, 200),
-            AddrRange::new(u64::MAX - 64, 1),
-        ];
-        let index = AddrIndex::build(groups.iter().copied());
-        let mut scratch = Vec::new();
-        for q in [
-            AddrRange::new(u64::MAX - 8, 8),
-            AddrRange::new(u64::MAX - 1, 1),
-            AddrRange::new(u64::MAX - 70, 70),
-            AddrRange::new(u64::MAX - 200, 100),
-        ] {
-            assert_eq!(
-                index.query(&q, &mut scratch),
-                &naive_query(&groups, &q)[..],
-                "{q:?}"
-            );
-        }
-    }
-
     proptest! {
         /// Every query answers the word-sharing groups, ascending and
         /// unique, whether it reads one run or merges several words' and

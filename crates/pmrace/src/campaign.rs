@@ -138,9 +138,6 @@ pub fn fuzz_app(
             observe: true,
             hook: Some(injector.hook()),
             crash: None,
-            // Observation needs real concurrency: a read of unpersisted
-            // data is only seen when it happens.
-            schedule: None,
         };
         let result = app.execute_with(&AppWorkload::Ycsb(wl), &opts);
         delays += injector.injected();

@@ -126,8 +126,8 @@ pub struct RoundRecord {
     pub crash_points: Vec<u64>,
     /// The measured PM-operation horizon crash points were placed in.
     /// Placement is a pure function of `(seed, round, horizon)`; the
-    /// horizon is the op count of the round's scheduled, undelayed run,
-    /// recorded to keep rounds auditable and re-derivable.
+    /// horizon itself varies with thread interleaving, so it is recorded
+    /// to keep rounds auditable and re-derivable.
     pub op_horizon: u64,
     /// Crash images captured and audited.
     pub images_captured: u64,
@@ -614,12 +614,6 @@ fn io_probe(script: &str) -> Option<CoveragePoint> {
 /// schedule and seeded crash points, audit every captured image, analyze
 /// the trace for attributable races, and extract the round's coverage
 /// signature.
-///
-/// Both runs execute under a thread schedule seeded from the plan
-/// ([`ExecOptions::schedule`]), so a round is a pure function of its plan:
-/// a resumed campaign re-runs exactly the rounds an uninterrupted one
-/// would, and the horizon pass 1 measures is pass 2's op count whenever
-/// the plan injects no delays.
 fn round_body(
     app: &Arc<dyn Application>,
     main_ops: u64,
@@ -633,10 +627,8 @@ fn round_body(
     // the op count, so the horizon is cheaper to measure undelayed).
     let probe = CrashInjector::at_points([], CrashMode::Continue);
     let workload = materialize_workload(app.as_ref(), plan, main_ops);
-    let schedule = Some(plan.workload_seed ^ 0x2545_f491_4f6c_dd1d);
     let opts = ExecOptions {
         crash: Some(Arc::clone(&probe)),
-        schedule,
         ..Default::default()
     };
     app.execute_with(&workload, &opts);
@@ -660,7 +652,6 @@ fn round_body(
     let opts = ExecOptions {
         hook: delay.as_ref().map(DelayInjector::hook),
         crash: Some(Arc::clone(&injector)),
-        schedule,
         ..Default::default()
     };
     let result = app.execute_with(&workload, &opts);
@@ -1000,10 +991,10 @@ mod tests {
     }
 
     /// Crash placement is a pure function of `(campaign seed, round,
-    /// measured horizon)`, and the record keeps the horizon: re-deriving
-    /// the seeded injector from the recorded horizon must reproduce the
-    /// placement exactly, and a different campaign seed must place
-    /// differently.
+    /// measured horizon)`. The horizon itself varies with concurrent
+    /// interleaving, so the record keeps it; re-deriving the seeded
+    /// injector from the recorded horizon must reproduce the placement
+    /// exactly, and a different campaign seed must place differently.
     #[test]
     fn crash_points_are_rederivable_from_recorded_seed_and_horizon() {
         let app: Arc<dyn Application> = Arc::new(FastFairApp);

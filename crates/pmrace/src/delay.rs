@@ -18,10 +18,7 @@
 //!   where the corpus says unexplored windows live.
 //!
 //! Decisions are deterministic in `(seed, thread, op-index, address)` so a
-//! campaign round is reproducible. A delay is a [`pm_runtime::pause`]: a
-//! sleep on real threads, and under a schedule
-//! ([`pm_runtime::sched`]) a pause of one step per microsecond, so a
-//! scheduled round replays its delays exactly.
+//! campaign round is reproducible.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -199,7 +196,7 @@ impl DelayInjector {
                 };
                 let us = (h >> 10) % (max_delay_us * bias) + 1;
                 me.injected.fetch_add(1, Ordering::Relaxed);
-                pm_runtime::pause(Duration::from_micros(us));
+                std::thread::sleep(Duration::from_micros(us));
             }
         })
     }

@@ -15,7 +15,7 @@
 
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 
 use hawkset_core::addr::{line_base, line_of, AddrRange, PmAddr, CACHE_LINE};
 use hawkset_core::sync_config::{CallEffect, SyncConfig};
@@ -24,7 +24,6 @@ use hawkset_core::trace::{
 };
 use parking_lot::Mutex;
 
-use crate::sched::{self, Scheduler};
 use crate::shadow::ShadowPm;
 use crate::thread::{PmJoinHandle, PmThread};
 
@@ -137,8 +136,6 @@ pub(crate) struct EnvInner {
     observe: AtomicBool,
     hook: Mutex<Option<Hook>>,
     sync_config: Mutex<SyncConfig>,
-    /// Set by [`PmEnv::set_schedule`]: the run token the threads share.
-    sched: OnceLock<Arc<Scheduler>>,
 }
 
 /// The instrumented PM world. Cheap to clone (shared handle).
@@ -172,7 +169,6 @@ impl PmEnv {
                 observe: AtomicBool::new(false),
                 hook: Mutex::new(None),
                 sync_config: Mutex::new(SyncConfig::builtin_pthread()),
-                sched: OnceLock::new(),
             }),
         }
     }
@@ -190,43 +186,7 @@ impl PmEnv {
         }
         let tid = ThreadId(self.inner.next_tid.fetch_add(1, Ordering::Relaxed));
         assert_eq!(tid, ThreadId::MAIN);
-        if let Some(s) = self.scheduler() {
-            sched::enter(s, tid);
-        }
         PmThread::new(self.clone(), tid)
-    }
-
-    /// Runs this environment's threads one at a time under a schedule
-    /// seeded with `seed` (see [`crate::sched`]): the same program and seed
-    /// then record the same trace, whatever the OS does. Without a
-    /// schedule, threads run concurrently as the OS interleaves them.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless called before [`main_thread`](Self::main_thread), and
-    /// at most once.
-    pub fn set_schedule(&self, seed: u64) {
-        assert!(
-            !self.inner.state.lock().main_taken,
-            "set_schedule must precede main_thread()"
-        );
-        assert!(
-            self.inner.sched.set(Arc::new(Scheduler::new(seed))).is_ok(),
-            "set_schedule called twice"
-        );
-    }
-
-    /// The schedule, when [`set_schedule`](Self::set_schedule) set one.
-    pub(crate) fn scheduler(&self) -> Option<&Arc<Scheduler>> {
-        self.inner.sched.get()
-    }
-
-    /// A scheduling point: under a schedule, `t` (the token holder) may
-    /// hand the token over here before its next event.
-    fn turn(&self, t: &PmThread) {
-        if let Some(s) = self.scheduler() {
-            s.step(t.tid());
-        }
     }
 
     /// Maps a new zero-filled PM pool of `len` bytes (rounded up to a cache
@@ -303,22 +263,11 @@ impl PmEnv {
         let loc = Location::caller();
         let child = ThreadId(self.inner.next_tid.fetch_add(1, Ordering::Relaxed));
         self.record(parent, loc, EventKind::ThreadCreate { child });
-        let sched = self.scheduler().cloned();
-        if let Some(s) = &sched {
-            s.register(child);
-        }
         let env = self.clone();
         let inner = std::thread::Builder::new()
             .name(format!("pm-{}", child.0))
             .spawn(move || {
                 let t = PmThread::new(env, child);
-                // Under a schedule the thread runs only on its turn, and
-                // passes the token on when it ends, panicking or not.
-                let _exit = sched.map(|s| {
-                    sched::enter(&s, child);
-                    s.wait_turn(child);
-                    sched::Exit::new(s, child)
-                });
                 f(&t)
             })
             .expect("failed to spawn instrumented thread");
@@ -396,7 +345,6 @@ impl PmEnv {
     }
 
     fn record(&self, t: &PmThread, loc: &'static Location<'static>, kind: EventKind) {
-        self.turn(t);
         let mut st = self.inner.state.lock();
         let stack = st.stack_id(t, loc);
         st.builder.push(t.tid(), stack, kind);
@@ -416,7 +364,6 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeStore(addr));
-        self.turn(t);
         let range = AddrRange::new(addr, bytes.len() as u32);
         let mut st = self.inner.state.lock();
         let pool = &mut st.pools[index];
@@ -446,7 +393,6 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) -> Vec<u8> {
         self.fire_hook(t.tid(), HookPoint::BeforeLoad(addr));
-        self.turn(t);
         let range = AddrRange::new(addr, len as u32);
         let mut st = self.inner.state.lock();
         if self.inner.observe.load(Ordering::Relaxed) {
@@ -473,7 +419,6 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) -> Result<u64, u64> {
         self.fire_hook(t.tid(), HookPoint::BeforeStore(addr));
-        self.turn(t);
         let range = AddrRange::new(addr, 8);
         let mut st = self.inner.state.lock();
         if self.inner.observe.load(Ordering::Relaxed) {
@@ -520,7 +465,6 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeFlush(addr));
-        self.turn(t);
         let mut st = self.inner.state.lock();
         let pool = &st.pools[index];
         let line = line_of(addr);
@@ -534,7 +478,6 @@ impl PmEnv {
 
     pub(crate) fn fence_at(&self, t: &PmThread, loc: &'static Location<'static>) {
         self.fire_hook(t.tid(), HookPoint::BeforeFence);
-        self.turn(t);
         let mut st = self.inner.state.lock();
         let committed = st.shadow.fence(t.tid());
         for w in committed {

@@ -78,7 +78,6 @@ pub mod guard;
 pub mod harness;
 pub mod mutex;
 pub mod pool;
-pub mod sched;
 pub mod shadow;
 pub mod thread;
 
@@ -89,5 +88,4 @@ pub use guard::TraceGuard;
 pub use harness::run_workers;
 pub use mutex::{CustomSpinLock, PmMutex, PmRwLock};
 pub use pool::PmPool;
-pub use sched::pause;
 pub use thread::{FrameGuard, PmJoinHandle, PmThread};

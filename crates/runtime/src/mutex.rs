@@ -42,7 +42,7 @@ impl<T> PmMutex<T> {
     #[track_caller]
     pub fn lock<'a>(&'a self, t: &'a PmThread) -> PmMutexGuard<'a, T> {
         let loc = Location::caller();
-        let guard = t.acquire(|| self.inner.try_lock(), || self.inner.lock());
+        let guard = self.inner.lock();
         self.env
             .record_acquire(t, self.id, LockMode::Exclusive, loc);
         PmMutexGuard {
@@ -126,7 +126,7 @@ impl<T> PmRwLock<T> {
     #[track_caller]
     pub fn read<'a>(&'a self, t: &'a PmThread) -> PmReadGuard<'a, T> {
         let loc = Location::caller();
-        let guard = t.acquire(|| self.inner.try_read(), || self.inner.read());
+        let guard = self.inner.read();
         self.env.record_acquire(t, self.id, LockMode::Shared, loc);
         PmReadGuard {
             guard: Some(guard),
@@ -140,7 +140,7 @@ impl<T> PmRwLock<T> {
     #[track_caller]
     pub fn write<'a>(&'a self, t: &'a PmThread) -> PmWriteGuard<'a, T> {
         let loc = Location::caller();
-        let guard = t.acquire(|| self.inner.try_write(), || self.inner.write());
+        let guard = self.inner.write();
         self.env
             .record_acquire(t, self.id, LockMode::Exclusive, loc);
         PmWriteGuard {
@@ -254,13 +254,11 @@ impl CustomSpinLock {
     }
 
     /// Spins until acquired, then reports the call to the configuration.
-    /// Under a schedule each failed attempt hands the run token over.
     #[track_caller]
     pub fn lock(&self, t: &PmThread) {
-        let scheduler = t.env().scheduler();
         while self
             .flag
-            .compare_exchange(
+            .compare_exchange_weak(
                 false,
                 true,
                 std::sync::atomic::Ordering::Acquire,
@@ -268,10 +266,7 @@ impl CustomSpinLock {
             )
             .is_err()
         {
-            match scheduler {
-                Some(s) => s.yield_blocked(t.tid()),
-                None => std::hint::spin_loop(),
-            }
+            std::hint::spin_loop();
         }
         self.env.custom_sync_call(t, self.acquire_fn, self.id, None);
     }

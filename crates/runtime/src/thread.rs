@@ -26,7 +26,6 @@ use hawkset_core::hash::FxHashMap;
 use hawkset_core::trace::{Frame, StackId, ThreadId};
 
 use crate::env::PmEnv;
-use crate::sched;
 
 /// One pushed application frame, and the node id of the frame stack it
 /// ends.
@@ -108,46 +107,6 @@ impl PmThread {
         FrameGuard { thread: self }
     }
 
-    /// Lets other threads run: the call for a loop that spins on
-    /// uninstrumented state another thread must change. Under a schedule
-    /// it hands the run token to another thread; otherwise it is
-    /// [`std::thread::yield_now`].
-    pub fn yield_now(&self) {
-        match self.env.scheduler() {
-            Some(s) => s.yield_blocked(self.tid),
-            None => std::thread::yield_now(),
-        }
-    }
-
-    /// Locks an uninstrumented mutex that is held across instrumented
-    /// events. Under a schedule a thread must not block while it holds the
-    /// run token, so a contended lock is retried between turns instead.
-    pub fn lock_volatile<'a, T>(
-        &self,
-        m: &'a parking_lot::Mutex<T>,
-    ) -> parking_lot::MutexGuard<'a, T> {
-        self.acquire(|| m.try_lock(), || m.lock())
-    }
-
-    /// Takes a lock: with `block` outside a schedule; under one, by
-    /// retrying `try_acquire` between turns, so the run token is never held
-    /// by a blocked thread.
-    pub(crate) fn acquire<G>(
-        &self,
-        mut try_acquire: impl FnMut() -> Option<G>,
-        block: impl FnOnce() -> G,
-    ) -> G {
-        match self.env.scheduler() {
-            Some(s) => loop {
-                if let Some(g) = try_acquire() {
-                    return g;
-                }
-                s.yield_blocked(self.tid);
-            },
-            None => block(),
-        }
-    }
-
     /// Issues a store fence (`sfence`): everything this thread flushed (and
     /// every non-temporal store it issued) is persistent afterwards.
     #[track_caller]
@@ -198,20 +157,6 @@ impl PmThread {
     }
 }
 
-impl Drop for PmThread {
-    fn drop(&mut self) {
-        if let Some(s) = self.env.scheduler() {
-            // A spawned thread passes the token on as it ends; the main
-            // thread does it here, so threads it never joined (it
-            // panicked first) still run to completion.
-            if self.tid == ThreadId::MAIN {
-                s.exit(self.tid);
-            }
-            sched::leave(s, self.tid);
-        }
-    }
-}
-
 /// Pops its frame when dropped. Created by [`PmThread::frame`].
 pub struct FrameGuard<'t> {
     thread: &'t PmThread,
@@ -250,11 +195,6 @@ impl<R> PmJoinHandle<R> {
     #[track_caller]
     pub fn try_join(self, joiner: &PmThread) -> std::thread::Result<R> {
         let loc = Location::caller();
-        if let Some(s) = joiner.env().scheduler() {
-            while !s.exited(self.child) {
-                s.yield_blocked(joiner.tid());
-            }
-        }
         let out = self.inner.join();
         joiner.env().join_at(joiner, self.child, loc);
         out

@@ -1,10 +1,8 @@
 //! Table 2 at integration-test scale: every application runs its §5
 //! workload, and every bug reachable at this size must be detected.
 
-use hawkset::apps::{all_apps, score, ExecOptions, RaceClass};
-use hawkset::baseline::{DelayInjector, DelaySpec};
+use hawkset::apps::{all_apps, score, RaceClass};
 use hawkset::core::analysis::{AnalysisConfig, Analyzer};
-use hawkset::core::trace::io;
 
 /// Bugs expected at a modest (2k-op) workload. TurboHash #3 needs buckets
 /// to fill, which the zipfian mix achieves by 2k ops with the default
@@ -162,48 +160,4 @@ fn part_workload_is_capped() {
         wl.main_ops() <= 1_000,
         "P-ART hangs beyond 1k ops in the original evaluation"
     );
-}
-
-/// Under a thread schedule a run is a function of its workload and the
-/// schedule's seed: two runs of every app record byte-identical traces,
-/// with and without injected delays. Delays pause threads inside critical
-/// sections and spin loops, so this also checks that every wait in every
-/// app goes through the scheduler: one that blocked the OS thread while
-/// holding the run token would hang the run, which the time limit turns
-/// into a failure.
-#[test]
-fn scheduled_runs_are_reproducible() {
-    let (done, finished) = std::sync::mpsc::channel();
-    let runs = std::thread::spawn(move || {
-        let outcome = std::panic::catch_unwind(|| {
-            for app in all_apps() {
-                let wl = app.default_workload(300, 3);
-                let record = |delays: bool| {
-                    let hook = delays
-                        .then(|| DelayInjector::with_spec(11, DelaySpec::uniform(0.05, 40)).hook());
-                    let opts = ExecOptions {
-                        hook,
-                        schedule: Some(5),
-                        ..Default::default()
-                    };
-                    io::encode(&app.execute_with(&wl, &opts).trace).to_vec()
-                };
-                for delays in [false, true] {
-                    assert_eq!(
-                        record(delays),
-                        record(delays),
-                        "{}: two scheduled runs differ (delays: {delays})",
-                        app.name()
-                    );
-                }
-            }
-        });
-        done.send(outcome)
-            .expect("the test thread waits for the runs");
-    });
-    match finished.recv_timeout(std::time::Duration::from_secs(300)) {
-        Ok(Ok(())) => runs.join().expect("the runs finished"),
-        Ok(Err(panic)) => std::panic::resume_unwind(panic),
-        Err(_) => panic!("a scheduled run hung: some wait blocks its OS thread"),
-    }
 }
