@@ -35,10 +35,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{line_base, line_of};
-use crate::memsim::patch::{simulate_patched, simulate_patches, EventPatch, SyntheticEvent};
+use crate::hash::FxHashMap;
+use crate::memsim::patch::{simulate_patched, simulate_patches, EventPatch, Fork, SyntheticEvent};
 use crate::memsim::{AccessSet, LoadAccess, StoreWindow};
 use crate::obs::MetricsRegistry;
-use crate::trace::{Event, EventKind, LockId, TraceView};
+use crate::trace::{Event, EventKind, LockId, StackId, TraceView};
 use crate::vclock::ClockOrder;
 
 use super::engine::{self, PairingControls, SitePair};
@@ -54,7 +55,7 @@ pub const FIX_SCHEMA_VERSION: u64 = 1;
 /// Sequence numbers refer to the analyzed event stream (after lenient-mode
 /// quarantine and event-budget truncation) — the same numbering the
 /// simulator replayed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum FixKind {
     /// Insert a flush of `line` followed by a fence immediately after the
@@ -219,8 +220,9 @@ impl<'a> RepairValidator<'a> {
     }
 
     /// [`validates`](Self::validates) for every `(kind, target)` pair, from
-    /// one shared simulation: each distinct patch is replayed once, forked
-    /// from the recorded prefix at its first edit ([`simulate_patches`]).
+    /// one shared simulation: each distinct patch is built and replayed
+    /// once, forked from the recorded prefix at its first edit
+    /// ([`simulate_patches`]).
     ///
     /// A patched replay that still races at a target's site pair fails that
     /// target, so each target is first paired on its site pair alone
@@ -230,23 +232,35 @@ impl<'a> RepairValidator<'a> {
     /// replay is paired in full only when that leaves a target of it
     /// undecided. The rule needs the full pairing to reach every site pair
     /// (no candidate-pair budget) and no store-store races, whose keys can
-    /// equal a load race's; otherwise every replay is paired in full. A
-    /// verdict is a pure function of the patched event stream, so the
-    /// results equal the one-by-one verdicts.
+    /// equal a load race's; otherwise every replay is paired in full.
+    ///
+    /// The rule also stops a replay early. At each of its fork's pauses
+    /// the site pairs are checked on what the replay holds so far, and
+    /// once every target of the patch races there, the fork stops with all
+    /// of them failed. What a pause holds is part of the finished replay
+    /// (`simulate_patches` pauses only without a memory budget), so a pair
+    /// that races there races at the end too. Debug builds finish stopped
+    /// forks anyway and re-prove the stop: every target still races at its
+    /// site pair, and the full verdict fails. A verdict is a pure function
+    /// of the patched event stream, so the results equal the one-by-one
+    /// verdicts.
     fn validates_all(&self, candidates: &[(FixKind, RaceKey)]) -> Vec<bool> {
-        // Candidates sharing a patch (a store-anchored flush patches every
-        // store at the anchor's stack) share its replay.
+        // Candidates whose patches are equal share one build and one replay:
+        // a store-anchored flush patches every store at the anchor's stack.
+        let mut slot_of: FxHashMap<PatchShape, Option<usize>> = FxHashMap::default();
         let mut patches: Vec<EventPatch> = Vec::new();
         let mut targets: Vec<Vec<RaceKey>> = Vec::new();
         let slots: Vec<Option<usize>> = candidates
             .iter()
             .map(|(kind, target)| {
-                let patch = build_patch(self.view, kind)?;
-                let i = patches.iter().position(|p| *p == patch).unwrap_or_else(|| {
-                    patches.push(patch);
+                let shape = PatchShape::of(self.view, kind)?;
+                // An inapplicable shape is remembered as `None`.
+                let slot = *slot_of.entry(shape).or_insert_with(|| {
+                    patches.push(shape.build(self.view)?);
                     targets.push(Vec::new());
-                    patches.len() - 1
+                    Some(patches.len() - 1)
                 });
+                let i = slot?;
                 if !targets[i].contains(target) {
                     targets[i].push(*target);
                 }
@@ -263,30 +277,45 @@ impl<'a> RepairValidator<'a> {
             .filter(|_| fail_fast)
             .map(|t| (*t, SitePair::of(self.view.stacks, *t)))
             .collect();
+        let raced = |access: &AccessSet, t: &RaceKey| {
+            sites.get(t).is_some_and(|site| self.races_at(access, site))
+        };
         let mut verdicts: BTreeMap<(usize, RaceKey), bool> = BTreeMap::new();
-        simulate_patches(self.view, &patches, &self.cfg.sim_config(), |i, access| {
-            let failed: Vec<bool> = targets[i]
-                .iter()
-                .map(|t| {
-                    sites
-                        .get(t)
-                        .is_some_and(|site| self.races_at(&access, site))
-                })
-                .collect();
-            // Debug builds pair decided replays in full too, to re-prove
-            // the rule on every test that suggests fixes.
-            let full = (failed.contains(&false) || cfg!(debug_assertions))
-                .then(|| keys(&self.pair(&access)));
-            for (t, failed) in targets[i].iter().zip(failed) {
-                let verdict = full.as_ref().map(|keys| self.verdict(keys, *t));
+        simulate_patches(
+            self.view,
+            &patches,
+            &self.cfg.sim_config(),
+            |i, so_far| targets[i].iter().all(|t| raced(so_far, t)),
+            |i, fork| {
+                let (access, stopped) = match fork {
+                    Fork::Finished(access) => (Some(access), false),
+                    Fork::Stopped(access) => (access, true),
+                };
+                // A fork stops only once every target raced at a pause.
+                let failed: Vec<bool> = match &access {
+                    Some(access) => targets[i].iter().map(|t| raced(access, t)).collect(),
+                    None => vec![true; targets[i].len()],
+                };
                 debug_assert!(
-                    !failed || verdict == Some(false),
-                    "{t:?} raced at its site pair yet validated"
+                    !stopped || !failed.contains(&false),
+                    "patch {i} stopped at a pause, yet a target stopped racing at its site pair"
                 );
-                let ok = !failed && verdict.expect("undecided targets are paired in full");
-                verdicts.insert((i, *t), ok);
-            }
-        });
+                // Debug builds pair decided replays in full too, to re-prove
+                // the rule on every test that suggests fixes.
+                let full = access
+                    .filter(|_| failed.contains(&false) || cfg!(debug_assertions))
+                    .map(|access| keys(&self.pair(&access)));
+                for (t, failed) in targets[i].iter().zip(failed) {
+                    let verdict = full.as_ref().map(|keys| self.verdict(keys, *t));
+                    debug_assert!(
+                        !failed || verdict == Some(false),
+                        "{t:?} raced at its site pair yet validated"
+                    );
+                    let ok = !failed && verdict.expect("undecided targets are paired in full");
+                    verdicts.insert((i, *t), ok);
+                }
+            },
+        );
         candidates
             .iter()
             .zip(slots)
@@ -491,18 +520,48 @@ fn find_event(view: &TraceView<'_>, seq: u64) -> Option<Event> {
 /// replays, or `None` when the anchor events do not exist or have an
 /// incompatible kind (an inapplicable patch can never validate).
 pub fn build_patch(view: &TraceView<'_>, kind: &FixKind) -> Option<EventPatch> {
-    let mut patch = EventPatch::new();
-    match *kind {
-        FixKind::FlushFence { after_seq, line } => {
-            let anchor = find_event(view, after_seq)?;
-            if matches!(anchor.kind, EventKind::Store { .. }) {
+    PatchShape::of(view, kind)?.build(view)
+}
+
+/// What a fix's edit script is made from. Fixes of one shape have equal
+/// scripts, so a sweep builds and replays each shape once.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum PatchShape {
+    /// A flush+fence anchored at a store: it lands after every store with
+    /// this stack, whichever of them the fix names.
+    FlushStores(StackId),
+    /// Any other fix, placed literally where it says.
+    Literal(FixKind),
+}
+
+impl PatchShape {
+    /// The shape of `kind`, or `None` when its anchor event does not exist.
+    fn of(view: &TraceView<'_>, kind: &FixKind) -> Option<Self> {
+        match *kind {
+            FixKind::FlushFence { after_seq, .. } => {
+                let anchor = find_event(view, after_seq)?;
+                Some(match anchor.kind {
+                    EventKind::Store { .. } => PatchShape::FlushStores(anchor.stack),
+                    _ => PatchShape::Literal(*kind),
+                })
+            }
+            FixKind::LockExtension { .. } => Some(PatchShape::Literal(*kind)),
+        }
+    }
+
+    /// The edit script, or `None` when the shape's events do not exist or
+    /// have an incompatible kind.
+    fn build(self, view: &TraceView<'_>) -> Option<EventPatch> {
+        let mut patch = EventPatch::new();
+        match self {
+            PatchShape::FlushStores(stack) => {
                 // Source-level interpretation: the fix lands after every
                 // dynamic store at the anchor's backtrace, flushing exactly
-                // the lines that occurrence wrote.
-                for ev in view.events.iter() {
-                    if ev.stack != anchor.stack {
-                        continue;
-                    }
+                // the lines that occurrence wrote. Only the events with
+                // that stack are materialized.
+                let stacks = view.events.stacks().iter().enumerate();
+                for (i, _) in stacks.filter(|&(_, &s)| s == stack) {
+                    let ev = view.events.get(i);
                     let EventKind::Store { range, .. } = ev.kind else {
                         continue;
                     };
@@ -525,64 +584,50 @@ pub fn build_patch(view: &TraceView<'_>, kind: &FixKind) -> Option<EventPatch> {
                         },
                     );
                 }
-            } else {
+            }
+            PatchShape::Literal(FixKind::FlushFence { after_seq, line }) => {
                 // Literal placement at a non-store anchor: flush the named
                 // line right there. This is what makes wrong insertion
                 // points falsifiable instead of silently ignored.
-                patch.insert_after(
-                    after_seq,
-                    SyntheticEvent {
-                        tid: anchor.tid,
-                        stack: anchor.stack,
-                        kind: EventKind::Flush { addr: line },
-                    },
-                );
-                patch.insert_after(
-                    after_seq,
-                    SyntheticEvent {
-                        tid: anchor.tid,
-                        stack: anchor.stack,
-                        kind: EventKind::Fence,
-                    },
-                );
-            }
-            Some(patch)
-        }
-        FixKind::LockExtension {
-            lock,
-            from_seq,
-            to_seq,
-        } => {
-            let moved = find_event(view, from_seq)?;
-            find_event(view, to_seq)?;
-            match moved.kind {
-                EventKind::Acquire { lock: l, mode } if l.0 == lock => {
-                    patch.remove(from_seq);
-                    patch.insert_before(
-                        to_seq,
-                        SyntheticEvent {
-                            tid: moved.tid,
-                            stack: moved.stack,
-                            kind: EventKind::Acquire { lock: l, mode },
-                        },
-                    );
-                    Some(patch)
-                }
-                EventKind::Release { lock: l } if l.0 == lock => {
-                    patch.remove(from_seq);
+                let anchor = find_event(view, after_seq)?;
+                for kind in [EventKind::Flush { addr: line }, EventKind::Fence] {
                     patch.insert_after(
-                        to_seq,
+                        after_seq,
                         SyntheticEvent {
-                            tid: moved.tid,
-                            stack: moved.stack,
-                            kind: EventKind::Release { lock: l },
+                            tid: anchor.tid,
+                            stack: anchor.stack,
+                            kind,
                         },
                     );
-                    Some(patch)
                 }
-                _ => None,
+            }
+            PatchShape::Literal(FixKind::LockExtension {
+                lock,
+                from_seq,
+                to_seq,
+            }) => {
+                let moved = find_event(view, from_seq)?;
+                find_event(view, to_seq)?;
+                let synthetic = |kind| SyntheticEvent {
+                    tid: moved.tid,
+                    stack: moved.stack,
+                    kind,
+                };
+                match moved.kind {
+                    EventKind::Acquire { lock: l, mode } if l.0 == lock => {
+                        patch.remove(from_seq);
+                        patch
+                            .insert_before(to_seq, synthetic(EventKind::Acquire { lock: l, mode }));
+                    }
+                    EventKind::Release { lock: l } if l.0 == lock => {
+                        patch.remove(from_seq);
+                        patch.insert_after(to_seq, synthetic(EventKind::Release { lock: l }));
+                    }
+                    _ => return None,
+                }
             }
         }
+        Some(patch)
     }
 }
 

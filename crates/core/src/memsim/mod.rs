@@ -120,7 +120,13 @@ impl SimStats {
 }
 
 /// Everything stage 1 + 2 hand to the lockset analysis.
-#[derive(Debug)]
+///
+/// A running simulation lends its access set so far
+/// ([`StreamSimulator::view`]): the windows closed and the loads recorded
+/// up to that point, with the still-open pieces left out. Its `epochs` can
+/// then be shorter than `vclocks`, and the interning totals in `stats` are
+/// filled in only when the simulation finishes.
+#[derive(Clone, Debug)]
 pub struct AccessSet {
     /// All store windows (including IRH-discarded ones, flagged).
     pub windows: Vec<StoreWindow>,
@@ -151,7 +157,8 @@ pub struct AccessSet {
 
 impl AccessSet {
     /// The epoch stand-in for interned clock `vc`, or `None` when the id
-    /// has no recorded snapshot epoch or the whole run was demoted.
+    /// has no recorded snapshot epoch (or no slot yet, mid-run) or the
+    /// whole run was demoted.
     #[inline]
     pub fn epoch_of(&self, vc: VcId) -> Option<Epoch> {
         if !self.epoch_sound {
@@ -390,7 +397,16 @@ impl StreamSimulator {
 
     /// Running counters (final totals only after [`finish`](Self::finish)).
     pub fn stats(&self) -> &SimStats {
-        &self.core.stats
+        &self.core.access.stats
+    }
+
+    /// The access set so far, borrowed, not copied: the windows closed and
+    /// the loads recorded up to here, and the interners (see
+    /// [`AccessSet`]). Open pieces stay open; closing them, as
+    /// [`finish`](Self::finish) does, would end their windows at a point
+    /// the execution never reached.
+    pub fn view(&self) -> &AccessSet {
+        &self.core.access
     }
 
     /// Closes still-open windows and returns the access set.
@@ -415,14 +431,10 @@ struct SimCore {
     /// is safe.
     lines: FxHashMap<LineId, Vec<OpenPiece>>,
     publication: PublicationTracker,
-    locksets: Interner<Lockset>,
-    vclocks: Interner<VectorClock>,
-    /// Snapshot epochs per interned clock id (see [`AccessSet::epochs`]).
-    vc_epochs: Vec<Option<Epoch>>,
-    epoch_sound: bool,
-    windows: Vec<StoreWindow>,
-    loads: Vec<LoadAccess>,
-    stats: SimStats,
+    /// The output so far: closed windows, recorded loads, the interners
+    /// and the running counters, which [`StreamSimulator::view`] lends out
+    /// and [`finalize`](Self::finalize) completes.
+    access: AccessSet,
 }
 
 impl SimCore {
@@ -442,13 +454,15 @@ impl SimCore {
             threads,
             lines: FxHashMap::default(),
             publication: PublicationTracker::new(),
-            locksets,
-            vclocks,
-            vc_epochs: Vec::new(),
-            epoch_sound: true,
-            windows: Vec::new(),
-            loads: Vec::new(),
-            stats: SimStats::default(),
+            access: AccessSet {
+                windows: Vec::new(),
+                loads: Vec::new(),
+                locksets,
+                vclocks,
+                epochs: Vec::new(),
+                epoch_sound: true,
+                stats: SimStats::default(),
+            },
         };
         // The zero clock is trivially its own snapshot: zero ⊑ anything and
         // `0 ≤ W[t]` always, so any owner works.
@@ -462,11 +476,11 @@ impl SimCore {
     /// wins; the replay is sequential, so this is deterministic.
     fn note_snapshot(&mut self, id: VcId, tid: ThreadId) {
         let i = id.id() as usize;
-        if self.vc_epochs.len() <= i {
-            self.vc_epochs.resize(i + 1, None);
+        if self.access.epochs.len() <= i {
+            self.access.epochs.resize(i + 1, None);
         }
-        if self.vc_epochs[i].is_none() {
-            self.vc_epochs[i] = Some(Epoch::of(tid, self.vclocks.get(id)));
+        if self.access.epochs[i].is_none() {
+            self.access.epochs[i] = Some(Epoch::of(tid, self.access.vclocks.get(id)));
         }
     }
 
@@ -475,8 +489,8 @@ impl SimCore {
     /// interning re-derives the same clock value.
     fn note_opaque(&mut self, id: VcId) {
         let i = id.id() as usize;
-        if self.vc_epochs.len() <= i {
-            self.vc_epochs.resize(i + 1, None);
+        if self.access.epochs.len() <= i {
+            self.access.epochs.resize(i + 1, None);
         }
     }
 
@@ -485,7 +499,7 @@ impl SimCore {
     }
 
     fn step(&mut self, ev: &crate::trace::Event) {
-        self.stats.events += 1;
+        self.access.stats.events += 1;
         // A trace that bypassed the builder (or was salvaged from a
         // corrupt file) can name threads beyond the header count; grow
         // the table instead of indexing out of bounds.
@@ -500,46 +514,46 @@ impl SimCore {
                 atomic,
             } => {
                 if self.filter_pm && !self.is_pm(range) {
-                    self.stats.non_pm_accesses += 1;
+                    self.access.stats.non_pm_accesses += 1;
                 } else {
-                    self.stats.stores += 1;
+                    self.access.stats.stores += 1;
                     self.tick_if_needed(ev.tid);
                     self.on_store(ev.tid, ev.seq, ev.stack, *range, *non_temporal, *atomic);
                 }
             }
             EventKind::Load { range, atomic } => {
                 if self.filter_pm && !self.is_pm(range) {
-                    self.stats.non_pm_accesses += 1;
+                    self.access.stats.non_pm_accesses += 1;
                 } else {
-                    self.stats.loads += 1;
+                    self.access.stats.loads += 1;
                     self.tick_if_needed(ev.tid);
                     self.on_load(ev.tid, ev.seq, ev.stack, *range, *atomic);
                 }
             }
             EventKind::Flush { addr } => {
-                self.stats.flushes += 1;
+                self.access.stats.flushes += 1;
                 self.tick_if_needed(ev.tid);
                 self.on_flush(ev.tid, *addr);
             }
             EventKind::Fence => {
-                self.stats.fences += 1;
+                self.access.stats.fences += 1;
                 self.tick_if_needed(ev.tid);
                 self.on_fence(ev.tid);
             }
             EventKind::Acquire { lock, mode } => {
                 let t = &mut self.threads[ev.tid.index()];
                 t.lock_clock += 1;
-                let ls = self.locksets.get(t.ls_id).with(LockEntry {
+                let ls = self.access.locksets.get(t.ls_id).with(LockEntry {
                     lock: *lock,
                     mode: *mode,
                     acq_ts: t.lock_clock,
                 });
-                t.ls_id = self.locksets.intern(ls);
+                t.ls_id = self.access.locksets.intern(ls);
             }
             EventKind::Release { lock } => {
                 let t = &mut self.threads[ev.tid.index()];
-                let ls = self.locksets.get(t.ls_id).without(*lock);
-                t.ls_id = self.locksets.intern(ls);
+                let ls = self.access.locksets.get(t.ls_id).without(*lock);
+                t.ls_id = self.access.locksets.intern(ls);
             }
             EventKind::ThreadCreate { child } => {
                 self.ensure_thread(*child);
@@ -548,7 +562,7 @@ impl SimCore {
                 let mut child_vc = self.threads[parent].vc.clone();
                 child_vc.tick(*child);
                 let parent_vc = self.threads[parent].vc.clone();
-                let parent_id = self.vclocks.intern(parent_vc);
+                let parent_id = self.access.vclocks.intern(parent_vc);
                 self.threads[parent].vc_id = parent_id;
                 self.threads[parent].needs_tick = true;
                 // Parent just ticked: snapshot.
@@ -567,11 +581,11 @@ impl SimCore {
                     ClockOrder::Before | ClockOrder::Equal
                 ) && c.vc.get(*child) < child_vc.get(*child);
                 if !old_ok {
-                    self.epoch_sound = false;
+                    self.access.epoch_sound = false;
                 }
                 c.vc = child_vc;
                 let cvc = c.vc.clone();
-                let child_id = self.vclocks.intern(cvc);
+                let child_id = self.access.vclocks.intern(cvc);
                 self.threads[child.index()].vc_id = child_id;
                 self.threads[child.index()].needs_tick = true;
                 // Child ticked onto a fresh own-time: snapshot.
@@ -582,7 +596,7 @@ impl SimCore {
                 let w = &mut self.threads[ev.tid.index()];
                 w.vc.merge(&child_vc);
                 let wvc = w.vc.clone();
-                let wid = self.vclocks.intern(wvc);
+                let wid = self.access.vclocks.intern(wvc);
                 self.threads[ev.tid.index()].vc_id = wid;
                 self.threads[ev.tid.index()].needs_tick = true;
                 // The merge grew the clock *without* ticking: the joiner
@@ -592,7 +606,12 @@ impl SimCore {
                 self.note_opaque(wid);
             }
         }
-        if self.stats.events.is_multiple_of(MEMORY_CHECK_INTERVAL) {
+        if self
+            .access
+            .stats
+            .events
+            .is_multiple_of(MEMORY_CHECK_INTERVAL)
+        {
             self.enforce_budget();
         }
     }
@@ -603,11 +622,11 @@ impl SimCore {
     fn approx_live_bytes(&self) -> u64 {
         use std::mem::size_of;
         let open: usize = self.lines.values().map(Vec::len).sum();
-        (self.windows.len() * size_of::<StoreWindow>()) as u64
-            + (self.loads.len() * size_of::<LoadAccess>()) as u64
+        (self.access.windows.len() * size_of::<StoreWindow>()) as u64
+            + (self.access.loads.len() * size_of::<LoadAccess>()) as u64
             + (open * size_of::<OpenPiece>()) as u64
-            + self.locksets.len() as u64 * 64
-            + self.vclocks.len() as u64 * (8 * self.threads.len() as u64 + 32)
+            + self.access.locksets.len() as u64 * 64
+            + self.access.vclocks.len() as u64 * (8 * self.threads.len() as u64 + 32)
     }
 
     /// Degrades instead of aborting when the memory budget is exceeded:
@@ -624,15 +643,15 @@ impl SimCore {
         if live <= limit {
             return;
         }
-        self.stats.memory_budget_hit = true;
+        self.access.stats.memory_budget_hit = true;
         let target = limit - limit / 4;
         let need = live.saturating_sub(target);
         let wsz = std::mem::size_of::<StoreWindow>() as u64;
         let lsz = std::mem::size_of::<LoadAccess>() as u64;
-        let w0 = self.windows.len();
-        let l0 = self.loads.len();
+        let w0 = self.access.windows.len();
+        let l0 = self.access.loads.len();
         let mut freed = 0u64;
-        self.windows.retain(|w| {
+        self.access.windows.retain(|w| {
             if freed >= need || !w.irh_discarded {
                 true
             } else {
@@ -640,7 +659,7 @@ impl SimCore {
                 false
             }
         });
-        self.loads.retain(|l| {
+        self.access.loads.retain(|l| {
             if freed >= need || !l.irh_dropped {
                 true
             } else {
@@ -648,7 +667,7 @@ impl SimCore {
                 false
             }
         });
-        self.windows.retain(|_| {
+        self.access.windows.retain(|_| {
             if freed >= need {
                 true
             } else {
@@ -656,7 +675,7 @@ impl SimCore {
                 false
             }
         });
-        self.loads.retain(|_| {
+        self.access.loads.retain(|_| {
             if freed >= need {
                 true
             } else {
@@ -664,36 +683,29 @@ impl SimCore {
                 false
             }
         });
-        self.stats.windows_evicted += (w0 - self.windows.len()) as u64;
-        self.stats.loads_evicted += (l0 - self.loads.len()) as u64;
+        self.access.stats.windows_evicted += (w0 - self.access.windows.len()) as u64;
+        self.access.stats.loads_evicted += (l0 - self.access.loads.len()) as u64;
         // retain() keeps capacity; give the memory back so the budget
         // holds for the process, not just the model.
-        self.windows.shrink_to_fit();
-        self.loads.shrink_to_fit();
+        self.access.windows.shrink_to_fit();
+        self.access.loads.shrink_to_fit();
     }
 
     fn finalize(mut self) -> AccessSet {
         self.close_remaining();
-        self.stats.distinct_locksets = self.locksets.len() as u64;
-        self.stats.distinct_vclocks = self.vclocks.len() as u64;
-        self.stats.intern_requests = self.locksets.requests() + self.vclocks.requests();
-        self.stats.tracked_words = self.publication.tracked_words() as u64;
-        self.vc_epochs.resize(self.vclocks.len(), None);
-        AccessSet {
-            windows: self.windows,
-            loads: self.loads,
-            locksets: self.locksets,
-            vclocks: self.vclocks,
-            epochs: self.vc_epochs,
-            epoch_sound: self.epoch_sound,
-            stats: self.stats,
-        }
+        let out = &mut self.access;
+        out.stats.distinct_locksets = out.locksets.len() as u64;
+        out.stats.distinct_vclocks = out.vclocks.len() as u64;
+        out.stats.intern_requests = out.locksets.requests() + out.vclocks.requests();
+        out.stats.tracked_words = self.publication.tracked_words() as u64;
+        out.epochs.resize(out.vclocks.len(), None);
+        self.access
     }
 
     fn ensure_thread(&mut self, tid: ThreadId) {
         if self.threads.len() <= tid.index() {
-            let empty_ls = self.locksets.intern(Lockset::empty());
-            let zero_vc = self.vclocks.intern(VectorClock::new());
+            let empty_ls = self.access.locksets.intern(Lockset::empty());
+            let zero_vc = self.access.vclocks.intern(VectorClock::new());
             self.threads
                 .resize_with(tid.index() + 1, || ThreadState::new(empty_ls, zero_vc));
         }
@@ -707,7 +719,7 @@ impl SimCore {
             t.vc.tick(tid);
             t.needs_tick = false;
             let vc = t.vc.clone();
-            let id = self.vclocks.intern(vc);
+            let id = self.access.vclocks.intern(vc);
             self.threads[tid.index()].vc_id = id;
             // The tick just moved `tid` to a fresh own-time: this is the
             // first (minimal) value the thread has there, i.e. a snapshot.
@@ -746,16 +758,16 @@ impl SimCore {
                 non_temporal,
                 pending_fence: ThreadSet::default(),
             };
-            self.stats.windows_created += 1;
+            self.access.stats.windows_created += 1;
             if self.cfg.eadr {
                 // eADR: visibility implies durability — the window is
                 // zero-length and fully protected by the store's lockset.
                 // No piece ever stays open, so there is nothing to close.
                 let discarded = self.cfg.irh && self.publication.all_private_to(tid, &piece.range);
-                self.stats.windows_persisted += 1;
-                self.stats.irh_discarded_windows += u64::from(discarded);
+                self.access.stats.windows_persisted += 1;
+                self.access.stats.irh_discarded_windows += u64::from(discarded);
                 let w = piece.window(piece.range, ls, Some(vc), CloseReason::Persisted, discarded);
-                self.windows.push(w);
+                self.access.windows.push(w);
                 continue;
             }
             // Close / shrink the open pieces this store overlaps, in place:
@@ -770,11 +782,11 @@ impl SimCore {
                 };
                 let old = &pieces[i];
                 let effective_ls =
-                    effective_lockset(&mut self.locksets, old.store_ls, ls, old.tid == tid);
-                self.stats.windows_overwritten += 1;
+                    effective_lockset(&mut self.access.locksets, old.store_ls, ls, old.tid == tid);
+                self.access.stats.windows_overwritten += 1;
                 // Overwritten stores are never IRH-discarded (§3.1.3).
                 let w = old.window(hit, effective_ls, Some(vc), CloseReason::Overwritten, false);
-                self.windows.push(w);
+                self.access.windows.push(w);
                 match old.range.subtract(&range) {
                     (None, None) => {
                         pieces.remove(i);
@@ -806,10 +818,10 @@ impl SimCore {
         let private = self.publication.record_private_access(tid, &range);
         let dropped = self.cfg.irh && private;
         if dropped {
-            self.stats.irh_dropped_loads += 1;
+            self.access.stats.irh_dropped_loads += 1;
         }
         let t = &self.threads[tid.index()];
-        self.loads.push(LoadAccess {
+        self.access.loads.push(LoadAccess {
             tid,
             seq,
             stack,
@@ -850,18 +862,18 @@ impl SimCore {
                     return true;
                 }
                 let effective_ls = effective_lockset(
-                    &mut self.locksets,
+                    &mut self.access.locksets,
                     piece.store_ls,
                     fencer_ls,
                     piece.tid == tid,
                 );
                 let discarded =
                     self.cfg.irh && self.publication.all_private_to(piece.tid, &piece.range);
-                self.stats.windows_persisted += 1;
-                self.stats.irh_discarded_windows += u64::from(discarded);
+                self.access.stats.windows_persisted += 1;
+                self.access.stats.irh_discarded_windows += u64::from(discarded);
                 let close = CloseReason::Persisted;
                 let w = piece.window(piece.range, effective_ls, Some(fencer_vc), close, discarded);
-                self.windows.push(w);
+                self.access.windows.push(w);
                 false
             });
             if pieces.is_empty() {
@@ -879,13 +891,14 @@ impl SimCore {
     /// protected a persist that never happened, so the effective lockset is
     /// empty and the close clock unbounded.
     fn close_remaining(&mut self) {
-        let empty_ls = self.locksets.intern(Lockset::empty());
+        let empty_ls = self.access.locksets.intern(Lockset::empty());
         let mut lines: Vec<_> = std::mem::take(&mut self.lines).into_iter().collect();
         lines.sort_by_key(|(l, _)| *l);
         for piece in lines.iter().flat_map(|(_, pieces)| pieces) {
-            self.stats.windows_unpersisted += 1;
+            self.access.stats.windows_unpersisted += 1;
             let close = CloseReason::NeverPersisted;
-            self.windows
+            self.access
+                .windows
                 .push(piece.window(piece.range, empty_ls, None, close, false));
         }
     }

@@ -10,8 +10,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Heartbeat sentinel: the worker holds no job.
-const IDLE: u64 = u64::MAX;
+/// Heartbeat flag bit: the worker holds a job. The bits above it count
+/// beats.
+const BUSY: u64 = 1;
 
 /// A worker's liveness cell, handed to every job of
 /// [`map_indexed_watched`]. The map beats once when a job is claimed;
@@ -19,19 +20,21 @@ const IDLE: u64 = u64::MAX;
 /// from their inner loop so the watchdog can tell "slow but alive" from
 /// "stuck".
 pub struct Heartbeat<'a> {
-    epoch: Instant,
     cell: &'a AtomicU64,
 }
 
 impl Heartbeat<'_> {
-    /// Records "alive now".
+    /// Records progress. A beat reads no clock: it bumps the worker's beat
+    /// count, and the watchdog times how long a count stays unchanged. Only
+    /// the owning worker writes its cell, so a load and a store suffice.
     pub fn beat(&self) {
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        self.cell.store(now, Ordering::Relaxed);
+        let v = self.cell.load(Ordering::Relaxed);
+        self.cell.store((v + 2) | BUSY, Ordering::Relaxed);
     }
 
     fn idle(&self) {
-        self.cell.store(IDLE, Ordering::Relaxed);
+        let v = self.cell.load(Ordering::Relaxed);
+        self.cell.store(v & !BUSY, Ordering::Relaxed);
     }
 }
 
@@ -71,7 +74,8 @@ pub fn effective_threads(requested: usize) -> usize {
 /// Every job receives a [`Heartbeat`] it should beat from long inner
 /// loops. When a [`Watchdog`] is supplied, a supervisor thread polls the
 /// heartbeats (at `timeout / 8`, clamped to 1–50 ms) and calls `on_stall`
-/// once if any job-holding worker goes silent for longer than `timeout`.
+/// once if any job-holding worker goes silent for longer than `timeout`:
+/// its beat count has not moved since a poll that long ago.
 /// The map itself never cancels anything — `on_stall` is expected to trip
 /// a cooperative stop flag the jobs already honor — and still returns all
 /// results in index order. The third return value reports whether a stall
@@ -98,9 +102,8 @@ where
     }
     if workers <= 1 && watchdog.is_none() {
         let started = Instant::now();
-        let epoch = started;
-        let cell = AtomicU64::new(IDLE);
-        let hb = Heartbeat { epoch, cell: &cell };
+        let cell = AtomicU64::new(0);
+        let hb = Heartbeat { cell: &cell };
         let out: Vec<T> = (0..jobs)
             .map(|i| {
                 hb.beat();
@@ -112,9 +115,8 @@ where
         return (out, vec![started.elapsed()], false);
     }
     let workers = workers.max(1);
-    let epoch = Instant::now();
     let cursor = AtomicUsize::new(0);
-    let cells: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(IDLE)).collect();
+    let cells: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let workers_done = AtomicBool::new(false);
     let stalled = AtomicBool::new(false);
     let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
@@ -124,7 +126,7 @@ where
         for cell in &cells {
             handles.push(scope.spawn(|| {
                 let started = Instant::now();
-                let hb = Heartbeat { epoch, cell };
+                let hb = Heartbeat { cell };
                 let mut done = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -140,23 +142,31 @@ where
         }
         if let Some(wd) = &watchdog {
             let poll = (wd.timeout / 8).clamp(Duration::from_millis(1), Duration::from_millis(50));
-            let timeout_ns = wd.timeout.as_nanos() as u64;
+            let timeout = wd.timeout;
             let on_stall = wd.on_stall;
             let (workers_done, cells, stalled) = (&workers_done, &cells, &stalled);
-            scope.spawn(move || loop {
-                if workers_done.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(poll);
-                let now = epoch.elapsed().as_nanos() as u64;
-                let stuck = cells.iter().any(|c| {
-                    let v = c.load(Ordering::Relaxed);
-                    v != IDLE && now.saturating_sub(v) > timeout_ns
-                });
-                if stuck {
-                    stalled.store(true, Ordering::SeqCst);
-                    on_stall();
-                    return;
+            scope.spawn(move || {
+                // Per worker: the heartbeat word last polled, and when it
+                // was first seen.
+                let mut seen: Vec<(u64, Instant)> = vec![(0, Instant::now()); cells.len()];
+                loop {
+                    if workers_done.load(Ordering::Acquire) {
+                        return;
+                    }
+                    std::thread::sleep(poll);
+                    let now = Instant::now();
+                    let stuck = cells.iter().zip(&mut seen).any(|(c, (last, since))| {
+                        let v = c.load(Ordering::Relaxed);
+                        if v != *last {
+                            (*last, *since) = (v, now);
+                        }
+                        v & BUSY != 0 && now - *since > timeout
+                    });
+                    if stuck {
+                        stalled.store(true, Ordering::SeqCst);
+                        on_stall();
+                        return;
+                    }
                 }
             });
         }

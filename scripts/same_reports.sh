@@ -43,6 +43,12 @@ flag_sets=(
     "--memory-budget 65536"
     "--memory-budget 1048576"
     "--memory-budget 8388608"
+    "--suggest-fixes --stream"
+    "--suggest-fixes --lenient"
+    "--suggest-fixes --threads 1"
+    "--suggest-fixes --memory-budget 1048576"
+    "--suggest-fixes --max-pairs 20000"
+    "--suggest-fixes --store-store"
 )
 
 # Zeroes the value of every key ending in `_ms`, at any depth. Output that

@@ -11,10 +11,11 @@
 //!    every verdict, `false` ones included, must equal the one-by-one
 //!    full replay of [`RepairValidator::validates`].
 //!    That holds under the default config, where most verdicts are
-//!    decided by pairing the target's site pair alone, and under a
-//!    candidate-pair budget and the store-store pass, where that rule
-//!    must stand down. Each function runs under two call stacks, so one
-//!    site pair spans several stack pairs.
+//!    decided by pairing the target's site pair alone, often before the
+//!    replay ends, and under a candidate-pair budget and the store-store
+//!    pass, where that rule must stand down, and under an evicting memory
+//!    budget, where replays must run to the end. Each function runs under
+//!    two call stacks, so one site pair spans several stack pairs.
 //! 2. **Rejection of wrong insertion points** — fuzzed patch placements
 //!    that provably cannot repair anything (anchors past the end of the
 //!    trace, flush+fence before any store dirtied the line, lock
@@ -23,7 +24,7 @@
 
 use hawkset::core::addr::AddrRange;
 use hawkset::core::analysis::{
-    AnalysisBudget, AnalysisConfig, Analyzer, FixKind, FixStatus, RepairValidator,
+    AnalysisBudget, AnalysisConfig, Analyzer, BudgetExceeded, FixKind, FixStatus, RepairValidator,
 };
 use hawkset::core::trace::{
     EventKind, Frame, LockId, LockMode, ThreadId, Trace, TraceBuilder, TraceView,
@@ -36,6 +37,11 @@ use proptest::prelude::*;
 /// conflicting accesses. Each of the four functions is reached from two
 /// callers: two stacks with one innermost frame, hence one site.
 fn arb_racy_trace() -> impl Strategy<Value = Trace> {
+    racy_traces(4..90)
+}
+
+/// [`arb_racy_trace`]'s traces with `ops` operations.
+fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
     let ops = proptest::collection::vec(
         (
             0u8..8,
@@ -45,7 +51,7 @@ fn arb_racy_trace() -> impl Strategy<Value = Trace> {
             any::<bool>(),
             any::<bool>(),
         ),
-        4..90,
+        ops,
     );
     (ops, 2u32..4).prop_map(|(ops, workers)| {
         let mut b = TraceBuilder::new();
@@ -180,10 +186,13 @@ proptest! {
     /// Every verdict equals an independent full replay of its patch: a
     /// fix is never falsely demoted, and a candidate never falsely
     /// validated. Checked under the default config, under a small
-    /// candidate-pair budget, and with the store-store pass on.
+    /// candidate-pair budget, with the store-store pass on, and under a
+    /// memory budget that evicts. The simulator checks that budget every
+    /// 256 events, so it runs on a longer trace.
     #[test]
     fn every_verdict_matches_an_independent_replay(
         trace in arb_racy_trace(),
+        long in racy_traces(400..480),
         max_pairs in 1u64..32,
     ) {
         let budgeted = AnalysisConfig {
@@ -197,9 +206,25 @@ proptest! {
             check_store_store: true,
             ..AnalysisConfig::default()
         };
-        for cfg in [AnalysisConfig::default(), budgeted, store_store] {
-            let report = Analyzer::new(cfg.clone()).suggest_fixes(true).run(&trace);
-            let view = TraceView::full(&trace);
+        let evicting = AnalysisConfig {
+            budget: AnalysisBudget {
+                memory_budget: Some(2048),
+                ..AnalysisBudget::default()
+            },
+            ..AnalysisConfig::default()
+        };
+        let runs = [
+            (&trace, AnalysisConfig::default()),
+            (&trace, budgeted),
+            (&trace, store_store),
+            (&long, evicting),
+        ];
+        for (trace, cfg) in runs {
+            let report = Analyzer::new(cfg.clone()).suggest_fixes(true).run(trace);
+            if cfg.budget.memory_budget.is_some() {
+                prop_assert_eq!(report.coverage.reason, Some(BudgetExceeded::MemoryBudget));
+            }
+            let view = TraceView::full(trace);
             let validator = RepairValidator::new(&view, &report.races, &cfg);
             let suggestions = report.fixes.as_ref().map_or(&[][..], |f| &f.suggestions);
             for s in suggestions {
