@@ -112,9 +112,9 @@ impl SiteKey {
 /// `race`'s stacks has no site, so each side is "`race`'s own stack".
 pub(crate) struct SitePair {
     /// By stack id: whether windows with that stack belong.
-    stores: Vec<bool>,
+    pub(crate) stores: Vec<bool>,
     /// By stack id: whether loads with that stack belong.
-    loads: Vec<bool>,
+    pub(crate) loads: Vec<bool>,
 }
 
 impl SitePair {
@@ -426,64 +426,6 @@ impl PairingCtx<'_> {
         self.norm_of_raw[raw.id() as usize]
     }
 
-    /// The happens-before filter of Algorithm 1 line 17, computed on a memo
-    /// miss: the pair is ordered (cannot race) if the load happened-before
-    /// the store became visible, or the value was guaranteed persisted (or
-    /// gone) before the load could run.
-    ///
-    /// Both directions are `X ⊑ W` queries where `X` is a thread snapshot
-    /// clock — exactly the shape the FastTrack-style [`Epoch`] compression
-    /// answers in O(1) (`X ⊑ W ⟺ X.time ≤ W[X.tid]`). The full
-    /// vector comparison remains as the fallback for ids without a recorded
-    /// snapshot epoch (post-join merges) and for epoch-demoted runs
-    /// (ill-formed unvalidated traces, [`AccessSet::epoch_sound`]).
-    fn hb_ordered(&self, win: &StoreWindow, ld_vc: VcId) -> bool {
-        let load_vc = self.access.vclocks.get(ld_vc);
-        let load_before_store = match self.access.epoch_of(ld_vc) {
-            Some(e) => {
-                let fast = e.le_clock(self.access.vclocks.get(win.store_vc));
-                debug_assert_eq!(
-                    fast,
-                    matches!(
-                        load_vc.compare(self.access.vclocks.get(win.store_vc)),
-                        ClockOrder::Before | ClockOrder::Equal
-                    ),
-                    "epoch fast path diverged from full clocks (load ⊑ store)"
-                );
-                fast
-            }
-            None => matches!(
-                load_vc.compare(self.access.vclocks.get(win.store_vc)),
-                ClockOrder::Before | ClockOrder::Equal
-            ),
-        };
-        if load_before_store {
-            return true;
-        }
-        match win.close_vc {
-            Some(cvc) => match self.access.epoch_of(cvc) {
-                Some(e) => {
-                    let fast = e.le_clock(load_vc);
-                    debug_assert_eq!(
-                        fast,
-                        matches!(
-                            self.access.vclocks.get(cvc).compare(load_vc),
-                            ClockOrder::Before | ClockOrder::Equal
-                        ),
-                        "epoch fast path diverged from full clocks (close ⊑ load)"
-                    );
-                    fast
-                }
-                None => matches!(
-                    self.access.vclocks.get(cvc).compare(load_vc),
-                    ClockOrder::Before | ClockOrder::Equal
-                ),
-            },
-            // Never persisted: the window is unbounded.
-            None => false,
-        }
-    }
-
     /// Counts the candidate pairs of one window group without classifying
     /// them — the cross-thread, byte-overlapping pairs the main loop
     /// *would* have examined. Used to account for the tail a tripped pair
@@ -614,7 +556,7 @@ impl PairingCtx<'_> {
                             v
                         }
                         None => {
-                            let v = self.hb_ordered(win, VcId::from_raw(lp.vc));
+                            let v = hb_ordered(self.access, win, VcId::from_raw(lp.vc));
                             hb_memo.insert(key, v);
                             v
                         }
@@ -716,6 +658,37 @@ impl PairingCtx<'_> {
             .add(out.candidate_pairs + out.pairs_budget_dropped);
         out
     }
+}
+
+/// Whether interned clock `a` happens-before or equals `b` (`a ⊑ b`).
+///
+/// Both happens-before queries of the pairing have this shape with `a` a
+/// thread snapshot clock, which the FastTrack-style
+/// [`Epoch`](crate::vclock::Epoch) compression answers in O(1)
+/// (`a ⊑ b ⟺ a.time ≤ b[a.tid]`). The full vector comparison remains as
+/// the fallback for ids without a recorded snapshot epoch (post-join
+/// merges) and for epoch-demoted runs (ill-formed unvalidated traces,
+/// [`AccessSet::epoch_sound`]).
+pub(crate) fn clock_le(access: &AccessSet, a: VcId, b: VcId) -> bool {
+    let (ca, cb) = (access.vclocks.get(a), access.vclocks.get(b));
+    let full = || matches!(ca.compare(cb), ClockOrder::Before | ClockOrder::Equal);
+    match access.epoch_of(a) {
+        Some(e) => {
+            let fast = e.le_clock(cb);
+            debug_assert_eq!(fast, full(), "epoch fast path diverged from full clocks");
+            fast
+        }
+        None => full(),
+    }
+}
+
+/// The happens-before filter of Algorithm 1 line 17: a window and a load
+/// with clock `ld_vc` are ordered (cannot race) if the load happened-before
+/// the store became visible, or the value was guaranteed persisted (or
+/// gone) before the load could run. A never-persisted window is unbounded.
+pub(crate) fn hb_ordered(access: &AccessSet, win: &StoreWindow, ld_vc: VcId) -> bool {
+    clock_le(access, ld_vc, win.store_vc)
+        || win.close_vc.is_some_and(|c| clock_le(access, c, ld_vc))
 }
 
 /// Splits `max_candidate_pairs` into per-shard slices proportional to each

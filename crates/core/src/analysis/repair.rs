@@ -34,15 +34,15 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{line_base, line_of};
-use crate::hash::FxHashMap;
+use crate::addr::{line_base, line_of, AddrRange};
+use crate::hash::{FxHashMap, FxHashSet};
+use crate::irh::PublicationTracker;
 use crate::memsim::patch::{simulate_patched, simulate_patches, EventPatch, Fork, SyntheticEvent};
-use crate::memsim::{AccessSet, LoadAccess, StoreWindow};
+use crate::memsim::{line_pieces, AccessSet, LoadAccess, LsId, StoreWindow, VcId};
 use crate::obs::MetricsRegistry;
-use crate::trace::{Event, EventKind, LockId, StackId, TraceView};
-use crate::vclock::ClockOrder;
+use crate::trace::{Event, EventKind, LockId, StackId, ThreadId, TraceView};
 
-use super::engine::{self, PairingControls, SitePair};
+use super::engine::{self, AddrIndex, PairingControls, SitePair};
 use super::report::{AnalysisReport, Race, RaceKey};
 use super::AnalysisConfig;
 
@@ -219,10 +219,90 @@ impl<'a> RepairValidator<'a> {
             .is_some_and(|patched| self.verdict(&keys(&patched), target))
     }
 
+    /// Whether the Refute step fails `kind` for `target` without a replay:
+    /// `kind` is a store-anchored flush, and one of the windows it closes
+    /// in place races with a load at `target`'s site pair. `baseline` must
+    /// be the simulation of the view the validator replays. A `true` here
+    /// implies that [`validates`](Self::validates) is `false`; a `false`
+    /// decides nothing.
+    pub fn refutes(&self, baseline: &AccessSet, kind: &FixKind, target: RaceKey) -> bool {
+        let base = Baseline::new(baseline, &self.cfg);
+        self.refute_all(&base, &[(*kind, target)])[0]
+    }
+
+    /// Whether the site-pair rule holds: the full pairing reaches every
+    /// site pair (no candidate-pair budget) and reports no store-store
+    /// races, whose keys can equal a load race's.
+    fn site_rule(&self) -> bool {
+        self.cfg.budget.max_candidate_pairs.is_none() && !self.cfg.check_store_store
+    }
+
+    /// The Refute step: for each `(kind, target)`, whether `kind` fails
+    /// `target` on the baseline alone (DESIGN.md §4k).
+    ///
+    /// A store-anchored flush puts a flush and a fence right after every
+    /// store with the anchor's stack. In the replay each PM piece of such
+    /// a store closes at its own fence, persisted: its close clock is the
+    /// store's clock, and its effective lockset the store's own lockset.
+    /// No load, lockset or clock changes. So if that window races with a
+    /// baseline load at `target`'s site pair, the replay races there, and
+    /// the site-pair rule fails `target`. The IRH decides the window's fate
+    /// right after the store, on the publication state the baseline had
+    /// there, which one pass over the view's PM accesses reproduces.
+    ///
+    /// Without its preconditions nothing is refuted: the site-pair rule's
+    /// own two, no memory budget (eviction can drop the window or the load
+    /// from the replay), and no eADR. A stack with a store outside every
+    /// PM region is never refuted either: `SimCore::step` ticks a clock
+    /// for the flush after it, but never for such a store, so the patch
+    /// can change every later clock of that thread.
+    fn refute_all(&self, base: &Baseline<'_>, candidates: &[(FixKind, RaceKey)]) -> Vec<bool> {
+        let cfg = &self.cfg;
+        if !self.site_rule() || cfg.budget.memory_budget.is_some() || cfg.eadr {
+            return vec![false; candidates.len()];
+        }
+        let anchors: Vec<Option<StackId>> = candidates
+            .iter()
+            .map(|(kind, _)| match PatchShape::of(self.view, kind)? {
+                PatchShape::FlushStores(stack) => Some(stack),
+                PatchShape::Literal(_) => None,
+            })
+            .collect();
+        let stacks: FxHashSet<StackId> = anchors.iter().flatten().copied().collect();
+        if stacks.is_empty() {
+            return vec![false; candidates.len()];
+        }
+        let pieces = anchored_pieces(self.view, base, &stacks);
+        let loads_by_addr = AddrIndex::build(
+            base.live_loads
+                .iter()
+                .map(|&i| base.access.loads[i as usize].range),
+        );
+        let mut sites: BTreeMap<RaceKey, SitePair> = BTreeMap::new();
+        candidates
+            .iter()
+            .zip(anchors)
+            .map(|((_, target), anchor)| {
+                let Some(stack) = anchor else {
+                    return false;
+                };
+                let Some(Some(pieces)) = pieces.get(&stack) else {
+                    return false;
+                };
+                let site = sites
+                    .entry(*target)
+                    .or_insert_with(|| SitePair::of(self.view.stacks, *target));
+                site.stores[stack as usize] && base.races_in_place(&loads_by_addr, pieces, site)
+            })
+            .collect()
+    }
+
     /// [`validates`](Self::validates) for every `(kind, target)` pair, from
     /// one shared simulation: each distinct patch is built and replayed
     /// once, forked from the recorded prefix at its first edit
-    /// ([`simulate_patches`]).
+    /// ([`simulate_patches`]). A pair the Refute step decided
+    /// (`refuted[k]`, see [`refutes`](Self::refutes)) fails without a
+    /// replay, and a patch whose targets are all refuted is never built.
     ///
     /// A patched replay that still races at a target's site pair fails that
     /// target, so each target is first paired on its site pair alone
@@ -239,42 +319,30 @@ impl<'a> RepairValidator<'a> {
     /// once every target of the patch races there, the fork stops with all
     /// of them failed. What a pause holds is part of the finished replay
     /// (`simulate_patches` pauses only without a memory budget), so a pair
-    /// that races there races at the end too. Debug builds finish stopped
-    /// forks anyway and re-prove the stop: every target still races at its
-    /// site pair, and the full verdict fails. A verdict is a pure function
+    /// that races there races at the end too. A verdict is a pure function
     /// of the patched event stream, so the results equal the one-by-one
     /// verdicts.
-    fn validates_all(&self, candidates: &[(FixKind, RaceKey)]) -> Vec<bool> {
-        // Candidates whose patches are equal share one build and one replay:
-        // a store-anchored flush patches every store at the anchor's stack.
-        let mut slot_of: FxHashMap<PatchShape, Option<usize>> = FxHashMap::default();
-        let mut patches: Vec<EventPatch> = Vec::new();
-        let mut targets: Vec<Vec<RaceKey>> = Vec::new();
-        let slots: Vec<Option<usize>> = candidates
-            .iter()
-            .map(|(kind, target)| {
-                let shape = PatchShape::of(self.view, kind)?;
-                // An inapplicable shape is remembered as `None`.
-                let slot = *slot_of.entry(shape).or_insert_with(|| {
-                    patches.push(shape.build(self.view)?);
-                    targets.push(Vec::new());
-                    Some(patches.len() - 1)
-                });
-                let i = slot?;
-                if !targets[i].contains(target) {
-                    targets[i].push(*target);
-                }
-                Some(i)
-            })
-            .collect();
+    ///
+    /// Debug builds re-prove both shortcuts. They replay the refuted
+    /// patches too and assert that every refuted target races at its site
+    /// pair in the finished replay and fails the full verdict. They finish
+    /// stopped forks anyway and assert that every target still races at
+    /// its site pair and fails the full verdict.
+    fn validates_all(&self, candidates: &[(FixKind, RaceKey)], refuted: &[bool]) -> Vec<bool> {
+        let SweepPlan {
+            patches,
+            targets,
+            proofs,
+            slots,
+        } = self.plan_sweep(candidates, refuted);
         // Without the rule's preconditions no target has a site pair to
         // try, and every replay is paired in full.
-        let fail_fast =
-            self.cfg.budget.max_candidate_pairs.is_none() && !self.cfg.check_store_store;
+        let site_rule = self.site_rule();
         let sites: BTreeMap<RaceKey, SitePair> = targets
             .iter()
+            .chain(&proofs)
             .flatten()
-            .filter(|_| fail_fast)
+            .filter(|_| site_rule)
             .map(|t| (*t, SitePair::of(self.view.stacks, *t)))
             .collect();
         let raced = |access: &AccessSet, t: &RaceKey| {
@@ -303,8 +371,9 @@ impl<'a> RepairValidator<'a> {
                 // Debug builds pair decided replays in full too, to re-prove
                 // the rule on every test that suggests fixes.
                 let full = access
+                    .as_ref()
                     .filter(|_| failed.contains(&false) || cfg!(debug_assertions))
-                    .map(|access| keys(&self.pair(&access)));
+                    .map(|access| keys(&self.pair(access)));
                 for (t, failed) in targets[i].iter().zip(failed) {
                     let verdict = full.as_ref().map(|keys| self.verdict(keys, *t));
                     debug_assert!(
@@ -314,13 +383,64 @@ impl<'a> RepairValidator<'a> {
                     let ok = !failed && verdict.expect("undecided targets are paired in full");
                     verdicts.insert((i, *t), ok);
                 }
+                for t in &proofs[i] {
+                    let access = access.as_ref().expect("debug builds finish every fork");
+                    assert!(
+                        raced(access, t),
+                        "{t:?} was refuted, yet patch {i} does not race at its site pair"
+                    );
+                    let verdict = full.as_ref().map(|keys| self.verdict(keys, *t));
+                    assert_eq!(verdict, Some(false), "{t:?} was refuted, yet validated");
+                }
             },
         );
         candidates
             .iter()
             .zip(slots)
-            .map(|((_, target), slot)| slot.is_some_and(|i| verdicts[&(i, *target)]))
+            .zip(refuted)
+            .map(|(((_, target), slot), &refuted)| {
+                !refuted && slot.is_some_and(|i| verdicts[&(i, *target)])
+            })
             .collect()
+    }
+
+    /// The patches a sweep replays: each distinct applicable shape once,
+    /// with the targets its replay decides. Candidates whose patches are
+    /// equal share one build and one replay: a store-anchored flush patches
+    /// every store at the anchor's stack. A refuted target is decided
+    /// already; release builds replay no patch for it, debug builds list it
+    /// among the patch's proofs.
+    fn plan_sweep(&self, candidates: &[(FixKind, RaceKey)], refuted: &[bool]) -> SweepPlan {
+        let mut slot_of: FxHashMap<PatchShape, Option<usize>> = FxHashMap::default();
+        let mut plan = SweepPlan::default();
+        plan.slots = candidates
+            .iter()
+            .zip(refuted)
+            .map(|((kind, target), &refuted)| {
+                if refuted && !cfg!(debug_assertions) {
+                    return None;
+                }
+                let shape = PatchShape::of(self.view, kind)?;
+                // An inapplicable shape is remembered as `None`.
+                let slot = *slot_of.entry(shape).or_insert_with(|| {
+                    plan.patches.push(shape.build(self.view)?);
+                    plan.targets.push(Vec::new());
+                    plan.proofs.push(Vec::new());
+                    Some(plan.patches.len() - 1)
+                });
+                let i = slot?;
+                let list = if refuted {
+                    &mut plan.proofs[i]
+                } else {
+                    &mut plan.targets[i]
+                };
+                if !list.contains(target) {
+                    list.push(*target);
+                }
+                Some(i)
+            })
+            .collect();
+        plan
     }
 
     fn pair(&self, access: &AccessSet) -> AnalysisReport {
@@ -348,6 +468,19 @@ impl<'a> RepairValidator<'a> {
     }
 }
 
+/// What [`RepairValidator::plan_sweep`] hands the sweep.
+#[derive(Default)]
+struct SweepPlan {
+    /// One edit script per distinct applicable shape.
+    patches: Vec<EventPatch>,
+    /// Per patch: the targets its replay decides.
+    targets: Vec<Vec<RaceKey>>,
+    /// Per patch: the refuted targets its replay re-proves (debug builds).
+    proofs: Vec<Vec<RaceKey>>,
+    /// Per candidate: its patch, or `None` when it has none to replay.
+    slots: Vec<Option<usize>>,
+}
+
 fn keys(report: &AnalysisReport) -> Vec<RaceKey> {
     report.races.iter().map(|r| r.key).collect()
 }
@@ -355,8 +488,14 @@ fn keys(report: &AnalysisReport) -> Vec<RaceKey> {
 /// Computes one suggestion per non-store-store race in `races`, each
 /// validated by replay. `access` must be the access set the report was
 /// derived from (the witnesses are matched against it), and `view` the
-/// event stream that produced it. `access` is dropped once the witnesses
-/// are found, before the replays build access sets of their own.
+/// event stream that produced it.
+///
+/// Four steps (DESIGN.md §4k): *Plan* finds each race's witness and lists
+/// its candidate patches; *Refute* fails the flushes that the baseline
+/// already proves wrong; *Sweep* replays the remaining patches over one
+/// shared simulation ([`RepairValidator`]); *Assembly* picks each race's
+/// suggestion. `access` is dropped before the Sweep builds access sets of
+/// its own.
 pub fn suggest(
     view: &TraceView<'_>,
     access: AccessSet,
@@ -366,6 +505,8 @@ pub fn suggest(
     if races.is_empty() || cfg.eadr {
         return Vec::new();
     }
+    let validator = RepairValidator::new(view, races, cfg);
+    let base = Baseline::new(&access, &validator.cfg);
     // Plan: each race's candidate shapes in synthesis order — the
     // flush+fence at the witness store's line, then, since the flush alone
     // does not protect a window without a shared lock or happens-before,
@@ -376,7 +517,7 @@ pub fn suggest(
         .iter()
         .filter(|race| !race.store_store)
         .filter_map(|race| {
-            let (win, load) = find_witness(&access, cfg, race)?;
+            let (win, load) = base.find_witness(race)?;
             let flush = FixKind::FlushFence {
                 after_seq: win.store_seq,
                 line: line_base(line_of(win.range.start)),
@@ -392,14 +533,18 @@ pub fn suggest(
             Some((race.key, std::iter::once(flush).chain(extensions).collect()))
         })
         .collect();
-    drop(access);
-    // Sweep: every shape is replayed — extensions too where the flush
-    // validates — so that all of them share one simulation.
     let candidates: Vec<(FixKind, RaceKey)> = plans
         .iter()
         .flat_map(|(race, shapes)| shapes.iter().map(|kind| (*kind, *race)))
         .collect();
-    let verdicts = RepairValidator::new(view, races, cfg).validates_all(&candidates);
+    // Refute: the flushes the baseline already fails, decided before the
+    // baseline is dropped.
+    let refuted = validator.refute_all(&base, &candidates);
+    drop(base);
+    drop(access);
+    // Sweep: every other shape is replayed — extensions too where the
+    // flush validates — so that all of them share one simulation.
+    let verdicts = validator.validates_all(&candidates, &refuted);
     // Assembly: the first shape that validates wins. When none does, the
     // flush is emitted as a demoted candidate so the race is still
     // actionable, never as a fix.
@@ -434,68 +579,189 @@ fn replay_config(cfg: &AnalysisConfig) -> AnalysisConfig {
     out
 }
 
-/// First racy (window, load) pair backing `race`, in deterministic
-/// (store_seq, load seq) order — the concrete witness the patch anchors
-/// to. Mirrors the engine's Algorithm 1 pair predicate on the raw access
-/// set (`protects_against` ignores acquisition timestamps, so locksets
-/// need no normalization here).
-fn find_witness<'a>(
+/// The baseline access set as the Plan and Refute steps read it: each
+/// window and load the pairing sees (live and past the atomics filter) is
+/// filed once, instead of once per race.
+struct Baseline<'a> {
     access: &'a AccessSet,
-    cfg: &AnalysisConfig,
-    race: &Race,
-) -> Option<(&'a StoreWindow, &'a LoadAccess)> {
-    let mut loads: Vec<&LoadAccess> = access
-        .loads
-        .iter()
-        .filter(|ld| {
-            ld.stack == race.key.load_stack && ld.live() && (cfg.include_atomics || !ld.atomic)
-        })
-        .collect();
-    loads.sort_by_key(|ld| ld.seq);
-    let mut windows: Vec<&StoreWindow> = access
-        .windows
-        .iter()
-        .filter(|w| {
-            w.stack == race.key.store_stack && w.live() && (cfg.include_atomics || !w.atomic)
-        })
-        .collect();
-    windows.sort_by_key(|w| w.store_seq);
-    for win in windows {
-        for ld in &loads {
-            if ld.tid == win.tid || !win.range.overlaps(&ld.range) {
-                continue;
-            }
-            if cfg.use_hb && hb_ordered(access, win, ld) {
-                continue;
-            }
-            let eff = access.locksets.get(win.effective_ls);
-            if eff.protects_against(access.locksets.get(ld.ls)) {
-                continue;
-            }
-            return Some((win, ld));
-        }
-    }
-    None
+    cfg: &'a AnalysisConfig,
+    /// By stack: its windows, in store order.
+    windows: FxHashMap<StackId, Vec<u32>>,
+    /// By stack: its loads, in load order.
+    loads: FxHashMap<StackId, Vec<u32>>,
+    /// Every load the pairing sees, in load order.
+    live_loads: Vec<u32>,
 }
 
-/// Full-clock happens-before filter (Algorithm 1 line 17): ordered iff the
-/// load happened-before the store became visible, or the window was closed
-/// before the load could run. Never-persisted windows are unbounded.
-fn hb_ordered(access: &AccessSet, win: &StoreWindow, ld: &LoadAccess) -> bool {
-    let load_vc = access.vclocks.get(ld.vc);
-    if matches!(
-        load_vc.compare(access.vclocks.get(win.store_vc)),
-        ClockOrder::Before | ClockOrder::Equal
-    ) {
-        return true;
+impl<'a> Baseline<'a> {
+    fn new(access: &'a AccessSet, cfg: &'a AnalysisConfig) -> Self {
+        let seen = |live: bool, atomic: bool| live && (cfg.include_atomics || !atomic);
+        let mut windows: FxHashMap<StackId, Vec<u32>> = FxHashMap::default();
+        for (i, w) in access.windows.iter().enumerate() {
+            if seen(w.live(), w.atomic) {
+                windows.entry(w.stack).or_default().push(i as u32);
+            }
+        }
+        for list in windows.values_mut() {
+            list.sort_by_key(|&i| access.windows[i as usize].store_seq);
+        }
+        let mut loads: FxHashMap<StackId, Vec<u32>> = FxHashMap::default();
+        let mut live_loads = Vec::new();
+        for (i, ld) in access.loads.iter().enumerate() {
+            if seen(ld.live(), ld.atomic) {
+                loads.entry(ld.stack).or_default().push(i as u32);
+                live_loads.push(i as u32);
+            }
+        }
+        for list in loads.values_mut() {
+            list.sort_by_key(|&i| access.loads[i as usize].seq);
+        }
+        Self {
+            access,
+            cfg,
+            windows,
+            loads,
+            live_loads,
+        }
     }
-    match win.close_vc {
-        Some(cvc) => matches!(
-            access.vclocks.get(cvc).compare(load_vc),
-            ClockOrder::Before | ClockOrder::Equal
-        ),
-        None => false,
+
+    /// First racy (window, load) pair backing `race`, in deterministic
+    /// (store_seq, load seq) order — the concrete witness the patch anchors
+    /// to. Mirrors the engine's Algorithm 1 pair predicate on the raw access
+    /// set (`protects_against` ignores acquisition timestamps, so locksets
+    /// need no normalization here).
+    fn find_witness(&self, race: &Race) -> Option<(&'a StoreWindow, &'a LoadAccess)> {
+        let access = self.access;
+        let windows = self.windows.get(&race.key.store_stack)?;
+        let loads = self.loads.get(&race.key.load_stack)?;
+        for &wi in windows {
+            let win = &access.windows[wi as usize];
+            for &li in loads {
+                let ld = &access.loads[li as usize];
+                if ld.tid == win.tid || !win.range.overlaps(&ld.range) {
+                    continue;
+                }
+                if self.cfg.use_hb && engine::hb_ordered(access, win, ld.vc) {
+                    continue;
+                }
+                let eff = access.locksets.get(win.effective_ls);
+                if eff.protects_against(access.locksets.get(ld.ls)) {
+                    continue;
+                }
+                return Some((win, ld));
+            }
+        }
+        None
     }
+
+    /// Whether a window closed in place at one of `pieces`, whose stack
+    /// `site` holds, races with a load of `site` (its loads indexed by
+    /// `loads_by_addr`, over `live_loads`): the engine's pair predicate,
+    /// with the close clock equal to the store clock and the effective
+    /// lockset equal to the store's lockset.
+    fn races_in_place(&self, loads_by_addr: &AddrIndex, pieces: &[Piece], site: &SitePair) -> bool {
+        let access = self.access;
+        let mut scratch = Vec::new();
+        pieces.iter().any(|p| {
+            let held = access.locksets.get(p.ls);
+            let near = loads_by_addr.query(&p.range, &mut scratch);
+            near.iter().any(|&k| {
+                let ld = &access.loads[self.live_loads[k as usize] as usize];
+                site.loads[ld.stack as usize]
+                    && ld.tid != p.tid
+                    && ld.range.overlaps(&p.range)
+                    && !(self.cfg.use_hb
+                        && (engine::clock_le(access, ld.vc, p.vc)
+                            || engine::clock_le(access, p.vc, ld.vc)))
+                    && !held.protects_against(access.locksets.get(ld.ls))
+            })
+        })
+    }
+}
+
+/// A line piece of an anchored store, as the flush+fence right after the
+/// store closes it: persisted in place, at the store's own clock and
+/// lockset.
+struct Piece {
+    tid: ThreadId,
+    range: AddrRange,
+    ls: LsId,
+    vc: VcId,
+}
+
+/// The Refute step's one pass over the view's PM accesses, in order: for
+/// each stack in `anchors`, the pieces of its stores that a flush+fence
+/// right after the store persists in place and that the pairing would
+/// still see, or `None` when the stack has a store outside every PM region.
+/// A piece is seen when its store passes the atomics filter and, with the
+/// IRH on, when some word of it is no longer private to the storing thread
+/// right after the store (otherwise the IRH discards the window).
+fn anchored_pieces(
+    view: &TraceView<'_>,
+    base: &Baseline<'_>,
+    anchors: &FxHashSet<StackId>,
+) -> FxHashMap<StackId, Option<Vec<Piece>>> {
+    let (access, cfg) = (base.access, base.cfg);
+    // Each anchored store's lockset and clock, from any of its windows.
+    let mut held: FxHashMap<u64, (LsId, VcId)> = FxHashMap::default();
+    for w in access.windows.iter().filter(|w| anchors.contains(&w.stack)) {
+        held.entry(w.store_seq).or_insert((w.store_ls, w.store_vc));
+    }
+    let mut out: FxHashMap<StackId, Option<Vec<Piece>>> =
+        anchors.iter().map(|&s| (s, Some(Vec::new()))).collect();
+    // The pass ends at the last anchored store. With the IRH off it reads
+    // only the anchored events, since no publication state is needed.
+    let stacks = view.events.stacks();
+    let end = stacks
+        .iter()
+        .rposition(|s| anchors.contains(s))
+        .map_or(0, |i| i + 1);
+    let mut publication = PublicationTracker::new();
+    for (i, stack) in stacks[..end].iter().enumerate() {
+        if !cfg.irh && !anchors.contains(stack) {
+            continue;
+        }
+        let ev = view.events.get(i);
+        let (range, store) = match ev.kind {
+            EventKind::Store { range, atomic, .. } => (range, Some(atomic)),
+            EventKind::Load { range, .. } => (range, None),
+            _ => continue,
+        };
+        let pm = view.regions.is_empty() || view.is_pm(&range);
+        if pm && cfg.irh {
+            publication.record_access(ev.tid, &range);
+        }
+        let Some(atomic) = store else {
+            continue;
+        };
+        let Some(slot) = out.get_mut(&ev.stack) else {
+            continue;
+        };
+        let (Some(pieces), true) = (slot.as_mut(), pm) else {
+            *slot = None;
+            continue;
+        };
+        if atomic && !cfg.include_atomics {
+            continue;
+        }
+        let Some(&(ls, vc)) = held.get(&ev.seq) else {
+            // Every PM store leaves a window in an unbudgeted simulation;
+            // without one, the stack is left to its replay.
+            *slot = None;
+            continue;
+        };
+        for (_, range) in line_pieces(range) {
+            if !cfg.irh || !publication.all_private_to(ev.tid, &range) {
+                pieces.push(Piece {
+                    tid: ev.tid,
+                    range,
+                    ls,
+                    vc,
+                });
+            }
+        }
+    }
+    out
 }
 
 /// Sequence number of the first `Acquire` of `lock` by the window's thread
@@ -634,7 +900,7 @@ impl PatchShape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Analyzer;
+    use crate::analysis::{AnalysisBudget, Analyzer};
     use crate::memsim::{simulate_view, SimConfig};
 
     /// The Figure 1c trace from the analysis tests: store under lock A,
@@ -982,7 +1248,238 @@ mod tests {
         let patched = keys(&validator.replay(&flush).expect("applicable"));
         assert_eq!(patched, vec![sibling], "the target dies, the sibling races");
         assert!(!validator.validates(&flush, target));
-        assert_eq!(validator.validates_all(&[(flush, target)]), vec![false]);
+        assert_eq!(
+            validator.validates_all(&[(flush, target)], &[false]),
+            vec![false]
+        );
+    }
+
+    /// A lock-free writer and reader: the reader loads the word first, so
+    /// the writer's store publishes it, then loads it again, concurrently
+    /// with the store. Stores at `stray` also land at the writer's stack,
+    /// outside the PM region.
+    fn lock_free(stray: &[u64]) -> crate::trace::Trace {
+        use crate::addr::AddrRange;
+        use crate::trace::{EventKind, Frame, PmRegion, ThreadId, TraceBuilder};
+        let mut b = TraceBuilder::new();
+        b.add_region(PmRegion {
+            base: 0x1000,
+            len: 0x1000,
+            path: "/mnt/pmem/repair".into(),
+        });
+        let st = b.intern_stack([Frame::new("writer", "f.rs", 1)]);
+        let ld = b.intern_stack([Frame::new("reader", "f.rs", 2)]);
+        let (t0, t1) = (ThreadId(0), ThreadId(1));
+        let store = |start| EventKind::Store {
+            range: AddrRange::new(start, 8),
+            non_temporal: false,
+            atomic: false,
+        };
+        let load = EventKind::Load {
+            range: AddrRange::new(0x1000, 8),
+            atomic: false,
+        };
+        b.push(t0, st, EventKind::ThreadCreate { child: t1 });
+        b.push(t1, ld, load);
+        b.push(t0, st, store(0x1000));
+        b.push(t1, ld, load);
+        for &addr in stray {
+            b.push(t0, st, store(addr));
+        }
+        b.push(t0, st, EventKind::ThreadJoin { child: t1 });
+        b.finish()
+    }
+
+    /// `trace`'s one race, the flush anchored at its first store, and the
+    /// baseline simulation under `cfg`.
+    fn flush_case(
+        trace: &crate::trace::Trace,
+        cfg: &AnalysisConfig,
+    ) -> (Vec<Race>, FixKind, AccessSet) {
+        let report = Analyzer::new(cfg.clone()).run(trace);
+        assert_eq!(report.races.len(), 1, "one race to fix");
+        let store = trace
+            .iter()
+            .find(|ev| matches!(ev.kind, EventKind::Store { .. }))
+            .expect("the writer's store");
+        let flush = FixKind::FlushFence {
+            after_seq: store.seq,
+            line: 0x1000,
+        };
+        let access = simulate_view(TraceView::full(trace), &cfg.sim_config());
+        (report.races, flush, access)
+    }
+
+    #[test]
+    fn a_lock_free_flush_is_refuted_and_never_replayed() {
+        let trace = lock_free(&[]);
+        let cfg = AnalysisConfig::default();
+        let (races, flush, access) = flush_case(&trace, &cfg);
+        let target = races[0].key;
+        let view = TraceView::full(&trace);
+        let validator = RepairValidator::new(&view, &races, &cfg);
+        assert!(validator.refutes(&access, &flush, target));
+        assert!(!validator.validates(&flush, target));
+        // Release builds replay nothing for it; debug builds replay its
+        // patch only to re-prove the refutation.
+        let plan = validator.plan_sweep(&[(flush, target)], &[true]);
+        assert_eq!(plan.patches.len(), usize::from(cfg!(debug_assertions)));
+        assert!(plan.targets.iter().all(Vec::is_empty));
+        let proofs: Vec<RaceKey> = cfg!(debug_assertions)
+            .then_some(target)
+            .into_iter()
+            .collect();
+        assert_eq!(plan.proofs.concat(), proofs);
+        assert_eq!(
+            validator.validates_all(&[(flush, target)], &[true]),
+            vec![false]
+        );
+        let fixes = suggest(&view, access, &races, &cfg);
+        assert_eq!(fixes, vec![FixSuggestion::new(target, flush, false)]);
+    }
+
+    #[test]
+    fn a_refutation_needs_its_preconditions() {
+        let budgets = [
+            AnalysisBudget {
+                max_candidate_pairs: Some(1 << 20),
+                ..AnalysisBudget::default()
+            },
+            AnalysisBudget {
+                memory_budget: Some(1 << 30),
+                ..AnalysisBudget::default()
+            },
+        ];
+        let mut cfgs: Vec<AnalysisConfig> = budgets
+            .into_iter()
+            .map(|budget| AnalysisConfig {
+                budget,
+                ..AnalysisConfig::default()
+            })
+            .collect();
+        cfgs.push(AnalysisConfig {
+            check_store_store: true,
+            ..AnalysisConfig::default()
+        });
+        let trace = lock_free(&[]);
+        for cfg in &cfgs {
+            assert_eq!(
+                refuted_and_validated(&trace, cfg),
+                (false, false),
+                "{cfg:?}"
+            );
+        }
+        // A store with the anchor's stack outside the PM region: the flush
+        // after it could tick a clock, so nothing at that stack is refuted.
+        let trace = lock_free(&[0x9000]);
+        let cfg = AnalysisConfig::default();
+        assert_eq!(refuted_and_validated(&trace, &cfg), (false, false));
+    }
+
+    #[test]
+    fn a_flush_under_the_readers_lock_is_not_refuted() {
+        // Figure 1c: the store holds the lock the reader holds, so the
+        // window the flush closes in place is protected, with the IRH on
+        // and off, and the flush validates.
+        let trace = fig1c();
+        for irh in [true, false] {
+            let cfg = AnalysisConfig {
+                irh,
+                ..AnalysisConfig::default()
+            };
+            assert_eq!(
+                refuted_and_validated(&trace, &cfg),
+                (false, true),
+                "irh {irh}"
+            );
+        }
+    }
+
+    /// The writer stores a word, then the reader loads it. The reader's
+    /// thread is created before the store (`concurrent`) or right after
+    /// it, which orders the store before the load.
+    fn store_then_load(concurrent: bool) -> crate::trace::Trace {
+        use crate::addr::AddrRange;
+        use crate::trace::{EventKind, Frame, PmRegion, ThreadId, TraceBuilder};
+        let mut b = TraceBuilder::new();
+        b.add_region(PmRegion {
+            base: 0x1000,
+            len: 0x1000,
+            path: "/mnt/pmem/repair".into(),
+        });
+        let st = b.intern_stack([Frame::new("writer", "f.rs", 1)]);
+        let ld = b.intern_stack([Frame::new("reader", "f.rs", 2)]);
+        let (t0, t1) = (ThreadId(0), ThreadId(1));
+        let range = AddrRange::new(0x1000, 8);
+        let store = EventKind::Store {
+            range,
+            non_temporal: false,
+            atomic: false,
+        };
+        if concurrent {
+            b.push(t0, st, EventKind::ThreadCreate { child: t1 });
+            b.push(t0, st, store);
+        } else {
+            b.push(t0, st, store);
+            b.push(t0, st, EventKind::ThreadCreate { child: t1 });
+        }
+        let load = EventKind::Load {
+            range,
+            atomic: false,
+        };
+        b.push(t1, ld, load);
+        b.push(t0, st, EventKind::ThreadJoin { child: t1 });
+        b.finish()
+    }
+
+    /// Whether the Refute step fails the flush of `trace`'s one race, and
+    /// whether the flush validates, under `cfg`.
+    fn refuted_and_validated(trace: &crate::trace::Trace, cfg: &AnalysisConfig) -> (bool, bool) {
+        let (races, flush, access) = flush_case(trace, cfg);
+        let view = TraceView::full(trace);
+        let validator = RepairValidator::new(&view, &races, cfg);
+        let target = races[0].key;
+        (
+            validator.refutes(&access, &flush, target),
+            validator.validates(&flush, target),
+        )
+    }
+
+    #[test]
+    fn a_store_still_private_at_its_flush_is_not_refuted() {
+        // Right after the store the word is the writer's alone, so the IRH
+        // discards the window a flush there closes, and the flush
+        // validates. With the IRH off the same flush is refuted.
+        let trace = store_then_load(true);
+        for irh in [true, false] {
+            let cfg = AnalysisConfig {
+                irh,
+                ..AnalysisConfig::default()
+            };
+            assert_eq!(
+                refuted_and_validated(&trace, &cfg),
+                (!irh, irh),
+                "irh {irh}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_store_ordered_before_the_load_is_not_refuted() {
+        // The window a flush closes at the store happens-before the load,
+        // so the flush validates, with the IRH on and off.
+        let trace = store_then_load(false);
+        for irh in [true, false] {
+            let cfg = AnalysisConfig {
+                irh,
+                ..AnalysisConfig::default()
+            };
+            assert_eq!(
+                refuted_and_validated(&trace, &cfg),
+                (false, true),
+                "irh {irh}"
+            );
+        }
     }
 
     #[test]

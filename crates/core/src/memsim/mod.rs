@@ -315,6 +315,21 @@ fn effective_lockset(
     locksets.intern(effective)
 }
 
+/// The pieces a store to `range` splits into, one per cache line it
+/// touches, with that line: each piece is the part of `range` on its line.
+pub(crate) fn line_pieces(range: AddrRange) -> impl Iterator<Item = (LineId, AddrRange)> {
+    range.lines().map(move |line| {
+        let base = crate::addr::line_base(line);
+        let start = base.max(range.start);
+        // Bytes to the end of the line or of the store, from offsets: the
+        // line's end address overflows on the last line of the address
+        // space.
+        let len = (crate::addr::CACHE_LINE - (start - base))
+            .min(u64::from(range.len) - (start - range.start));
+        (line, AddrRange::new(start, len as u32))
+    })
+}
+
 /// Options controlling the simulation.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -739,19 +754,12 @@ impl SimCore {
         self.publication.record_access(tid, &range);
         let t = &self.threads[tid.index()];
         let (ls, vc) = (t.ls_id, t.vc_id);
-        for line in range.lines() {
-            let base = crate::addr::line_base(line);
-            let start = base.max(range.start);
-            // Bytes to the end of the line or of the store, from offsets:
-            // the line's end address overflows on the last line of the
-            // address space.
-            let len = (crate::addr::CACHE_LINE - (start - base))
-                .min(u64::from(range.len) - (start - range.start));
+        for (line, piece_range) in line_pieces(range) {
             let mut piece = OpenPiece {
                 tid,
                 store_seq: seq,
                 stack,
-                range: AddrRange::new(start, len as u32),
+                range: piece_range,
                 store_ls: ls,
                 store_vc: vc,
                 atomic,

@@ -23,6 +23,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::iter::Peekable;
 use std::ops::Range;
 
 use crate::trace::{Event, EventKind, StackId, ThreadId, TraceView};
@@ -149,6 +150,10 @@ impl EventPatch {
     /// stepped: what [`apply`](Self::apply) emits there when the patch
     /// touches no event before `range` and `sim` has stepped exactly what
     /// `apply` emits before it.
+    ///
+    /// The view's events are sorted by `seq`, so the edits are read with
+    /// one cursor per map, each advanced past the keys below the current
+    /// event's `seq`, instead of a lookup per map and event.
     fn replay(&self, view: &TraceView<'_>, range: Range<usize>, sim: &mut StreamSimulator) {
         let mut emit = |tid, stack, kind| {
             let seq = sim.stats().events;
@@ -159,19 +164,39 @@ impl EventPatch {
                 kind,
             });
         };
+        let Some(&from) = view.events.seqs().get(range.start) else {
+            return;
+        };
+        let mut before = self.before.range(from..).peekable();
+        let mut removed = self.removed.range(from..).map(|s| (s, ())).peekable();
+        let mut after = self.after.range(from..).peekable();
         for i in range {
             let ev = view.events.get(i);
-            for s in self.before.get(&ev.seq).into_iter().flatten() {
+            for s in at(&mut before, ev.seq).into_iter().flatten() {
                 emit(s.tid, s.stack, s.kind);
             }
-            if !self.removed.contains(&ev.seq) {
+            if at(&mut removed, ev.seq).is_none() {
                 emit(ev.tid, ev.stack, ev.kind);
             }
-            for s in self.after.get(&ev.seq).into_iter().flatten() {
+            for s in at(&mut after, ev.seq).into_iter().flatten() {
                 emit(s.tid, s.stack, s.kind);
             }
         }
     }
+}
+
+/// Advances `cursor`, over an edit map's entries in ascending key order,
+/// past the keys below `seq`, and returns the value at `seq` if there is
+/// one. That entry stays current, for an event with an equal `seq`.
+fn at<'a, V: Copy>(
+    cursor: &mut Peekable<impl Iterator<Item = (&'a u64, V)>>,
+    seq: u64,
+) -> Option<V> {
+    while cursor.next_if(|&(&key, _)| key < seq).is_some() {}
+    cursor
+        .peek()
+        .filter(|&&(&key, _)| key == seq)
+        .map(|&(_, v)| v)
 }
 
 /// Replays `view` with `patch` applied through the incremental simulator —

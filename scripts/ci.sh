@@ -144,33 +144,39 @@ echo "==> fix-validate smoke (--suggest-fixes over the golden corpus)"
 # with status "candidate" (never silently emitted as a fix) — and the
 # flag-off envelope must not grow a "fixes" key at all (schema drift).
 # The pretty-printed JSON keeps each verdict pair on adjacent lines, which
-# is what the grep -A1 pairing relies on.
-for t in racy_fig1c racy_unpersisted app_wipe_fixes; do
-    set +e
-    FIX_ON=$(./target/release/hawkset analyze --json --suggest-fixes "tests/golden/$t.hwkt")
-    rc=$?
-    set -e
-    if [[ $rc -ne 1 ]]; then
-        echo "ci: --suggest-fixes analyze of $t expected exit 1 (races), got $rc" >&2
-        exit 1
-    fi
-    if ! grep -q '"fixes"' <<< "$FIX_ON"; then
-        echo "ci: $t produced no fixes section under --suggest-fixes" >&2
-        exit 1
-    fi
-    if grep -A1 '"validated": false' <<< "$FIX_ON" | grep -q '"status": "fix"'; then
-        echo "ci: $t emitted an unvalidated suggestion as a fix" >&2
-        exit 1
-    fi
-    if grep -A1 '"validated": true' <<< "$FIX_ON" | grep -q '"status": "candidate"'; then
-        echo "ci: $t demoted a replay-validated suggestion to candidate" >&2
+# is what the grep -A1 pairing relies on. The verdicts are checked under
+# the default settings and with the IRH or the happens-before filter off,
+# two of the settings the repair engine's shortcuts read.
+for flags in "" "--no-irh" "--no-hb"; do
+    for t in racy_fig1c racy_unpersisted app_wipe_fixes; do
+        run="$t${flags:+ $flags}"
+        set +e
+        # shellcheck disable=SC2086 # flags is a word list on purpose
+        FIX_ON=$(./target/release/hawkset analyze --json --suggest-fixes $flags "tests/golden/$t.hwkt")
+        rc=$?
+        set -e
+        if [[ $rc -ne 1 ]]; then
+            echo "ci: --suggest-fixes analyze of $run expected exit 1 (races), got $rc" >&2
+            exit 1
+        fi
+        if ! grep -q '"fixes"' <<< "$FIX_ON"; then
+            echo "ci: $run produced no fixes section under --suggest-fixes" >&2
+            exit 1
+        fi
+        if grep -A1 '"validated": false' <<< "$FIX_ON" | grep -q '"status": "fix"'; then
+            echo "ci: $run emitted an unvalidated suggestion as a fix" >&2
+            exit 1
+        fi
+        if grep -A1 '"validated": true' <<< "$FIX_ON" | grep -q '"status": "candidate"'; then
+            echo "ci: $run demoted a replay-validated suggestion to candidate" >&2
+            exit 1
+        fi
+    done
+    if [[ -z $flags ]] && ! grep -q '"validated": true' <<< "$FIX_ON"; then
+        echo "ci: the app capture carries no replay-validated fix" >&2
         exit 1
     fi
 done
-if ! grep -q '"validated": true' <<< "$FIX_ON"; then
-    echo "ci: the app capture carries no replay-validated fix" >&2
-    exit 1
-fi
 set +e
 FIX_OFF=$(./target/release/hawkset analyze --json tests/golden/racy_fig1c.hwkt)
 FIX_CLEAN=$(./target/release/hawkset analyze --json --suggest-fixes tests/golden/race_free.hwkt)

@@ -49,6 +49,11 @@ flag_sets=(
     "--suggest-fixes --memory-budget 1048576"
     "--suggest-fixes --max-pairs 20000"
     "--suggest-fixes --store-store"
+    "--suggest-fixes --no-irh"
+    "--suggest-fixes --no-hb"
+    "--suggest-fixes --no-atomics"
+    "--suggest-fixes --max-events 20000"
+    "--suggest-fixes --no-irh --no-hb"
 )
 
 # Zeroes the value of every key ending in `_ms`, at any depth. Output that

@@ -15,7 +15,11 @@
 //!    replay ends, and under a candidate-pair budget and the store-store
 //!    pass, where that rule must stand down, and under an evicting memory
 //!    budget, where replays must run to the end. Each function runs under
-//!    two call stacks, so one site pair spans several stack pairs.
+//!    two call stacks, so one site pair spans several stack pairs. A flush
+//!    the engine refutes without a replay
+//!    ([`RepairValidator::refutes`]) must race at its target's site pair
+//!    in the full replay and fail the full verdict, with the IRH, the
+//!    happens-before filter and the atomics filter each on and off.
 //! 2. **Rejection of wrong insertion points** — fuzzed patch placements
 //!    that provably cannot repair anything (anchors past the end of the
 //!    trace, flush+fence before any store dirtied the line, lock
@@ -24,10 +28,12 @@
 
 use hawkset::core::addr::AddrRange;
 use hawkset::core::analysis::{
-    AnalysisBudget, AnalysisConfig, Analyzer, BudgetExceeded, FixKind, FixStatus, RepairValidator,
+    AnalysisBudget, AnalysisConfig, Analyzer, BudgetExceeded, FixKind, FixStatus, RaceKey,
+    RepairValidator,
 };
+use hawkset::core::memsim::{simulate_view, SimConfig};
 use hawkset::core::trace::{
-    EventKind, Frame, LockId, LockMode, ThreadId, Trace, TraceBuilder, TraceView,
+    EventKind, Frame, LockId, LockMode, PmRegion, ThreadId, Trace, TraceBuilder, TraceView,
 };
 use proptest::prelude::*;
 
@@ -35,7 +41,10 @@ use proptest::prelude::*;
 /// address pool so threads collide, a mix of locked and unlocked stores,
 /// and only occasional flushes so store→persist windows stay open across
 /// conflicting accesses. Each of the four functions is reached from two
-/// callers: two stacks with one innermost frame, hence one site.
+/// callers: two stacks with one innermost frame, hence one site. The pool
+/// lies in a registered PM region, and some stores land outside it; some
+/// accesses are atomic; and a worker can create a child mid-trace, which
+/// then runs some of that worker's operations until the worker joins it.
 fn arb_racy_trace() -> impl Strategy<Value = Trace> {
     racy_traces(4..90)
 }
@@ -44,17 +53,22 @@ fn arb_racy_trace() -> impl Strategy<Value = Trace> {
 fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
     let ops = proptest::collection::vec(
         (
-            0u8..8,
+            0u8..11,
             0u64..24u64,
             1u32..17,
             0u64..3,
             any::<bool>(),
-            any::<bool>(),
+            (any::<bool>(), any::<bool>()),
         ),
         ops,
     );
     (ops, 2u32..4).prop_map(|(ops, workers)| {
         let mut b = TraceBuilder::new();
+        b.add_region(PmRegion {
+            base: 0x1000,
+            len: 0x1000,
+            path: "/mnt/pmem/prop".into(),
+        });
         let stacks: Vec<[_; 2]> = (0u32..4)
             .map(|i| {
                 let site = Frame::new(format!("fn{i}"), "prop.rs", i + 1);
@@ -74,23 +88,30 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
                 EventKind::ThreadCreate { child: ThreadId(w) },
             );
         }
-        let mut held: Vec<Vec<u64>> = vec![Vec::new(); workers as usize + 1];
-        for (i, (kind, addr, len, lock, flag, caller)) in ops.into_iter().enumerate() {
-            let tid = ThreadId(1 + (i as u32 % workers));
+        // Children get the thread ids after the workers'.
+        let mut next_child = workers + 1;
+        let mut child: Vec<Option<ThreadId>> = vec![None; workers as usize + 1];
+        let mut held: Vec<Vec<u64>> = Vec::new();
+        for (i, (kind, addr, len, lock, flag, (caller, by_child))) in ops.into_iter().enumerate() {
+            let worker = ThreadId(1 + (i as u32 % workers));
+            let tid = match child[worker.index()] {
+                Some(c) if by_child && kind != 10 => c,
+                _ => worker,
+            };
+            if held.len() <= tid.index() {
+                held.resize(tid.index() + 1, Vec::new());
+            }
             let s = stacks[i % stacks.len()][usize::from(caller)];
             let range = AddrRange::new(0x1000 + addr * 8, len);
+            let store = |range, atomic| EventKind::Store {
+                range,
+                non_temporal: false,
+                atomic,
+            };
             match kind {
                 // Stores twice as likely as anything else: windows are
                 // the race ingredient.
-                0 | 1 => b.push(
-                    tid,
-                    s,
-                    EventKind::Store {
-                        range,
-                        non_temporal: false,
-                        atomic: false,
-                    },
-                ),
+                0 | 1 => b.push(tid, s, store(range, false)),
                 2 | 3 => b.push(
                     tid,
                     s,
@@ -118,12 +139,37 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
                         );
                     }
                 }
-                _ => {
+                7 => {
                     if let Some(pos) = held[tid.index()].iter().position(|&l| l == lock) {
                         held[tid.index()].remove(pos);
                         b.push(tid, s, EventKind::Release { lock: LockId(lock) });
                     }
                 }
+                // Outside the PM region: the simulator ignores it.
+                8 => b.push(tid, s, store(AddrRange::new(0x8000 + addr * 8, len), false)),
+                9 if flag => b.push(tid, s, store(range, true)),
+                9 => b.push(
+                    tid,
+                    s,
+                    EventKind::Load {
+                        range,
+                        atomic: true,
+                    },
+                ),
+                _ => match child[worker.index()].take() {
+                    Some(c) => b.push(worker, s, EventKind::ThreadJoin { child: c }),
+                    None => {
+                        let c = ThreadId(next_child);
+                        next_child += 1;
+                        b.push(worker, s, EventKind::ThreadCreate { child: c });
+                        child[worker.index()] = Some(c);
+                    }
+                },
+            }
+        }
+        for w in 1..=workers {
+            if let Some(c) = child[w as usize].take() {
+                b.push(ThreadId(w), main, EventKind::ThreadJoin { child: c });
             }
         }
         for w in 1..=workers {
@@ -135,6 +181,18 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
         }
         b.finish()
     })
+}
+
+/// The site pair a race on `key` is reported under: its two innermost
+/// functions, or its two stacks when either has no site.
+fn site_pair(trace: &Trace, key: RaceKey) -> Result<(String, String), (u32, u32)> {
+    match (
+        trace.stacks.site(key.store_stack),
+        trace.stacks.site(key.load_stack),
+    ) {
+        (Some(s), Some(l)) => Ok((s.function.clone(), l.function.clone())),
+        _ => Err((key.store_stack, key.load_stack)),
+    }
 }
 
 proptest! {
@@ -233,6 +291,55 @@ proptest! {
                     validator.validates(&s.kind, s.race),
                     "verdict of {} disagrees with a full replay", s.summary()
                 );
+            }
+        }
+    }
+
+    /// Every refutation is exact: a flush the Refute step fails without a
+    /// replay races at its target's site pair in `simulate_patched`'s
+    /// replay, and fails the full verdict. Checked for a flush at the first
+    /// store of each stack against every reported race, with the IRH, the
+    /// happens-before filter and the atomics filter each on and off.
+    #[test]
+    fn every_refuted_flush_races_at_its_site_pair(trace in arb_racy_trace()) {
+        let view = TraceView::full(&trace);
+        let mut anchors: Vec<(u32, FixKind)> = Vec::new();
+        for ev in trace.iter() {
+            if let EventKind::Store { range, .. } = ev.kind {
+                if anchors.iter().all(|(stack, _)| *stack != ev.stack) {
+                    let line = range.start / 64 * 64;
+                    anchors.push((ev.stack, FixKind::FlushFence { after_seq: ev.seq, line }));
+                }
+            }
+        }
+        for bits in 0u8..8 {
+            let cfg = AnalysisConfig {
+                irh: bits & 1 != 0,
+                use_hb: bits & 2 != 0,
+                include_atomics: bits & 4 != 0,
+                ..AnalysisConfig::default()
+            };
+            let report = Analyzer::new(cfg.clone()).run(&trace);
+            let sim = SimConfig {
+                irh: cfg.irh,
+                ..SimConfig::default()
+            };
+            let baseline = simulate_view(view, &sim);
+            let validator = RepairValidator::new(&view, &report.races, &cfg);
+            for race in &report.races {
+                for (_, flush) in &anchors {
+                    if !validator.refutes(&baseline, flush, race.key) {
+                        continue;
+                    }
+                    let patched = validator.replay(flush).expect("a refuted flush applies");
+                    let site = site_pair(&trace, race.key);
+                    prop_assert!(
+                        patched.races.iter().any(|r| site_pair(&trace, r.key) == site),
+                        "{} was refuted for {:?} under {:?}, yet its replay does not race there",
+                        flush.summary(), race.key, cfg
+                    );
+                    prop_assert!(!validator.validates(flush, race.key));
+                }
             }
         }
     }
