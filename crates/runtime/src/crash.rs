@@ -6,9 +6,9 @@
 //! crash state and re-running recovery on it. [`CrashInjector`] is the
 //! producing half: hooked into a [`PmEnv`], it counts every PM operation
 //! and, at a deterministic set of `(seed, op-index)` points, captures the
-//! **persisted-only image** of every mapped pool — the bytes [`ShadowPm`]
-//! guarantees are in PM, with all dirty (unflushed or unfenced) lines
-//! dropped. That is the worst-case cache model the paper's instrumentation
+//! **persisted-only image** of every mapped pool — the bytes the runtime's
+//! shadow persistence state guarantees are in PM, with all dirty
+//! (unflushed or unfenced) lines dropped. That is the worst-case cache model the paper's instrumentation
 //! assumes: anything not explicitly persisted may vanish.
 //!
 //! Two modes:
@@ -24,8 +24,6 @@
 //! Captured images are either buffered ([`CrashInjector::take_images`]) or
 //! streamed to a sink ([`CrashInjector::set_sink`]) so a dense sweep over
 //! thousands of crash points does not hold every pool snapshot in memory.
-//!
-//! [`ShadowPm`]: crate::shadow::ShadowPm
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};

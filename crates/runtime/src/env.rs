@@ -4,20 +4,40 @@
 //! access, persistency instruction, synchronization operation and thread
 //! lifecycle event performed through it is recorded — atomically with the
 //! operation itself — into a totally ordered [`Trace`]. On top of the
-//! recording it maintains the worst-case persistent image (via
-//! [`ShadowPm`]) so crash states can be materialized, and optionally runs
-//! an online read-of-unpersisted-data observer used by the `pmrace`
-//! baseline.
+//! recording it maintains the worst-case persistent image (through the
+//! crate's shadow persistence state) so crash states can be materialized,
+//! and optionally runs an online read-of-unpersisted-data observer used by
+//! the `pmrace` baseline.
 //!
 //! All state mutations happen under one internal mutex, which makes each
 //! recorded event a linearization point of the operation it describes —
 //! the same property PIN's serialized analysis callbacks provide.
+//!
+//! Every instrumented thread waits on that one lock, so an event takes it
+//! once, holds it briefly and, in the steady state, allocates nothing
+//! while it holds it. Under the lock run:
+//!
+//! * the operation on the volatile image: a copy into the pool, or out of
+//!   it into the caller's buffer;
+//! * the shadow's bookkeeping, which keeps ranges, not bytes (a fence
+//!   copies the ranges it commits from the volatile image to the
+//!   persistent one);
+//! * the observer, when it is on;
+//! * classifying a custom primitive's call, so that takes no second lock;
+//! * the thread's backtrace memo lookup and the push into the trace
+//!   builder.
+//!
+//! Before the lock run the perturbation hook, behind an atomic flag so an
+//! environment without one pays one load, and the allocation of the
+//! buffer `load_bytes` returns. Under the lock only amortized growth (of
+//! the trace builder and the shadow's lists), a thread's first access
+//! from a new backtrace and an observed read allocate.
 
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use hawkset_core::addr::{line_base, line_of, AddrRange, PmAddr, CACHE_LINE};
+use hawkset_core::addr::{AddrRange, PmAddr, CACHE_LINE};
 use hawkset_core::sync_config::{CallEffect, SyncConfig};
 use hawkset_core::trace::{
     EventKind, Frame, LockId, LockMode, PmRegion, StackId, ThreadId, Trace, TraceBuilder,
@@ -99,6 +119,14 @@ struct EnvState {
     pools: Vec<PoolData>,
     observations: Vec<Observation>,
     main_taken: bool,
+    /// Classifies custom synchronization calls (§5.5).
+    sync_config: SyncConfig,
+}
+
+/// The index of the pool holding `addr` (pools are mapped at
+/// `POOL_BASE + POOL_ALIGN * index`).
+fn pool_index(addr: PmAddr) -> usize {
+    ((addr - POOL_BASE) / POOL_ALIGN) as usize
 }
 
 /// Numbers every trace builder in the process (see `EnvState::builder_id`).
@@ -112,6 +140,12 @@ impl EnvState {
     fn stack_id(&mut self, t: &PmThread, loc: &'static Location<'static>) -> StackId {
         let builder = &mut self.builder;
         t.stack_id(loc, self.builder_id, |frames| builder.intern_stack(frames))
+    }
+
+    /// Pushes `kind` for `t`, with its backtrace at `loc`.
+    fn record(&mut self, t: &PmThread, loc: &'static Location<'static>, kind: EventKind) {
+        let stack = self.stack_id(t, loc);
+        self.builder.push(t.tid(), stack, kind);
     }
 
     /// Records an [`Observation`] if `t`'s read of `range` sees bytes
@@ -134,8 +168,10 @@ pub(crate) struct EnvInner {
     next_tid: AtomicU32,
     next_lock: AtomicU64,
     observe: AtomicBool,
+    /// Whether `hook` holds a hook: read before every operation, so the
+    /// hook's lock is taken only when there is one to call.
+    hooked: AtomicBool,
     hook: Mutex<Option<Hook>>,
-    sync_config: Mutex<SyncConfig>,
 }
 
 /// The instrumented PM world. Cheap to clone (shared handle).
@@ -163,12 +199,13 @@ impl PmEnv {
                     pools: Vec::new(),
                     observations: Vec::new(),
                     main_taken: false,
+                    sync_config: SyncConfig::builtin_pthread(),
                 }),
                 next_tid: AtomicU32::new(0),
                 next_lock: AtomicU64::new(1),
                 observe: AtomicBool::new(false),
+                hooked: AtomicBool::new(false),
                 hook: Mutex::new(None),
-                sync_config: Mutex::new(SyncConfig::builtin_pthread()),
             }),
         }
     }
@@ -223,7 +260,9 @@ impl PmEnv {
     /// Installs a perturbation hook, called before every PM operation
     /// *outside* the recording lock (so injected delays overlap).
     pub fn set_hook(&self, hook: Option<Hook>) {
-        *self.inner.hook.lock() = hook;
+        let mut slot = self.inner.hook.lock();
+        self.inner.hooked.store(hook.is_some(), Ordering::Release);
+        *slot = hook;
     }
 
     /// Enables or disables online observation of reads of unpersisted
@@ -240,12 +279,12 @@ impl PmEnv {
     /// Replaces the synchronization configuration (§5.5: custom primitives
     /// need a small config file; pthread-style ones are built in).
     pub fn set_sync_config(&self, cfg: SyncConfig) {
-        *self.inner.sync_config.lock() = cfg;
+        self.inner.state.lock().sync_config = cfg;
     }
 
     /// Extends the synchronization configuration.
     pub fn add_sync_config(&self, cfg: SyncConfig) {
-        self.inner.sync_config.lock().merge(cfg);
+        self.inner.state.lock().sync_config.merge(cfg);
     }
 
     /// Allocates a fresh lock id (used by the lock wrappers).
@@ -337,7 +376,16 @@ impl PmEnv {
         weak.upgrade().map(|inner| Self { inner })
     }
 
+    /// Runs `f` on the shadow state, under the recording lock.
+    #[cfg(test)]
+    pub(crate) fn with_shadow<R>(&self, f: impl FnOnce(&ShadowPm) -> R) -> R {
+        f(&self.inner.state.lock().shadow)
+    }
+
     fn fire_hook(&self, tid: ThreadId, point: HookPoint) {
+        if !self.inner.hooked.load(Ordering::Acquire) {
+            return;
+        }
         let hook = self.inner.hook.lock().clone();
         if let Some(h) = hook {
             h(tid, point);
@@ -345,9 +393,7 @@ impl PmEnv {
     }
 
     fn record(&self, t: &PmThread, loc: &'static Location<'static>, kind: EventKind) {
-        let mut st = self.inner.state.lock();
-        let stack = st.stack_id(t, loc);
-        st.builder.push(t.tid(), stack, kind);
+        self.inner.state.lock().record(t, loc, kind);
     }
 
     // ---- PM data operations (called via the pool handle) ----
@@ -369,12 +415,10 @@ impl PmEnv {
         let pool = &mut st.pools[index];
         let off = (addr - pool.base) as usize;
         pool.volatile[off..off + bytes.len()].copy_from_slice(bytes);
-        st.shadow
-            .store_with_site(t.tid(), range, bytes, non_temporal, t.site_name());
-        let stack = st.stack_id(t, loc);
-        st.builder.push(
-            t.tid(),
-            stack,
+        st.shadow.store(t.tid(), range, non_temporal, t.site_name());
+        st.record(
+            t,
+            loc,
             EventKind::Store {
                 range,
                 non_temporal,
@@ -383,28 +427,26 @@ impl PmEnv {
         );
     }
 
-    pub(crate) fn load_at(
+    /// Loads `buf.len()` bytes at `addr` into `buf`.
+    pub(crate) fn load_into(
         &self,
         t: &PmThread,
         index: usize,
         addr: PmAddr,
-        len: usize,
+        buf: &mut [u8],
         atomic: bool,
         loc: &'static Location<'static>,
-    ) -> Vec<u8> {
+    ) {
         self.fire_hook(t.tid(), HookPoint::BeforeLoad(addr));
-        let range = AddrRange::new(addr, len as u32);
+        let range = AddrRange::new(addr, buf.len() as u32);
         let mut st = self.inner.state.lock();
         if self.inner.observe.load(Ordering::Relaxed) {
             st.observe_read(t, range, loc);
         }
-        let pool = &mut st.pools[index];
+        let pool = &st.pools[index];
         let off = (addr - pool.base) as usize;
-        let bytes = pool.volatile[off..off + len].to_vec();
-        let stack = st.stack_id(t, loc);
-        st.builder
-            .push(t.tid(), stack, EventKind::Load { range, atomic });
-        bytes
+        buf.copy_from_slice(&pool.volatile[off..off + buf.len()]);
+        st.record(t, loc, EventKind::Load { range, atomic });
     }
 
     /// Compare-and-swap of a u64, atomic with respect to all instrumented
@@ -437,11 +479,9 @@ impl PmEnv {
             },
         );
         if current == expected {
-            let bytes = new.to_le_bytes();
             let pool = &mut st.pools[index];
-            pool.volatile[off..off + 8].copy_from_slice(&bytes);
-            st.shadow
-                .store_with_site(t.tid(), range, &bytes, false, t.site_name());
+            pool.volatile[off..off + 8].copy_from_slice(&new.to_le_bytes());
+            st.shadow.store(t.tid(), range, false, t.site_name());
             st.builder.push(
                 t.tid(),
                 stack,
@@ -457,43 +497,26 @@ impl PmEnv {
         }
     }
 
-    pub(crate) fn flush_at(
-        &self,
-        t: &PmThread,
-        index: usize,
-        addr: PmAddr,
-        loc: &'static Location<'static>,
-    ) {
+    pub(crate) fn flush_at(&self, t: &PmThread, addr: PmAddr, loc: &'static Location<'static>) {
         self.fire_hook(t.tid(), HookPoint::BeforeFlush(addr));
         let mut st = self.inner.state.lock();
-        let pool = &st.pools[index];
-        let line = line_of(addr);
-        let base_off = (line_base(line) - pool.base) as usize;
-        let mut line_bytes = [0u8; CACHE_LINE as usize];
-        line_bytes.copy_from_slice(&pool.volatile[base_off..base_off + CACHE_LINE as usize]);
-        st.shadow.flush(t.tid(), addr, &line_bytes);
-        let stack = st.stack_id(t, loc);
-        st.builder.push(t.tid(), stack, EventKind::Flush { addr });
+        st.shadow.flush(t.tid(), addr);
+        st.record(t, loc, EventKind::Flush { addr });
     }
 
     pub(crate) fn fence_at(&self, t: &PmThread, loc: &'static Location<'static>) {
         self.fire_hook(t.tid(), HookPoint::BeforeFence);
         let mut st = self.inner.state.lock();
-        let committed = st.shadow.fence(t.tid());
-        for w in committed {
-            // Find the owning pool and update its persistent image.
-            let pool = st
-                .pools
-                .iter_mut()
-                .find(|p| {
-                    w.range.start >= p.base && w.range.end() <= p.base + p.volatile.len() as u64
-                })
-                .expect("committed write outside every pool");
-            let off = (w.range.start - pool.base) as usize;
-            pool.persistent[off..off + w.bytes.len()].copy_from_slice(&w.bytes);
-        }
-        let stack = st.stack_id(t, loc);
-        st.builder.push(t.tid(), stack, EventKind::Fence);
+        let EnvState { shadow, pools, .. } = &mut *st;
+        shadow.fence(t.tid(), |range| {
+            // A committed range's bytes are still the volatile image's
+            // (the shadow's overwrite rule): copy them over.
+            let pool = &mut pools[pool_index(range.start)];
+            let off = (range.start - pool.base) as usize;
+            let len = range.len as usize;
+            pool.persistent[off..off + len].copy_from_slice(&pool.volatile[off..off + len]);
+        });
+        st.record(t, loc, EventKind::Fence);
     }
 
     // ---- synchronization recording ----
@@ -506,7 +529,7 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeAcquire(lock));
-        self.record_at(t, loc, EventKind::Acquire { lock, mode });
+        self.record(t, loc, EventKind::Acquire { lock, mode });
     }
 
     pub(crate) fn record_release(
@@ -516,11 +539,7 @@ impl PmEnv {
         loc: &'static Location<'static>,
     ) {
         self.fire_hook(t.tid(), HookPoint::BeforeRelease(lock));
-        self.record_at(t, loc, EventKind::Release { lock });
-    }
-
-    fn record_at(&self, t: &PmThread, loc: &'static Location<'static>, kind: EventKind) {
-        self.record(t, loc, kind);
+        self.record(t, loc, EventKind::Release { lock });
     }
 
     /// Routes a call to a *custom* synchronization primitive through the
@@ -536,10 +555,11 @@ impl PmEnv {
         ret: Option<u64>,
     ) -> CallEffect {
         let loc = Location::caller();
-        let effect = self.inner.sync_config.lock().classify_call(function, ret);
+        let mut st = self.inner.state.lock();
+        let effect = st.sync_config.classify_call(function, ret);
         match effect {
-            CallEffect::Acquire(mode) => self.record_at(t, loc, EventKind::Acquire { lock, mode }),
-            CallEffect::Release => self.record_at(t, loc, EventKind::Release { lock }),
+            CallEffect::Acquire(mode) => st.record(t, loc, EventKind::Acquire { lock, mode }),
+            CallEffect::Release => st.record(t, loc, EventKind::Release { lock }),
             CallEffect::FailedAcquire | CallEffect::NotSync => {}
         }
         effect

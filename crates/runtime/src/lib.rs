@@ -78,7 +78,7 @@ pub mod guard;
 pub mod harness;
 pub mod mutex;
 pub mod pool;
-pub mod shadow;
+mod shadow;
 pub mod thread;
 
 pub use alloc::{AllocError, PmAllocator};

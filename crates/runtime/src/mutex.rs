@@ -217,6 +217,10 @@ impl<T> Drop for PmWriteGuard<'_, T> {
     }
 }
 
+/// How many times [`CustomSpinLock::lock`] retries with a spin-loop hint
+/// before it starts yielding its core between attempts.
+const SPINS_BEFORE_YIELD: u32 = 64;
+
 /// A spinlock built on a *custom* primitive, visible to the analysis only
 /// through the synchronization configuration (§5.5).
 ///
@@ -254,8 +258,14 @@ impl CustomSpinLock {
     }
 
     /// Spins until acquired, then reports the call to the configuration.
+    ///
+    /// After a bounded spin (64 failed attempts) each retry first yields
+    /// the core: the holder may be waiting for the recording lock,
+    /// and with more threads than cores a spinner that never yields burns
+    /// whole time slices the holder needs to get there.
     #[track_caller]
     pub fn lock(&self, t: &PmThread) {
+        let mut spins = 0;
         while self
             .flag
             .compare_exchange_weak(
@@ -266,7 +276,12 @@ impl CustomSpinLock {
             )
             .is_err()
         {
-            std::hint::spin_loop();
+            if spins < SPINS_BEFORE_YIELD {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
         self.env.custom_sync_call(t, self.acquire_fn, self.id, None);
     }

@@ -160,50 +160,48 @@ impl PmPool {
 
     // ---- loads ----
 
+    /// Loads `N` bytes into a stack array.
+    #[track_caller]
+    fn load_array<const N: usize>(&self, t: &PmThread, addr: PmAddr, atomic: bool) -> [u8; N] {
+        self.check(addr, N);
+        let mut buf = [0; N];
+        self.env
+            .load_into(t, self.index, addr, &mut buf, atomic, Location::caller());
+        buf
+    }
+
     /// Loads raw bytes.
     #[track_caller]
     pub fn load_bytes(&self, t: &PmThread, addr: PmAddr, len: usize) -> Vec<u8> {
         self.check(addr, len);
+        let mut buf = vec![0; len];
         self.env
-            .load_at(t, self.index, addr, len, false, Location::caller())
+            .load_into(t, self.index, addr, &mut buf, false, Location::caller());
+        buf
     }
 
     /// Loads a little-endian `u64`.
     #[track_caller]
     pub fn load_u64(&self, t: &PmThread, addr: PmAddr) -> u64 {
-        self.check(addr, 8);
-        let b = self
-            .env
-            .load_at(t, self.index, addr, 8, false, Location::caller());
-        u64::from_le_bytes(b.try_into().expect("8 bytes"))
+        u64::from_le_bytes(self.load_array(t, addr, false))
     }
 
     /// Loads a little-endian `u32`.
     #[track_caller]
     pub fn load_u32(&self, t: &PmThread, addr: PmAddr) -> u32 {
-        self.check(addr, 4);
-        let b = self
-            .env
-            .load_at(t, self.index, addr, 4, false, Location::caller());
-        u32::from_le_bytes(b.try_into().expect("4 bytes"))
+        u32::from_le_bytes(self.load_array(t, addr, false))
     }
 
     /// Loads one byte.
     #[track_caller]
     pub fn load_u8(&self, t: &PmThread, addr: PmAddr) -> u8 {
-        self.check(addr, 1);
-        self.env
-            .load_at(t, self.index, addr, 1, false, Location::caller())[0]
+        u8::from_le_bytes(self.load_array(t, addr, false))
     }
 
     /// Atomic load of a `u64`.
     #[track_caller]
     pub fn atomic_load_u64(&self, t: &PmThread, addr: PmAddr) -> u64 {
-        self.check(addr, 8);
-        let b = self
-            .env
-            .load_at(t, self.index, addr, 8, true, Location::caller());
-        u64::from_le_bytes(b.try_into().expect("8 bytes"))
+        u64::from_le_bytes(self.load_array(t, addr, true))
     }
 
     // ---- read-modify-write ----
@@ -245,7 +243,7 @@ impl PmPool {
     #[track_caller]
     pub fn flush(&self, t: &PmThread, addr: PmAddr) {
         self.check(addr, 1);
-        self.env.flush_at(t, self.index, addr, Location::caller());
+        self.env.flush_at(t, addr, Location::caller());
     }
 
     /// Flushes every cache line overlapping `[addr, addr + len)`.
@@ -256,7 +254,6 @@ impl PmPool {
         for line in range.lines() {
             self.env.flush_at(
                 t,
-                self.index,
                 hawkset_core::addr::line_base(line).max(addr),
                 Location::caller(),
             );
