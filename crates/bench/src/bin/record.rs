@@ -9,7 +9,10 @@
 //! Runs each named application (all nine when none is named) with its §5
 //! default workload of `N` operations at seed `S` through [`record_app`],
 //! and writes the encoded trace to `DIR/<App>.hwkt`, e.g.
-//! `DIR/Memcached-pmem.hwkt`. `--ops` defaults to 1000 and `--seed` to 1;
+//! `DIR/Memcached-pmem.hwkt`, printing `App: E events in T ms -> PATH`
+//! with the recording time `T` in milliseconds, one decimal: the
+//! instrumented run alone, not the encoding or the write. `--ops`
+//! defaults to 1000 and `--seed` to 1;
 //! `--out` is required and is created if missing. Exits 2 on an unknown
 //! flag, a missing `--out` or an unknown app name, 1 when a file cannot be
 //! written.
@@ -65,13 +68,14 @@ fn main() -> ExitCode {
             continue;
         }
         let (trace, secs) = record_app(app.as_ref(), ops, seed);
+        let ms = secs * 1e3;
         let path = out.join(format!("{}.hwkt", app.name()));
         if let Err(e) = std::fs::write(&path, io::encode(&trace)) {
             eprintln!("record: cannot write {}: {e}", path.display());
             return ExitCode::from(1);
         }
         println!(
-            "{}: {} events in {secs:.2} s -> {}",
+            "{}: {} events in {ms:.1} ms -> {}",
             app.name(),
             trace.events.len(),
             path.display()

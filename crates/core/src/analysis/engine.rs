@@ -100,40 +100,6 @@ impl SiteKey {
     }
 }
 
-/// The windows and loads of one site pair: those whose racy pairs a report
-/// keys under the same [`SiteKey`] as `race`. A pairing run restricted to
-/// them ([`PairingControls::site`]) examines exactly the pairs the full run
-/// examines at that key, so it reports a race iff the full run does.
-///
-/// Membership is per side. A store stack `s` belongs iff `(s, race's load
-/// stack)` keys like `race`, a load stack `l` iff `(race's store stack, l)`
-/// does, and a pair `(s, l)` keys like `race` iff both belong: under
-/// `Functions` each side is "same innermost function"; under `Stacks` one of
-/// `race`'s stacks has no site, so each side is "`race`'s own stack".
-pub(crate) struct SitePair {
-    /// By stack id: whether windows with that stack belong.
-    pub(crate) stores: Vec<bool>,
-    /// By stack id: whether loads with that stack belong.
-    pub(crate) loads: Vec<bool>,
-}
-
-impl SitePair {
-    /// The site pair `race` is reported under.
-    pub(crate) fn of(stacks: &StackTable, race: RaceKey) -> Self {
-        let target = SiteKey::of(stacks, race.store_stack, race.load_stack);
-        let all = 0..stacks.stack_count() as u32;
-        Self {
-            stores: all
-                .clone()
-                .map(|s| SiteKey::of(stacks, s, race.load_stack) == target)
-                .collect(),
-            loads: all
-                .map(|l| SiteKey::of(stacks, race.store_stack, l) == target)
-                .collect(),
-        }
-    }
-}
-
 /// A race plus the rank of its first witness: `(window-group index,
 /// load-group index)` in the global order the sequential loop examines
 /// pairs. The merge keeps the minimum — i.e. exactly the witness the
@@ -193,8 +159,7 @@ impl ShardOutput {
 /// The checkpoint layer's per-shard write hook (worker-thread context).
 pub(crate) type ShardHook<'a> = &'a (dyn Fn(usize, &ShardOutput) + Sync);
 
-/// Optional hooks into [`run_pairing_controlled`]: checkpoint/resume, and
-/// the repair validator's site-pair restriction.
+/// Optional hooks into [`run_pairing_controlled`]: checkpoint/resume.
 #[derive(Default)]
 pub(crate) struct PairingControls<'a> {
     /// Finished shard outputs from a previous (killed) run, keyed by shard
@@ -206,10 +171,6 @@ pub(crate) struct PairingControls<'a> {
     /// Called (from worker threads) with every freshly computed cacheable
     /// shard output — the checkpoint layer's write hook.
     pub on_shard: Option<ShardHook<'a>>,
-    /// Pair only this site pair's windows and loads. They are filtered
-    /// before grouping, so the groups, and the pairs examined, are the
-    /// full run's at that site pair.
-    pub site: Option<&'a SitePair>,
 }
 
 /// Words per cache line.
@@ -781,15 +742,11 @@ pub(crate) fn run_pairing_controlled(
     // fields), so each equivalence class is paired once and its population
     // multiplies the pair counts. On zipfian workloads this collapses the
     // hot keys' millions of accesses into a handful of groups.
-    let site = controls.site;
     let mut load_groups: Vec<(u32, u64)> = Vec::new(); // (repr index, count)
     {
         let mut index: FxHashMap<LoadKey, u32> = FxHashMap::default();
         for (i, ld) in access.loads.iter().enumerate() {
-            if !ld.live()
-                || (!cfg.include_atomics && ld.atomic)
-                || site.is_some_and(|p| !p.loads[ld.stack as usize])
-            {
+            if !ld.live() || (!cfg.include_atomics && ld.atomic) {
                 continue;
             }
             stats.live_loads += 1;
@@ -817,10 +774,7 @@ pub(crate) fn run_pairing_controlled(
     {
         let mut index: FxHashMap<WinKey, u32> = FxHashMap::default();
         for (i, w) in access.windows.iter().enumerate() {
-            if !w.live()
-                || (!cfg.include_atomics && w.atomic)
-                || site.is_some_and(|p| !p.stores[w.stack as usize])
-            {
+            if !w.live() || (!cfg.include_atomics && w.atomic) {
                 continue;
             }
             stats.live_windows += 1;

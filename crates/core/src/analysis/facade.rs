@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::HawkSetError;
-use crate::memsim::{simulate_view, AccessSet, StreamSimulator};
+use crate::memsim::{AccessSet, StreamSimulator};
 use crate::obs::{MetricsRegistry, MetricsSnapshot, ObsHook, Stage};
 use crate::trace::stream::{StreamDecoder, StreamOptions, DEFAULT_CHUNK_BYTES};
 use crate::trace::validate::StreamValidator;
@@ -257,7 +257,6 @@ impl Analyzer {
             on_shard: on_shard
                 .as_ref()
                 .map(|f| f as &(dyn Fn(usize, &ShardOutput) + Sync)),
-            site: None,
         };
         let mut src = Stream {
             dec,
@@ -298,6 +297,9 @@ impl Analyzer {
         let header = src.header();
         let (threads, stacks) = (header.thread_count, header.stacks.stack_count());
         let mut sim = StreamSimulator::new(threads, header.regions.clone(), &self.cfg.sim_config());
+        if fixes.is_some() && self.cfg.suggest_fixes && repair::logs_for_repair(&self.cfg) {
+            sim.log_for_repair();
+        }
         let mut check = match strictness {
             None => Check::Trusted,
             Some(Strictness::Strict) => Check::Strict(StreamValidator::new(threads, stacks)),
@@ -441,7 +443,7 @@ impl Analyzer {
         };
         let analyzed = usize::try_from(report.coverage.events_analyzed).unwrap_or(usize::MAX);
         let view = TraceView::prefix(base, analyzed);
-        let access = access.unwrap_or_else(|| simulate_view(view, &self.cfg.sim_config()));
+        let access = access.unwrap_or_else(|| repair::simulate_for_repair(&view, &self.cfg));
         let fixes = repair::suggest(&view, access, &report.races, &self.cfg);
         if !fixes.is_empty() {
             report.fixes = Some(repair::FixReport::new(fixes));

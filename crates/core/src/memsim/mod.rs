@@ -120,12 +120,6 @@ impl SimStats {
 }
 
 /// Everything stage 1 + 2 hand to the lockset analysis.
-///
-/// A running simulation lends its access set so far
-/// ([`StreamSimulator::view`]): the windows closed and the loads recorded
-/// up to that point, with the still-open pieces left out. Its `epochs` can
-/// then be shorter than `vclocks`, and the interning totals in `stats` are
-/// filled in only when the simulation finishes.
 #[derive(Clone, Debug)]
 pub struct AccessSet {
     /// All store windows (including IRH-discarded ones, flagged).
@@ -153,12 +147,80 @@ pub struct AccessSet {
     pub epoch_sound: bool,
     /// Simulation counters.
     pub stats: SimStats,
+    /// What the repair step reads besides the windows and loads, recorded
+    /// only by simulations that feed it ([`StreamSimulator::log_for_repair`]).
+    pub(crate) repair_log: Option<Box<RepairLog>>,
+}
+
+/// The event that closed a window: its thread and sequence number, or
+/// [`Close::NEVER`] for a window still open at the end of the execution.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Close {
+    pub(crate) tid: ThreadId,
+    pub(crate) seq: u64,
+}
+
+impl Close {
+    /// The close point of a never-persisted window.
+    pub(crate) const NEVER: Close = Close {
+        tid: ThreadId(0),
+        seq: u64::MAX,
+    };
+}
+
+/// A thread's lockset, clock and pending batched tick after one of its
+/// events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Mark {
+    pub(crate) seq: u64,
+    pub(crate) ls: LsId,
+    pub(crate) vc: VcId,
+    pub(crate) needs_tick: bool,
+}
+
+/// A repair simulation's record of where windows closed and how each
+/// thread's state moved (DESIGN.md §4k). The repair step reads a patch's
+/// footprint from it instead of replaying the patch. It is filled only
+/// without a memory budget, since eviction would drop windows it indexes.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RepairLog {
+    /// Per window, in window order: the event that closed it.
+    pub(crate) closes: Vec<Close>,
+    /// Per thread, in event order: its state after each of its events that
+    /// changed it. Before its first mark a thread holds no lock, has the
+    /// zero clock and needs a tick.
+    pub(crate) marks: Vec<Vec<Mark>>,
+    /// Per thread: its fences.
+    pub(crate) fences: Vec<Vec<u64>>,
+    /// Per thread: its flushes of a line with open pieces, as `(seq, line)`.
+    pub(crate) flushes: Vec<Vec<(u64, LineId)>>,
+    /// Per thread: the events that joined it.
+    pub(crate) joins: Vec<Vec<u64>>,
+}
+
+impl RepairLog {
+    /// Thread `tid`'s state right after the event with sequence number
+    /// `seq` (of any thread): its last mark at or before `seq`, if any.
+    pub(crate) fn state_after(&self, tid: ThreadId, seq: u64) -> Option<Mark> {
+        let marks = self.marks.get(tid.index())?;
+        let n = marks.partition_point(|m| m.seq <= seq);
+        n.checked_sub(1).map(|i| marks[i])
+    }
+
+    fn grow(&mut self, tid: ThreadId) {
+        let n = tid.index() + 1;
+        if self.marks.len() < n {
+            self.marks.resize_with(n, Vec::new);
+            self.fences.resize_with(n, Vec::new);
+            self.flushes.resize_with(n, Vec::new);
+            self.joins.resize_with(n, Vec::new);
+        }
+    }
 }
 
 impl AccessSet {
     /// The epoch stand-in for interned clock `vc`, or `None` when the id
-    /// has no recorded snapshot epoch (or no slot yet, mid-run) or the
-    /// whole run was demoted.
+    /// has no recorded snapshot epoch or the whole run was demoted.
     #[inline]
     pub fn epoch_of(&self, vc: VcId) -> Option<Epoch> {
         if !self.epoch_sound {
@@ -298,7 +360,7 @@ impl OpenPiece {
 /// thread, lock ids only across threads. An empty side gives the empty
 /// set without intersecting; it is still interned, so the sharing counters
 /// see the same requests.
-fn effective_lockset(
+pub(crate) fn effective_lockset(
     locksets: &mut Interner<Lockset>,
     store: LsId,
     closer: LsId,
@@ -415,13 +477,12 @@ impl StreamSimulator {
         &self.core.access.stats
     }
 
-    /// The access set so far, borrowed, not copied: the windows closed and
-    /// the loads recorded up to here, and the interners (see
-    /// [`AccessSet`]). Open pieces stay open; closing them, as
-    /// [`finish`](Self::finish) does, would end their windows at a point
-    /// the execution never reached.
-    pub fn view(&self) -> &AccessSet {
-        &self.core.access
+    /// Records a [`RepairLog`] into the access set, unless the run has a
+    /// memory budget. Call it before the first event.
+    pub(crate) fn log_for_repair(&mut self) {
+        if self.core.cfg.memory_budget.is_none() {
+            self.core.log = Some(Box::default());
+        }
     }
 
     /// Closes still-open windows and returns the access set.
@@ -447,9 +508,11 @@ struct SimCore {
     lines: FxHashMap<LineId, Vec<OpenPiece>>,
     publication: PublicationTracker,
     /// The output so far: closed windows, recorded loads, the interners
-    /// and the running counters, which [`StreamSimulator::view`] lends out
-    /// and [`finalize`](Self::finalize) completes.
+    /// and the running counters, which [`finalize`](Self::finalize)
+    /// completes.
     access: AccessSet,
+    /// The repair log, when one is recorded.
+    log: Option<Box<RepairLog>>,
 }
 
 impl SimCore {
@@ -477,7 +540,9 @@ impl SimCore {
                 epochs: Vec::new(),
                 epoch_sound: true,
                 stats: SimStats::default(),
+                repair_log: None,
             },
+            log: None,
         };
         // The zero clock is trivially its own snapshot: zero ⊑ anything and
         // `0 ≤ W[t]` always, so any owner works.
@@ -548,12 +613,12 @@ impl SimCore {
             EventKind::Flush { addr } => {
                 self.access.stats.flushes += 1;
                 self.tick_if_needed(ev.tid);
-                self.on_flush(ev.tid, *addr);
+                self.on_flush(ev.tid, ev.seq, *addr);
             }
             EventKind::Fence => {
                 self.access.stats.fences += 1;
                 self.tick_if_needed(ev.tid);
-                self.on_fence(ev.tid);
+                self.on_fence(ev.tid, ev.seq);
             }
             EventKind::Acquire { lock, mode } => {
                 let t = &mut self.threads[ev.tid.index()];
@@ -621,6 +686,19 @@ impl SimCore {
                 self.note_opaque(wid);
             }
         }
+        if self.log.is_some() {
+            self.mark(ev.tid, ev.seq);
+            match ev.kind {
+                EventKind::ThreadCreate { child } => self.mark(child, ev.seq),
+                EventKind::ThreadJoin { child } => {
+                    if let Some(log) = self.log.as_mut() {
+                        log.grow(child);
+                        log.joins[child.index()].push(ev.seq);
+                    }
+                }
+                _ => {}
+            }
+        }
         if self
             .access
             .stats
@@ -628,6 +706,29 @@ impl SimCore {
             .is_multiple_of(MEMORY_CHECK_INTERVAL)
         {
             self.enforce_budget();
+        }
+    }
+
+    /// Logs `tid`'s state after event `seq` if the event changed it.
+    fn mark(&mut self, tid: ThreadId, seq: u64) {
+        let Some(log) = self.log.as_mut() else {
+            return;
+        };
+        log.grow(tid);
+        let t = &self.threads[tid.index()];
+        let mark = Mark {
+            seq,
+            ls: t.ls_id,
+            vc: t.vc_id,
+            needs_tick: t.needs_tick,
+        };
+        let marks = &mut log.marks[tid.index()];
+        let (empty_ls, zero_vc) = (LsId::from_raw(0), VcId::from_raw(0));
+        let last = marks
+            .last()
+            .map_or((empty_ls, zero_vc, true), |m| (m.ls, m.vc, m.needs_tick));
+        if last != (mark.ls, mark.vc, mark.needs_tick) {
+            marks.push(mark);
         }
     }
 
@@ -659,6 +760,7 @@ impl SimCore {
             return;
         }
         self.access.stats.memory_budget_hit = true;
+        debug_assert!(self.log.is_none(), "a repair log indexes every window");
         let target = limit - limit / 4;
         let need = live.saturating_sub(target);
         let wsz = std::mem::size_of::<StoreWindow>() as u64;
@@ -708,6 +810,7 @@ impl SimCore {
 
     fn finalize(mut self) -> AccessSet {
         self.close_remaining();
+        self.access.repair_log = self.log.take();
         let out = &mut self.access;
         out.stats.distinct_locksets = out.locksets.len() as u64;
         out.stats.distinct_vclocks = out.vclocks.len() as u64;
@@ -776,6 +879,9 @@ impl SimCore {
                 self.access.stats.irh_discarded_windows += u64::from(discarded);
                 let w = piece.window(piece.range, ls, Some(vc), CloseReason::Persisted, discarded);
                 self.access.windows.push(w);
+                if let Some(log) = self.log.as_mut() {
+                    log.closes.push(Close { tid, seq });
+                }
                 continue;
             }
             // Close / shrink the open pieces this store overlaps, in place:
@@ -795,6 +901,9 @@ impl SimCore {
                 // Overwritten stores are never IRH-discarded (§3.1.3).
                 let w = old.window(hit, effective_ls, Some(vc), CloseReason::Overwritten, false);
                 self.access.windows.push(w);
+                if let Some(log) = self.log.as_mut() {
+                    log.closes.push(Close { tid, seq });
+                }
                 match old.range.subtract(&range) {
                     (None, None) => {
                         pieces.remove(i);
@@ -841,7 +950,7 @@ impl SimCore {
         });
     }
 
-    fn on_flush(&mut self, tid: ThreadId, addr: u64) {
+    fn on_flush(&mut self, tid: ThreadId, seq: u64, addr: u64) {
         let line = line_of(addr);
         let Some(pieces) = self.lines.get_mut(&line) else {
             return;
@@ -853,9 +962,17 @@ impl SimCore {
             piece.pending_fence.insert(tid);
         }
         self.threads[tid.index()].watch(line);
+        if let Some(log) = self.log.as_mut() {
+            log.grow(tid);
+            log.flushes[tid.index()].push((seq, line));
+        }
     }
 
-    fn on_fence(&mut self, tid: ThreadId) {
+    fn on_fence(&mut self, tid: ThreadId, seq: u64) {
+        if let Some(log) = self.log.as_mut() {
+            log.grow(tid);
+            log.fences[tid.index()].push(seq);
+        }
         let t = &mut self.threads[tid.index()];
         let (fencer_ls, fencer_vc) = (t.ls_id, t.vc_id);
         let mut lines = std::mem::take(&mut t.fence_watch);
@@ -882,6 +999,9 @@ impl SimCore {
                 let close = CloseReason::Persisted;
                 let w = piece.window(piece.range, effective_ls, Some(fencer_vc), close, discarded);
                 self.access.windows.push(w);
+                if let Some(log) = self.log.as_mut() {
+                    log.closes.push(Close { tid, seq });
+                }
                 false
             });
             if pieces.is_empty() {
@@ -908,6 +1028,9 @@ impl SimCore {
             self.access
                 .windows
                 .push(piece.window(piece.range, empty_ls, None, close, false));
+            if let Some(log) = self.log.as_mut() {
+                log.closes.push(Close::NEVER);
+            }
         }
     }
 }
@@ -1459,6 +1582,38 @@ mod tests {
                 memory_budget: None,
             };
             assert_stream_matches_batch(&trace, &cfg);
+        }
+    }
+
+    #[test]
+    fn a_repair_log_changes_no_output_and_keeps_windows_small() {
+        // The log lives beside the windows, so analyses without repair pay
+        // nothing per window; the memory budget charges these sizes.
+        assert_eq!(std::mem::size_of::<StoreWindow>(), 56);
+        assert_eq!(std::mem::size_of::<OpenPiece>(), 72);
+        let trace = busy_trace();
+        let cfg = SimConfig::default();
+        let plain = simulate(&trace, &cfg);
+        let mut s = StreamSimulator::new(trace.thread_count, trace.regions.clone(), &cfg);
+        s.log_for_repair();
+        for ev in trace.events.iter() {
+            s.step(&ev);
+        }
+        let logged = s.finish();
+        assert_eq!(plain.windows, logged.windows);
+        assert_eq!(plain.loads, logged.loads);
+        assert_eq!(plain.stats, logged.stats);
+        assert!(plain.repair_log.is_none());
+        let log = logged.repair_log.expect("a repair simulation logs");
+        assert_eq!(log.closes.len(), logged.windows.len());
+        for (w, close) in logged.windows.iter().zip(&log.closes) {
+            let never = w.close == CloseReason::NeverPersisted;
+            assert_eq!(never, *close == Close::NEVER, "{w:?} closed at {close:?}");
+            if !never {
+                // The closer's clock after its closing event is the window's.
+                let after = log.state_after(close.tid, close.seq).expect("a mark");
+                assert_eq!(Some(after.vc), w.close_vc, "{w:?}");
+            }
         }
     }
 

@@ -13,18 +13,13 @@
 //! so [`simulate_patches`] replays many patches over one shared simulation
 //! of the recorded stream, forking it at each patch's first edit.
 //! [`simulate_patched`] is the independent full replay it must agree with.
-//!
-//! A caller often knows a replay's outcome before its end. So each fork
-//! pauses at fixed points of its suffix and shows its caller what it holds
-//! so far ([`StreamSimulator::view`]), and the caller may stop it there.
-//! Without a memory budget that view only grows: a closed window, a
-//! recorded load and an interned lockset or clock never change once they
-//! exist, so everything the view holds is in the finished access set too.
+//! Unbudgeted repair runs decide their patches without either (DESIGN.md
+//! §4k); replays prove the patches of budgeted runs, and they are the
+//! reference the footprint verdicts are checked against.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::iter::Peekable;
-use std::ops::Range;
 
 use crate::trace::{Event, EventKind, StackId, ThreadId, TraceView};
 
@@ -145,16 +140,16 @@ impl EventPatch {
             .unwrap_or(seqs.len())
     }
 
-    /// Feeds `sim` the patched stream for the recorded events in `range`,
-    /// numbering each emitted event by the count of events `sim` has
-    /// stepped: what [`apply`](Self::apply) emits there when the patch
-    /// touches no event before `range` and `sim` has stepped exactly what
-    /// `apply` emits before it.
+    /// Feeds `sim` the patched stream for the recorded events from index
+    /// `start` on, numbering each emitted event by the count of events
+    /// `sim` has stepped: what [`apply`](Self::apply) emits there when the
+    /// patch touches no event before `start` and `sim` has stepped exactly
+    /// what `apply` emits before it.
     ///
     /// The view's events are sorted by `seq`, so the edits are read with
     /// one cursor per map, each advanced past the keys below the current
     /// event's `seq`, instead of a lookup per map and event.
-    fn replay(&self, view: &TraceView<'_>, range: Range<usize>, sim: &mut StreamSimulator) {
+    fn replay(&self, view: &TraceView<'_>, start: usize, sim: &mut StreamSimulator) {
         let mut emit = |tid, stack, kind| {
             let seq = sim.stats().events;
             sim.step(&Event {
@@ -164,13 +159,13 @@ impl EventPatch {
                 kind,
             });
         };
-        let Some(&from) = view.events.seqs().get(range.start) else {
+        let Some(&from) = view.events.seqs().get(start) else {
             return;
         };
         let mut before = self.before.range(from..).peekable();
         let mut removed = self.removed.range(from..).map(|s| (s, ())).peekable();
         let mut after = self.after.range(from..).peekable();
-        for i in range {
+        for i in start..view.events.len() {
             let ev = view.events.get(i);
             for s in at(&mut before, ev.seq).into_iter().flatten() {
                 emit(s.tid, s.stack, s.kind);
@@ -211,45 +206,18 @@ pub fn simulate_patched(view: &TraceView<'_>, patch: &EventPatch, cfg: &SimConfi
     sim.finish()
 }
 
-/// How often a fork pauses: after each quarter of its suffix. Fixed, not
-/// tuned per run; on the application traces a replay's outcome is
-/// usually settled well before its end, and a pause costs its caller a
-/// look at everything recorded so far.
-const PAUSES: usize = 3;
-
-/// How a fork of [`simulate_patches`] ended.
-#[derive(Debug)]
-pub enum Fork {
-    /// It replayed to the end of the trace: its access set, equal to
-    /// [`simulate_patched`]'s.
-    Finished(AccessSet),
-    /// Its caller declared it decided at a pause, and it was not finished.
-    /// Debug builds finish it anyway, check that the finished access set
-    /// extends the view the caller decided on, and carry it here so the
-    /// caller can re-prove its decision on it; release builds carry `None`.
-    Stopped(Option<AccessSet>),
-}
-
 /// Replays `view` once per patch over one shared simulation of the
 /// recorded prefix: a single simulator steps through the unedited events in
 /// the order of the patches' first edits and is cloned at each, and only
 /// the clone streams that patch's suffix. At most two simulators are alive
 /// at a time, the shared one and one fork, each under `cfg`'s memory
-/// budget.
-///
-/// Each fork pauses after every quarter of its suffix and asks
-/// `decided(i, so_far)` about `patches[i]`, where `so_far` borrows the
-/// fork's own state ([`StreamSimulator::view`]). Once it answers `true`
-/// the fork stops. Under a memory budget forks never pause: eviction can
-/// drop a window or load a pause saw, so a view would not be part of the
-/// finished access set. `each(i, fork)` then receives how the replay of
-/// `patches[i]` ended, in order of first edit.
+/// budget. `each(i, access)` receives the access set of `patches[i]`,
+/// equal to [`simulate_patched`]'s, in order of first edit.
 pub fn simulate_patches(
     view: &TraceView<'_>,
     patches: &[EventPatch],
     cfg: &SimConfig,
-    mut decided: impl FnMut(usize, &AccessSet) -> bool,
-    mut each: impl FnMut(usize, Fork),
+    mut each: impl FnMut(usize, AccessSet),
 ) {
     let mut order: Vec<(usize, usize)> = patches
         .iter()
@@ -257,12 +225,6 @@ pub fn simulate_patches(
         .map(|(i, p)| (p.first_edit(view), i))
         .collect();
     order.sort_unstable();
-    let pauses = if cfg.memory_budget.is_none() {
-        PAUSES
-    } else {
-        0
-    };
-    let end = view.events.len();
     let mut shared = StreamSimulator::new(view.thread_count, view.regions.to_vec(), cfg);
     let mut next = 0;
     for (fork, i) in order {
@@ -274,34 +236,8 @@ pub fn simulate_patches(
         }
         next = fork;
         let mut sim = shared.clone();
-        let mut done = fork;
-        let mut stopped = false;
-        for k in 1..=pauses {
-            let to = fork + (end - fork) * k / (pauses + 1);
-            patches[i].replay(view, done..to, &mut sim);
-            done = to;
-            stopped = decided(i, sim.view());
-            if stopped {
-                break;
-            }
-        }
-        if stopped && !cfg!(debug_assertions) {
-            each(i, Fork::Stopped(None));
-            continue;
-        }
-        let seen = stopped.then(|| (sim.view().windows.clone(), sim.view().loads.clone()));
-        patches[i].replay(view, done..end, &mut sim);
-        let access = sim.finish();
-        match seen {
-            None => each(i, Fork::Finished(access)),
-            Some((windows, loads)) => {
-                assert!(
-                    access.windows.starts_with(&windows) && access.loads.starts_with(&loads),
-                    "patch {i}'s finished replay dropped or changed what a pause saw"
-                );
-                each(i, Fork::Stopped(Some(access)));
-            }
-        }
+        patches[i].replay(view, fork, &mut sim);
+        each(i, sim.finish());
     }
 }
 
@@ -516,35 +452,15 @@ mod tests {
 
     /// Runs the sweep over [`patch_set`] and checks every access set
     /// against the independent full replay; returns the unpatched one.
-    /// Every fork pauses [`PAUSES`] times, or never under a memory budget.
     fn sweep_matches_full_replays(trace: &Trace, cfg: &SimConfig) -> AccessSet {
         let view = TraceView::full(trace);
         let patches = patch_set(trace);
-        let mut paused = vec![0; patches.len()];
         let mut seen = vec![0; patches.len()];
-        simulate_patches(
-            &view,
-            &patches,
-            cfg,
-            |i, _| {
-                paused[i] += 1;
-                false
-            },
-            |i, fork| {
-                seen[i] += 1;
-                let Fork::Finished(swept) = fork else {
-                    panic!("patch {i} stopped, yet no pause decided it");
-                };
-                assert_same(&swept, &simulate_patched(&view, &patches[i], cfg), i);
-            },
-        );
+        simulate_patches(&view, &patches, cfg, |i, swept| {
+            seen[i] += 1;
+            assert_same(&swept, &simulate_patched(&view, &patches[i], cfg), i);
+        });
         assert_eq!(seen, vec![1; patches.len()], "one access set per patch");
-        let pauses = if cfg.memory_budget.is_some() {
-            0
-        } else {
-            PAUSES
-        };
-        assert_eq!(paused, vec![pauses; patches.len()]);
         simulate_patched(&view, &EventPatch::new(), cfg)
     }
 
@@ -567,84 +483,6 @@ mod tests {
         };
         let base = sweep_matches_full_replays(&trace, &cfg);
         assert!(base.stats.memory_budget_hit && base.stats.windows_evicted > 0);
-    }
-
-    /// `so_far`'s windows, loads, interned locksets and clocks, and
-    /// recorded epochs all start `full`'s.
-    fn assert_prefix(so_far: &AccessSet, full: &AccessSet, patch: usize) {
-        assert!(
-            full.windows.starts_with(&so_far.windows),
-            "windows of patch {patch}"
-        );
-        assert!(
-            full.loads.starts_with(&so_far.loads),
-            "loads of patch {patch}"
-        );
-        let (ls, vc) = (so_far.locksets.iter(), so_far.vclocks.iter());
-        let ls_full = full.locksets.iter().take(so_far.locksets.len());
-        assert!(ls.eq(ls_full), "locksets of patch {patch}");
-        let vc_full = full.vclocks.iter().take(so_far.vclocks.len());
-        assert!(vc.eq(vc_full), "clocks of patch {patch}");
-        for (id, epoch) in so_far.epochs.iter().enumerate() {
-            assert!(
-                epoch.is_none() || *epoch == full.epochs[id],
-                "epoch {id} of patch {patch}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_pause_sees_a_prefix_of_the_finished_replay() {
-        let trace = busy_trace(10);
-        let view = TraceView::full(&trace);
-        let patches = patch_set(&trace);
-        let cfg = SimConfig::default();
-        let full: Vec<AccessSet> = patches
-            .iter()
-            .map(|p| simulate_patched(&view, p, &cfg))
-            .collect();
-        let mut grew = false;
-        simulate_patches(
-            &view,
-            &patches,
-            &cfg,
-            |i, so_far| {
-                assert_prefix(so_far, &full[i], i);
-                grew |= !so_far.windows.is_empty() && so_far.windows.len() < full[i].windows.len();
-                false
-            },
-            |_, _| {},
-        );
-        assert!(grew, "some pause sees part of a replay's windows");
-    }
-
-    #[test]
-    fn a_fork_decided_at_a_pause_stops_there() {
-        let trace = busy_trace(10);
-        let view = TraceView::full(&trace);
-        let patches = patch_set(&trace);
-        let mut asked = vec![0; patches.len()];
-        let mut stopped = vec![false; patches.len()];
-        simulate_patches(
-            &view,
-            &patches,
-            &SimConfig::default(),
-            |i, _| {
-                asked[i] += 1;
-                asked[i] == 2
-            },
-            |i, fork| match fork {
-                Fork::Stopped(finished) => {
-                    // Debug builds finish a stopped fork only to re-prove
-                    // its stop; release builds never do.
-                    assert_eq!(finished.is_some(), cfg!(debug_assertions));
-                    stopped[i] = true;
-                }
-                Fork::Finished(_) => panic!("patch {i} was decided, yet finished"),
-            },
-        );
-        assert_eq!(asked, vec![2; patches.len()], "no pause after the stop");
-        assert_eq!(stopped, vec![true; patches.len()]);
     }
 
     #[test]

@@ -43,6 +43,9 @@ pub enum DecodeError {
     /// A declared count exceeds what any real trace could hold — decoding
     /// it would be a decompression bomb, not a trace.
     LimitExceeded(&'static str),
+    /// A 32-bit field (an access length, a frame's line number) was encoded
+    /// with a wider value. Truncating it would decode a different trace.
+    FieldTooWide(&'static str),
 }
 
 impl core::fmt::Display for DecodeError {
@@ -56,11 +59,18 @@ impl core::fmt::Display for DecodeError {
             DecodeError::BadTag(t) => write!(f, "unknown event tag {t}"),
             DecodeError::BadIndex => write!(f, "dangling table index in trace"),
             DecodeError::LimitExceeded(what) => write!(f, "implausible {what} count in trace"),
+            DecodeError::FieldTooWide(what) => write!(f, "{what} exceeds 32 bits in trace"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
+
+/// Reads a varint that encodes a 32-bit field. A wider value is
+/// corruption, so it fails instead of being cut to its low bits.
+fn get_u32(buf: &mut Cur<'_>, what: &'static str) -> Result<u32, DecodeError> {
+    u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::FieldTooWide(what))
+}
 
 /// Hard ceiling on the thread count a trace may declare. The simulator
 /// allocates per-thread state eagerly, so an unchecked varint here would let
@@ -449,7 +459,7 @@ pub(crate) fn decode_tables(buf: &mut Cur<'_>) -> Result<DecodedTables, DecodeEr
     for _ in 0..frame_count {
         let function = lookup(get_varint(buf)?)?.to_owned();
         let file = lookup(get_varint(buf)?)?.to_owned();
-        let line = get_varint(buf)? as u32;
+        let line = get_u32(buf, "frame line")?;
         frame_map.push(stacks.intern_frame(Frame {
             function,
             file,
@@ -614,7 +624,7 @@ pub(crate) fn decode_event(
     let kind = match tag {
         TAG_STORE => {
             let start = get_varint(buf)?;
-            let len = get_varint(buf)? as u32;
+            let len = get_u32(buf, "access length")?;
             EventKind::Store {
                 range: AddrRange::new(start, len),
                 non_temporal: flags & STORE_FLAG_NT != 0,
@@ -623,7 +633,7 @@ pub(crate) fn decode_event(
         }
         TAG_LOAD => {
             let start = get_varint(buf)?;
-            let len = get_varint(buf)? as u32;
+            let len = get_u32(buf, "access length")?;
             EventKind::Load {
                 range: AddrRange::new(start, len),
                 atomic: flags != 0,

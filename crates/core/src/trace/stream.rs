@@ -435,6 +435,54 @@ mod tests {
     }
 
     #[test]
+    fn an_access_length_past_32_bits_is_corruption_for_every_decoder() {
+        // A store, then a load whose length varint, the last field of the
+        // encoding, is rewritten to 2^32 + 8: cut to 32 bits it would read
+        // as an 8-byte load.
+        let mut b = crate::trace::TraceBuilder::new();
+        let s = b.intern_stack([crate::trace::Frame::new("f", "f.rs", 1)]);
+        let range = AddrRange::new(0x1000, 8);
+        let store = EventKind::Store {
+            range,
+            non_temporal: false,
+            atomic: false,
+        };
+        b.push(ThreadId(0), s, store);
+        let load = EventKind::Load {
+            range,
+            atomic: false,
+        };
+        b.push(ThreadId(0), s, load);
+        let t = b.finish();
+        let mut raw = io::encode(&t).to_vec();
+        assert_eq!(raw.pop(), Some(8), "the load's length ends the encoding");
+        // Tag, flags, tid and stack take a byte each, the start two.
+        let load_at = raw.len() - 6;
+        raw.extend_from_slice(&[0x88, 0x80, 0x80, 0x80, 0x10]);
+        let wide = DecodeError::FieldTooWide("access length");
+
+        assert_eq!(io::decode(&raw).unwrap_err(), wide);
+        let batch = io::decode_lossy(&raw).unwrap();
+        assert_eq!(batch.reason, Some(wide));
+        let first = vec![t.events.get(0)];
+        assert_eq!(batch.trace.events.to_vec(), first);
+        assert_eq!(batch.dropped_events, 1);
+        assert_eq!(batch.valid_bytes, load_at);
+        for chunk in [1usize, 4, 1 << 16] {
+            let dec = StreamDecoder::new(Cursor::new(raw.clone()), opts(chunk, true)).unwrap();
+            let (back, loss) = dec.collect().unwrap();
+            assert_eq!(back.events.to_vec(), first, "chunk {chunk}");
+            assert_eq!(loss.reason, Some(wide));
+            assert_eq!(loss.valid_bytes, load_at as u64);
+            let dec = StreamDecoder::new(Cursor::new(raw.clone()), opts(chunk, false)).unwrap();
+            match dec.collect() {
+                Err(HawkSetError::Decode(e)) => assert_eq!(e, wide, "chunk {chunk}"),
+                other => panic!("expected {wide:?}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn stream_loss_matches_batch_salvage_on_bad_tag() {
         let t = sample_trace();
         let mut raw = io::encode(&t).to_vec();

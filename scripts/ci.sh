@@ -146,8 +146,10 @@ echo "==> fix-validate smoke (--suggest-fixes over the golden corpus)"
 # The pretty-printed JSON keeps each verdict pair on adjacent lines, which
 # is what the grep -A1 pairing relies on. The verdicts are checked under
 # the default settings and with the IRH or the happens-before filter off,
-# two of the settings the repair engine's shortcuts read.
-for flags in "" "--no-irh" "--no-hb"; do
+# two of the settings the footprint verdicts read, and under a memory
+# budget and with the store-store pass, the runs that prove each patch by
+# replaying it instead.
+for flags in "" "--no-irh" "--no-hb" "--memory-budget 1048576" "--store-store"; do
     for t in racy_fig1c racy_unpersisted app_wipe_fixes; do
         run="$t${flags:+ $flags}"
         set +e

@@ -7,16 +7,13 @@
 //!    patch through [`RepairValidator::replay`]: the targeted race is
 //!    gone and no race key outside the baseline report appears. Status
 //!    demotion is total: `validated` ⟺ `Fix`, otherwise `Candidate`.
-//!    The engine validates all candidates over one shared simulation;
-//!    every verdict, `false` ones included, must equal the one-by-one
-//!    full replay of [`RepairValidator::validates`].
-//!    That holds under the default config, where most verdicts are
-//!    decided by pairing the target's site pair alone, often before the
-//!    replay ends, and under a candidate-pair budget and the store-store
-//!    pass, where that rule must stand down, and under an evicting memory
-//!    budget, where replays must run to the end. Each function runs under
-//!    two call stacks, so one site pair spans several stack pairs. A flush
-//!    the engine refutes without a replay
+//!    The engine decides every candidate from its patch's footprint on
+//!    the baseline access set, or replays it under a budget or the
+//!    store-store pass; every verdict, `false` ones included, must equal
+//!    the one-by-one full replay of [`RepairValidator::validates`], and
+//!    every footprint must rebuild the replay's access set exactly. Each
+//!    function runs under two call stacks, so one site pair spans several
+//!    stack pairs. A flush the engine refutes at its own stores
 //!    ([`RepairValidator::refutes`]) must race at its target's site pair
 //!    in the full replay and fail the full verdict, with the IRH, the
 //!    happens-before filter and the atomics filter each on and off.
@@ -27,11 +24,14 @@
 //!    never validate.
 
 use hawkset::core::addr::AddrRange;
+use hawkset::core::analysis::repair::build_patch;
 use hawkset::core::analysis::{
     AnalysisBudget, AnalysisConfig, Analyzer, BudgetExceeded, FixKind, FixStatus, RaceKey,
     RepairValidator,
 };
-use hawkset::core::memsim::{simulate_view, SimConfig};
+use hawkset::core::lockset::Lockset;
+use hawkset::core::memsim::patch::simulate_patched;
+use hawkset::core::memsim::{AccessSet, SimConfig};
 use hawkset::core::trace::{
     EventKind, Frame, LockId, LockMode, PmRegion, ThreadId, Trace, TraceBuilder, TraceView,
 };
@@ -43,8 +43,12 @@ use proptest::prelude::*;
 /// conflicting accesses. Each of the four functions is reached from two
 /// callers: two stacks with one innermost frame, hence one site. The pool
 /// lies in a registered PM region, and some stores land outside it; some
-/// accesses are atomic; and a worker can create a child mid-trace, which
-/// then runs some of that worker's operations until the worker joins it.
+/// accesses are atomic, and some stores non-temporal, so a piece can wait
+/// on its own thread's fence; and a worker can create a child mid-trace,
+/// which then runs some of that worker's operations until the worker joins
+/// it. A *span* stores, then loads, stores under another lock, flushes and
+/// fences before it acquires a lock: the shape a lock extension hoists an
+/// acquisition over, with every kind of access in between.
 fn arb_racy_trace() -> impl Strategy<Value = Trace> {
     racy_traces(4..90)
 }
@@ -53,7 +57,7 @@ fn arb_racy_trace() -> impl Strategy<Value = Trace> {
 fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
     let ops = proptest::collection::vec(
         (
-            0u8..11,
+            0u8..12,
             0u64..24u64,
             1u32..17,
             0u64..3,
@@ -95,7 +99,7 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
         for (i, (kind, addr, len, lock, flag, (caller, by_child))) in ops.into_iter().enumerate() {
             let worker = ThreadId(1 + (i as u32 % workers));
             let tid = match child[worker.index()] {
-                Some(c) if by_child && kind != 10 => c,
+                Some(c) if by_child && kind < 10 => c,
                 _ => worker,
             };
             if held.len() <= tid.index() {
@@ -108,9 +112,26 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
                 non_temporal: false,
                 atomic,
             };
+            let acquire = |lock, shared| EventKind::Acquire {
+                lock: LockId(lock),
+                mode: if shared {
+                    LockMode::Shared
+                } else {
+                    LockMode::Exclusive
+                },
+            };
             match kind {
                 // Stores twice as likely as anything else: windows are
                 // the race ingredient.
+                1 if flag => b.push(
+                    tid,
+                    s,
+                    EventKind::Store {
+                        range,
+                        non_temporal: true,
+                        atomic: false,
+                    },
+                ),
                 0 | 1 => b.push(tid, s, store(range, false)),
                 2 | 3 => b.push(
                     tid,
@@ -125,18 +146,7 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
                 6 => {
                     if !held[tid.index()].contains(&lock) {
                         held[tid.index()].push(lock);
-                        b.push(
-                            tid,
-                            s,
-                            EventKind::Acquire {
-                                lock: LockId(lock),
-                                mode: if flag {
-                                    LockMode::Shared
-                                } else {
-                                    LockMode::Exclusive
-                                },
-                            },
-                        );
+                        b.push(tid, s, acquire(lock, flag));
                     }
                 }
                 7 => {
@@ -156,7 +166,7 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
                         atomic: true,
                     },
                 ),
-                _ => match child[worker.index()].take() {
+                10 => match child[worker.index()].take() {
                     Some(c) => b.push(worker, s, EventKind::ThreadJoin { child: c }),
                     None => {
                         let c = ThreadId(next_child);
@@ -165,6 +175,44 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
                         child[worker.index()] = Some(c);
                     }
                 },
+                // A span, by the worker: the store, a load, a store under
+                // another lock, a flush and a fence of that line, then the
+                // acquisition an extension of `lock` would hoist.
+                _ => {
+                    let inner = stacks[(i + 1) % stacks.len()][usize::from(caller)];
+                    let near = AddrRange::new(0x1000 + (addr + 1) % 24 * 8, len);
+                    b.push(worker, s, store(range, false));
+                    b.push(
+                        worker,
+                        inner,
+                        EventKind::Load {
+                            range: near,
+                            atomic: false,
+                        },
+                    );
+                    let other = (lock + 1) % 3;
+                    let mine = &mut held[worker.index()];
+                    let take_other = !mine.contains(&other);
+                    if take_other {
+                        b.push(worker, inner, acquire(other, false));
+                    }
+                    b.push(worker, inner, store(near, false));
+                    if take_other {
+                        b.push(
+                            worker,
+                            inner,
+                            EventKind::Release {
+                                lock: LockId(other),
+                            },
+                        );
+                    }
+                    b.push(worker, inner, EventKind::Flush { addr: near.start });
+                    b.push(worker, inner, EventKind::Fence);
+                    if !mine.contains(&lock) {
+                        mine.push(lock);
+                        b.push(worker, s, acquire(lock, flag));
+                    }
+                }
             }
         }
         for w in 1..=workers {
@@ -181,6 +229,62 @@ fn racy_traces(ops: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
         }
         b.finish()
     })
+}
+
+/// A flush+fence at the first store of each stack of `trace`.
+fn first_store_flushes(trace: &Trace) -> Vec<FixKind> {
+    let mut stacks = Vec::new();
+    let mut flushes = Vec::new();
+    for ev in trace.iter() {
+        if let EventKind::Store { range, .. } = ev.kind {
+            if !stacks.contains(&ev.stack) {
+                stacks.push(ev.stack);
+                let line = range.start / 64 * 64;
+                flushes.push(FixKind::FlushFence {
+                    after_seq: ev.seq,
+                    line,
+                });
+            }
+        }
+    }
+    flushes
+}
+
+/// A lockset without its acquisition timestamps, which only equality
+/// tests within one run read.
+fn untimed(ls: &Lockset) -> Vec<(LockId, LockMode)> {
+    ls.iter().map(|e| (e.lock, e.mode)).collect()
+}
+
+/// `access`'s windows and loads by value, in order, without sequence
+/// numbers, lock timestamps or the windows' store locksets, which the
+/// pairing never reads.
+fn accesses(access: &AccessSet) -> (Vec<String>, Vec<String>) {
+    let clock = |vc| format!("{:?}", access.vclocks.get(vc));
+    let windows = access.windows.iter().map(|w| {
+        let eff = untimed(access.locksets.get(w.effective_ls));
+        let close = w.close_vc.map(clock);
+        let flags = (w.close, w.atomic, w.non_temporal, w.irh_discarded);
+        format!(
+            "{:?} {} {:?} {} {eff:?} {close:?} {flags:?}",
+            w.tid,
+            w.stack,
+            w.range,
+            clock(w.store_vc)
+        )
+    });
+    let loads = access.loads.iter().map(|l| {
+        let ls = untimed(access.locksets.get(l.ls));
+        let flags = (l.atomic, l.irh_dropped);
+        format!(
+            "{:?} {} {:?} {} {ls:?} {flags:?}",
+            l.tid,
+            l.stack,
+            l.range,
+            clock(l.vc)
+        )
+    });
+    (windows.collect(), loads.collect())
 }
 
 /// The site pair a race on `key` is reported under: its two innermost
@@ -243,38 +347,42 @@ proptest! {
 
     /// Every verdict equals an independent full replay of its patch: a
     /// fix is never falsely demoted, and a candidate never falsely
-    /// validated. Checked under the default config, under a small
-    /// candidate-pair budget, with the store-store pass on, and under a
-    /// memory budget that evicts. The simulator checks that budget every
-    /// 256 events, so it runs on a longer trace.
+    /// validated. Checked for every candidate the engine plans, not only
+    /// the emitted one, and for every emitted suggestion: under the default
+    /// config, where verdicts come from each patch's footprint on the
+    /// baseline, with the IRH, the happens-before filter and the atomics
+    /// filter each off, and under a small candidate-pair budget, with the
+    /// store-store pass on, and under a memory budget that evicts, where
+    /// every patch is replayed. The simulator checks that budget every 256
+    /// events, so it runs on a longer trace.
     #[test]
     fn every_verdict_matches_an_independent_replay(
         trace in arb_racy_trace(),
         long in racy_traces(400..480),
         max_pairs in 1u64..32,
     ) {
+        let default = AnalysisConfig::default;
         let budgeted = AnalysisConfig {
             budget: AnalysisBudget {
                 max_candidate_pairs: Some(max_pairs),
                 ..AnalysisBudget::default()
             },
-            ..AnalysisConfig::default()
-        };
-        let store_store = AnalysisConfig {
-            check_store_store: true,
-            ..AnalysisConfig::default()
+            ..default()
         };
         let evicting = AnalysisConfig {
             budget: AnalysisBudget {
                 memory_budget: Some(2048),
                 ..AnalysisBudget::default()
             },
-            ..AnalysisConfig::default()
+            ..default()
         };
         let runs = [
-            (&trace, AnalysisConfig::default()),
+            (&trace, default()),
+            (&trace, AnalysisConfig { irh: false, ..default() }),
+            (&trace, AnalysisConfig { use_hb: false, ..default() }),
+            (&trace, AnalysisConfig { include_atomics: false, ..default() }),
             (&trace, budgeted),
-            (&trace, store_store),
+            (&trace, AnalysisConfig { check_store_store: true, ..default() }),
             (&long, evicting),
         ];
         for (trace, cfg) in runs {
@@ -284,8 +392,19 @@ proptest! {
             }
             let view = TraceView::full(trace);
             let validator = RepairValidator::new(&view, &report.races, &cfg);
+            let candidates = validator.candidates(&report.races);
+            let verdicts = validator.verdicts(&candidates);
+            for ((kind, target), verdict) in candidates.iter().zip(verdicts) {
+                prop_assert_eq!(
+                    verdict,
+                    validator.validates(kind, *target),
+                    "verdict of {} for {:?} under {:?} disagrees with a full replay",
+                    kind.summary(), target, cfg
+                );
+            }
             let suggestions = report.fixes.as_ref().map_or(&[][..], |f| &f.suggestions);
             for s in suggestions {
+                prop_assert!(candidates.contains(&(s.kind, s.race)));
                 prop_assert_eq!(
                     s.validated,
                     validator.validates(&s.kind, s.race),
@@ -293,6 +412,44 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Every footprint is exact: the access set a patch's footprint on the
+    /// baseline implies (`RepairValidator::footprint_access`) equals the
+    /// independent replay's, window by window and load by load, in order,
+    /// up to sequence numbers and lock timestamps. Checked for every
+    /// candidate the engine plans and for a flush at the first store of
+    /// each stack, with the IRH on and off: a lock extension changes the
+    /// locksets of the extended thread's loads in the span and the
+    /// effective locksets of the windows it stores or closes there, and a
+    /// flush closes, at each inserted fence, the pieces on the flushed
+    /// lines and those that wait on the flusher's fence elsewhere, each
+    /// decided again by the IRH.
+    #[test]
+    fn every_footprint_equals_its_replay(trace in arb_racy_trace()) {
+        let view = TraceView::full(&trace);
+        let flushes = first_store_flushes(&trace);
+        let mut derived = 0;
+        for irh in [true, false] {
+            let cfg = AnalysisConfig { irh, ..AnalysisConfig::default() };
+            let report = Analyzer::new(cfg.clone()).run(&trace);
+            let validator = RepairValidator::new(&view, &report.races, &cfg);
+            let planned = validator.candidates(&report.races).into_iter().map(|(k, _)| k);
+            for kind in planned.chain(flushes.iter().copied()) {
+                let Some(footprint) = validator.footprint_access(&kind) else {
+                    continue;
+                };
+                let patch = build_patch(&view, &kind).expect("a patch with a footprint applies");
+                let sim = SimConfig { irh, ..SimConfig::default() };
+                let replay = simulate_patched(&view, &patch, &sim);
+                let (windows, loads) = accesses(&footprint);
+                let (replay_windows, replay_loads) = accesses(&replay);
+                prop_assert_eq!(windows, replay_windows, "windows of {}", kind.summary());
+                prop_assert_eq!(loads, replay_loads, "loads of {}", kind.summary());
+                derived += 1;
+            }
+        }
+        prop_assert!(derived > 0 || trace.events.len() < 20, "no footprint to check");
     }
 
     /// Every refutation is exact: a flush the Refute step fails without a
@@ -303,15 +460,7 @@ proptest! {
     #[test]
     fn every_refuted_flush_races_at_its_site_pair(trace in arb_racy_trace()) {
         let view = TraceView::full(&trace);
-        let mut anchors: Vec<(u32, FixKind)> = Vec::new();
-        for ev in trace.iter() {
-            if let EventKind::Store { range, .. } = ev.kind {
-                if anchors.iter().all(|(stack, _)| *stack != ev.stack) {
-                    let line = range.start / 64 * 64;
-                    anchors.push((ev.stack, FixKind::FlushFence { after_seq: ev.seq, line }));
-                }
-            }
-        }
+        let anchors = first_store_flushes(&trace);
         for bits in 0u8..8 {
             let cfg = AnalysisConfig {
                 irh: bits & 1 != 0,
@@ -320,15 +469,10 @@ proptest! {
                 ..AnalysisConfig::default()
             };
             let report = Analyzer::new(cfg.clone()).run(&trace);
-            let sim = SimConfig {
-                irh: cfg.irh,
-                ..SimConfig::default()
-            };
-            let baseline = simulate_view(view, &sim);
             let validator = RepairValidator::new(&view, &report.races, &cfg);
             for race in &report.races {
-                for (_, flush) in &anchors {
-                    if !validator.refutes(&baseline, flush, race.key) {
+                for flush in &anchors {
+                    if !validator.refutes(flush, race.key) {
                         continue;
                     }
                     let patched = validator.replay(flush).expect("a refuted flush applies");
