@@ -5,7 +5,8 @@
 //! * **Memory Simulation** Ⓐ — a worst-case cache that considers a store
 //!   persisted *only* after an explicit flush of its cache line followed by
 //!   a fence from the flushing thread (arbitrary cache evictions give no
-//!   guarantee, so they are ignored);
+//!   guarantee, so they are ignored): the one [`persist`] core, which the
+//!   runtime's crash images and observer share;
 //! * **Lock Tracking** Ⓑ — each thread's current lockset, with per-entry
 //!   acquisition timestamps from a thread-local logical clock;
 //! * **Thread Tracking** Ⓒ — per-thread vector clocks with the batching
@@ -19,15 +20,16 @@
 //! analysis stage.
 
 pub mod patch;
+pub mod persist;
 pub mod window;
 
 use crate::addr::{line_of, AddrRange, LineId};
-use crate::hash::FxHashMap;
 use crate::intern::Interner;
 use crate::irh::PublicationTracker;
 use crate::lockset::{LockEntry, Lockset};
 use crate::trace::{EventKind, StackId, ThreadId, Trace, TraceView};
 use crate::vclock::{ClockOrder, Epoch, VectorClock};
+use persist::PersistLines;
 
 pub use window::{CloseReason, LoadAccess, LsId, StoreWindow, VcId};
 
@@ -243,10 +245,6 @@ struct ThreadState {
     /// Set after create/join boundaries; the next PM operation ticks the
     /// vector clock (the §4 batching optimization).
     needs_tick: bool,
-    /// Lines that may hold pieces pending on this thread's next fence, in
-    /// push order. The fence sorts and deduplicates them, so it closes
-    /// windows in ascending line order whatever order the flushes came in.
-    fence_watch: Vec<LineId>,
 }
 
 impl ThreadState {
@@ -257,81 +255,27 @@ impl ThreadState {
             vc: VectorClock::new(),
             vc_id,
             needs_tick: true,
-            fence_watch: Vec::new(),
-        }
-    }
-
-    /// Adds `line` to the fence watch. A repeat of the last line is
-    /// skipped, and a full list is compacted before it grows, so a thread
-    /// that keeps flushing without fencing holds about one entry per line.
-    /// A compaction leaves room for as many pushes as it kept lines, so the
-    /// sorting costs O(log n) per push however the flushes repeat.
-    fn watch(&mut self, line: LineId) {
-        let lines = &mut self.fence_watch;
-        if lines.last() == Some(&line) {
-            return;
-        }
-        if lines.len() == lines.capacity() {
-            lines.sort_unstable();
-            lines.dedup();
-            lines.reserve(lines.len());
-        }
-        lines.push(line);
-    }
-}
-
-/// A set of thread ids: a bitmask for ids below 64, a list above (empty,
-/// so never allocated, in ordinary traces). The list is a boxed slice, not
-/// a `Vec`, to keep an [`OpenPiece`] at 72 bytes: the memory budget
-/// charges that size per open piece, so a larger piece would move where a
-/// budgeted run starts evicting.
-#[derive(Clone, Default)]
-struct ThreadSet {
-    low: u64,
-    high: Box<[ThreadId]>,
-}
-
-impl ThreadSet {
-    fn insert(&mut self, tid: ThreadId) {
-        if tid.0 < 64 {
-            self.low |= 1 << tid.0;
-        } else if !self.high.contains(&tid) {
-            let mut high = std::mem::take(&mut self.high).into_vec();
-            high.push(tid);
-            self.high = high.into_boxed_slice();
-        }
-    }
-
-    fn contains(&self, tid: ThreadId) -> bool {
-        if tid.0 < 64 {
-            self.low & (1 << tid.0) != 0
-        } else {
-            self.high.contains(&tid)
         }
     }
 }
 
-/// An open (still unpersisted, not overwritten) piece of a store, confined
-/// to a single cache line.
-#[derive(Clone)]
-struct OpenPiece {
-    tid: ThreadId,
-    store_seq: u64,
+/// What the simulator keeps of the store behind an open entry of its
+/// [`PersistLines`]: everything a window takes from its store.
+#[derive(Clone, Copy)]
+struct Stamp {
+    seq: u64,
     stack: StackId,
-    range: AddrRange,
-    store_ls: LsId,
-    store_vc: VcId,
+    ls: LsId,
+    vc: VcId,
     atomic: bool,
     non_temporal: bool,
-    /// Threads whose next fence persists this piece (they flushed the line
-    /// after the store, or issued the store non-temporally).
-    pending_fence: ThreadSet,
 }
 
-impl OpenPiece {
-    /// The window for the `range` part of this piece, closed as `close`.
+impl Stamp {
+    /// The window for the `range` part of `tid`'s store, closed as `close`.
     fn window(
         &self,
+        tid: ThreadId,
         range: AddrRange,
         effective_ls: LsId,
         close_vc: Option<VcId>,
@@ -339,12 +283,12 @@ impl OpenPiece {
         irh_discarded: bool,
     ) -> StoreWindow {
         StoreWindow {
-            tid: self.tid,
-            store_seq: self.store_seq,
+            tid,
+            store_seq: self.seq,
             stack: self.stack,
             range,
-            store_ls: self.store_ls,
-            store_vc: self.store_vc,
+            store_ls: self.ls,
+            store_vc: self.vc,
             effective_ls,
             close_vc,
             close,
@@ -502,10 +446,9 @@ struct SimCore {
     regions: Vec<crate::trace::PmRegion>,
     filter_pm: bool,
     threads: Vec<ThreadState>,
-    /// Open store pieces, indexed by cache line. Probe-only hash use
-    /// (drains are explicitly sorted), so the fast deterministic hasher
-    /// is safe.
-    lines: FxHashMap<LineId, Vec<OpenPiece>>,
+    /// The open (unpersisted, not overwritten) pieces of stores, per
+    /// cache line, and each thread's fence watch.
+    lines: PersistLines<Stamp>,
     publication: PublicationTracker,
     /// The output so far: closed windows, recorded loads, the interners
     /// and the running counters, which [`finalize`](Self::finalize)
@@ -530,7 +473,7 @@ impl SimCore {
             regions,
             filter_pm,
             threads,
-            lines: FxHashMap::default(),
+            lines: PersistLines::new(),
             publication: PublicationTracker::new(),
             access: AccessSet {
                 windows: Vec::new(),
@@ -737,10 +680,10 @@ impl SimCore {
     /// tables (locksets at a flat estimate, vector clocks by thread count).
     fn approx_live_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let open: usize = self.lines.values().map(Vec::len).sum();
+        let open = self.lines.open_entries() * size_of::<persist::Entry<Stamp>>();
         (self.access.windows.len() * size_of::<StoreWindow>()) as u64
             + (self.access.loads.len() * size_of::<LoadAccess>()) as u64
-            + (open * size_of::<OpenPiece>()) as u64
+            + open as u64
             + self.access.locksets.len() as u64 * 64
             + self.access.vclocks.len() as u64 * (8 * self.threads.len() as u64 + 32)
     }
@@ -857,78 +800,49 @@ impl SimCore {
         self.publication.record_access(tid, &range);
         let t = &self.threads[tid.index()];
         let (ls, vc) = (t.ls_id, t.vc_id);
-        for (line, piece_range) in line_pieces(range) {
-            let mut piece = OpenPiece {
-                tid,
-                store_seq: seq,
-                stack,
-                range: piece_range,
-                store_ls: ls,
-                store_vc: vc,
-                atomic,
-                non_temporal,
-                pending_fence: ThreadSet::default(),
-            };
-            self.access.stats.windows_created += 1;
-            if self.cfg.eadr {
-                // eADR: visibility implies durability — the window is
-                // zero-length and fully protected by the store's lockset.
-                // No piece ever stays open, so there is nothing to close.
-                let discarded = self.cfg.irh && self.publication.all_private_to(tid, &piece.range);
+        let stamp = Stamp {
+            seq,
+            stack,
+            ls,
+            vc,
+            atomic,
+            non_temporal,
+        };
+        if self.cfg.eadr {
+            // eADR: visibility implies durability — each window is
+            // zero-length and fully protected by the store's lockset. No
+            // piece ever stays open, so there is nothing to close.
+            for (_, piece) in line_pieces(range) {
+                let discarded = self.cfg.irh && self.publication.all_private_to(tid, &piece);
+                self.access.stats.windows_created += 1;
                 self.access.stats.windows_persisted += 1;
                 self.access.stats.irh_discarded_windows += u64::from(discarded);
-                let w = piece.window(piece.range, ls, Some(vc), CloseReason::Persisted, discarded);
+                let close = CloseReason::Persisted;
+                let w = stamp.window(tid, piece, ls, Some(vc), close, discarded);
                 self.access.windows.push(w);
                 if let Some(log) = self.log.as_mut() {
                     log.closes.push(Close { tid, seq });
                 }
-                continue;
             }
-            // Close / shrink the open pieces this store overlaps, in place:
-            // the overwritten bytes' visibility window ends here, and the
-            // rest of each piece stays open where it was.
-            let pieces = self.lines.entry(line).or_default();
-            let mut i = 0;
-            while i < pieces.len() {
-                let Some(hit) = pieces[i].range.intersection(&range) else {
-                    i += 1;
-                    continue;
-                };
-                let old = &pieces[i];
-                let effective_ls =
-                    effective_lockset(&mut self.access.locksets, old.store_ls, ls, old.tid == tid);
+            return;
+        }
+        self.access.stats.windows_created += range.lines().count() as u64;
+        // The overwritten bytes' visibility window ends here; the rest of
+        // each piece stays open where it was.
+        self.lines
+            .store(tid, range, non_temporal, stamp, |old, hit| {
+                let (old_stamp, same_thread) = (&old.payload, old.tid == tid);
+                let locksets = &mut self.access.locksets;
+                let effective_ls = effective_lockset(locksets, old_stamp.ls, ls, same_thread);
                 self.access.stats.windows_overwritten += 1;
                 // Overwritten stores are never IRH-discarded (§3.1.3).
-                let w = old.window(hit, effective_ls, Some(vc), CloseReason::Overwritten, false);
+                let close = CloseReason::Overwritten;
+                let w = old_stamp.window(old.tid, hit, effective_ls, Some(vc), close, false);
                 self.access.windows.push(w);
                 if let Some(log) = self.log.as_mut() {
                     log.closes.push(Close { tid, seq });
                 }
-                match old.range.subtract(&range) {
-                    (None, None) => {
-                        pieces.remove(i);
-                    }
-                    (Some(rest), None) | (None, Some(rest)) => {
-                        pieces[i].range = rest;
-                        i += 1;
-                    }
-                    (Some(head), Some(tail)) => {
-                        let tail = OpenPiece {
-                            range: tail,
-                            ..pieces[i].clone()
-                        };
-                        pieces[i].range = head;
-                        pieces.insert(i + 1, tail);
-                        i += 2;
-                    }
-                }
-            }
-            if non_temporal {
-                piece.pending_fence.insert(tid);
-                self.threads[tid.index()].watch(line);
-            }
-            pieces.push(piece);
-        }
+            });
     }
 
     fn on_load(&mut self, tid: ThreadId, seq: u64, stack: StackId, range: AddrRange, atomic: bool) {
@@ -952,16 +866,9 @@ impl SimCore {
 
     fn on_flush(&mut self, tid: ThreadId, seq: u64, addr: u64) {
         let line = line_of(addr);
-        let Some(pieces) = self.lines.get_mut(&line) else {
-            return;
-        };
-        if pieces.is_empty() {
+        if !self.lines.flush(tid, line) {
             return;
         }
-        for piece in pieces.iter_mut() {
-            piece.pending_fence.insert(tid);
-        }
-        self.threads[tid.index()].watch(line);
         if let Some(log) = self.log.as_mut() {
             log.grow(tid);
             log.flushes[tid.index()].push((seq, line));
@@ -973,45 +880,29 @@ impl SimCore {
             log.grow(tid);
             log.fences[tid.index()].push(seq);
         }
-        let t = &mut self.threads[tid.index()];
+        let t = &self.threads[tid.index()];
         let (fencer_ls, fencer_vc) = (t.ls_id, t.vc_id);
-        let mut lines = std::mem::take(&mut t.fence_watch);
-        lines.sort_unstable();
-        lines.dedup();
-        for &line in &lines {
-            let Some(pieces) = self.lines.get_mut(&line) else {
-                continue;
-            };
-            pieces.retain(|piece| {
-                if !piece.pending_fence.contains(tid) {
-                    return true;
-                }
-                let effective_ls = effective_lockset(
-                    &mut self.access.locksets,
-                    piece.store_ls,
-                    fencer_ls,
-                    piece.tid == tid,
-                );
-                let discarded =
-                    self.cfg.irh && self.publication.all_private_to(piece.tid, &piece.range);
-                self.access.stats.windows_persisted += 1;
-                self.access.stats.irh_discarded_windows += u64::from(discarded);
-                let close = CloseReason::Persisted;
-                let w = piece.window(piece.range, effective_ls, Some(fencer_vc), close, discarded);
-                self.access.windows.push(w);
-                if let Some(log) = self.log.as_mut() {
-                    log.closes.push(Close { tid, seq });
-                }
-                false
-            });
-            if pieces.is_empty() {
-                self.lines.remove(&line);
+        self.lines.fence(tid, |piece| {
+            let (stamp, writer, range) = (&piece.payload, piece.tid, piece.range);
+            let locksets = &mut self.access.locksets;
+            let effective_ls = effective_lockset(locksets, stamp.ls, fencer_ls, writer == tid);
+            let discarded = self.cfg.irh && self.publication.all_private_to(writer, &range);
+            self.access.stats.windows_persisted += 1;
+            self.access.stats.irh_discarded_windows += u64::from(discarded);
+            let close = CloseReason::Persisted;
+            let w = stamp.window(
+                writer,
+                range,
+                effective_ls,
+                Some(fencer_vc),
+                close,
+                discarded,
+            );
+            self.access.windows.push(w);
+            if let Some(log) = self.log.as_mut() {
+                log.closes.push(Close { tid, seq });
             }
-        }
-        // Hand the emptied list back: its allocation serves the next
-        // window of flushes.
-        lines.clear();
-        self.threads[tid.index()].fence_watch = lines;
+        });
     }
 
     /// Closes every still-open piece as never-persisted: the value's
@@ -1020,14 +911,13 @@ impl SimCore {
     /// empty and the close clock unbounded.
     fn close_remaining(&mut self) {
         let empty_ls = self.access.locksets.intern(Lockset::empty());
-        let mut lines: Vec<_> = std::mem::take(&mut self.lines).into_iter().collect();
-        lines.sort_by_key(|(l, _)| *l);
-        for piece in lines.iter().flat_map(|(_, pieces)| pieces) {
+        for piece in self.lines.drain_sorted() {
             self.access.stats.windows_unpersisted += 1;
             let close = CloseReason::NeverPersisted;
-            self.access
-                .windows
-                .push(piece.window(piece.range, empty_ls, None, close, false));
+            let w = piece
+                .payload
+                .window(piece.tid, piece.range, empty_ls, None, close, false);
+            self.access.windows.push(w);
             if let Some(log) = self.log.as_mut() {
                 log.closes.push(Close::NEVER);
             }
@@ -1040,11 +930,11 @@ mod tests {
     use super::*;
     use crate::trace::{Frame, LockId, LockMode, TraceBuilder};
 
-    fn builder() -> TraceBuilder {
+    pub(super) fn builder() -> TraceBuilder {
         TraceBuilder::new()
     }
 
-    fn store(range: AddrRange) -> EventKind {
+    pub(super) fn store(range: AddrRange) -> EventKind {
         EventKind::Store {
             range,
             non_temporal: false,
@@ -1070,7 +960,7 @@ mod tests {
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
 
-    fn sim(trace: &Trace) -> AccessSet {
+    pub(super) fn sim(trace: &Trace) -> AccessSet {
         simulate(
             trace,
             &SimConfig {
@@ -1590,7 +1480,7 @@ mod tests {
         // The log lives beside the windows, so analyses without repair pay
         // nothing per window; the memory budget charges these sizes.
         assert_eq!(std::mem::size_of::<StoreWindow>(), 56);
-        assert_eq!(std::mem::size_of::<OpenPiece>(), 72);
+        assert_eq!(std::mem::size_of::<persist::Entry<Stamp>>(), 72);
         let trace = busy_trace();
         let cfg = SimConfig::default();
         let plain = simulate(&trace, &cfg);
@@ -1688,36 +1578,6 @@ mod tests {
                 + out.stats.windows_unpersisted,
             out.windows.len() as u64
         );
-    }
-
-    #[test]
-    fn fences_above_thread_64_close_their_own_pieces() {
-        // Threads 3 and 70 each store into the same line, flush it and
-        // fence; thread 6 (70 mod 64) fences in between. Thread 3's piece
-        // is pending on both flushers, thread 70's on 70 alone, so each
-        // closes at its own thread's fence and clock.
-        let (t3, t6, t70) = (ThreadId(3), ThreadId(6), ThreadId(70));
-        let mut b = builder();
-        let s = b.intern_stack([]);
-        for t in [t3, t6, t70] {
-            b.push(T0, s, EventKind::ThreadCreate { child: t });
-        }
-        b.push(t3, s, store(AddrRange::new(0x100, 8)));
-        b.push(t3, s, EventKind::Flush { addr: 0x100 });
-        b.push(t70, s, store(AddrRange::new(0x108, 8)));
-        b.push(t70, s, EventKind::Flush { addr: 0x100 });
-        b.push(t3, s, EventKind::Fence);
-        b.push(t6, s, EventKind::Fence);
-        b.push(t70, s, EventKind::Fence);
-        let out = sim(&b.finish());
-        assert_eq!(out.windows.len(), 2);
-        for (w, t) in out.windows.iter().zip([t3, t70]) {
-            assert_eq!(w.tid, t);
-            assert_eq!(w.close, CloseReason::Persisted);
-            // No create or join between store and fence: the fencer's
-            // clock is still the one the store was stamped with.
-            assert_eq!(w.close_vc, Some(w.store_vc), "{t:?} closes its own piece");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! This crate reproduces exactly that shape on top of the same
 //! instrumented runtime the HawkSet pipeline uses:
 //!
-//! * the runtime's shadow persistence state flags every *observed* read of
+//! * the runtime's worst-case persistence state flags every *observed* read of
 //!   unpersisted foreign data ([`pm_runtime::Observation`]);
 //! * [`DelayInjector`] perturbs schedules at PM-operation granularity;
 //! * [`fuzz_app`] drives mutation rounds and aggregates observations;

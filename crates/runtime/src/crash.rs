@@ -7,9 +7,14 @@
 //! producing half: hooked into a [`PmEnv`], it counts every PM operation
 //! and, at a deterministic set of `(seed, op-index)` points, captures the
 //! **persisted-only image** of every mapped pool — the bytes the runtime's
-//! shadow persistence state guarantees are in PM, with all dirty
-//! (unflushed or unfenced) lines dropped. That is the worst-case cache model the paper's instrumentation
-//! assumes: anything not explicitly persisted may vanish.
+//! worst-case persistence core guarantees are in PM. A fence commits byte
+//! ranges, not lines: a byte holds what a store wrote once a flush of its
+//! line and a fence by the flusher made it durable, and a byte still
+//! dirty (unflushed, unfenced, or overwritten since its flush) holds its
+//! last durable value. So a line with one fenced store and one dirty
+//! store keeps the fenced bytes. That is the worst-case cache model the
+//! paper's instrumentation assumes: anything not explicitly persisted may
+//! vanish.
 //!
 //! Two modes:
 //!
@@ -53,7 +58,8 @@ pub struct PoolImage {
     pub path: String,
     /// The pool's base address in the simulated address space.
     pub base: PmAddr,
-    /// The bytes guaranteed to be in PM (dirty lines dropped).
+    /// The bytes guaranteed to be in PM: each dirty byte holds its last
+    /// durable value, not the one stored since.
     pub bytes: Vec<u8>,
 }
 

@@ -4,10 +4,13 @@
 //! access, persistency instruction, synchronization operation and thread
 //! lifecycle event performed through it is recorded — atomically with the
 //! operation itself — into a totally ordered [`Trace`]. On top of the
-//! recording it maintains the worst-case persistent image (through the
-//! crate's shadow persistence state) so crash states can be materialized,
-//! and optionally runs an online read-of-unpersisted-data observer used by
-//! the `pmrace` baseline.
+//! recording it maintains the worst-case persistent image so crash states
+//! can be materialized, and optionally runs an online
+//! read-of-unpersisted-data observer used by the `pmrace` baseline. Both
+//! apply the same worst-case persistence core the analysis simulates
+//! ([`PersistLines`], from `hawkset_core::memsim::persist`), online: its
+//! fences commit ranges, and the observer asks which open entries a load
+//! overlaps.
 //!
 //! All state mutations happen under one internal mutex, which makes each
 //! recorded event a linearization point of the operation it describes —
@@ -19,8 +22,8 @@
 //!
 //! * the operation on the volatile image: a copy into the pool, or out of
 //!   it into the caller's buffer;
-//! * the shadow's bookkeeping, which keeps ranges, not bytes (a fence
-//!   copies the ranges it commits from the volatile image to the
+//! * the persistence core's bookkeeping, which keeps ranges, not bytes (a
+//!   fence copies the ranges it commits from the volatile image to the
 //!   persistent one);
 //! * the observer, when it is on;
 //! * classifying a custom primitive's call, so that takes no second lock;
@@ -30,21 +33,21 @@
 //! Before the lock run the perturbation hook, behind an atomic flag so an
 //! environment without one pays one load, and the allocation of the
 //! buffer `load_bytes` returns. Under the lock only amortized growth (of
-//! the trace builder and the shadow's lists), a thread's first access
+//! the trace builder and the core's lists), a thread's first access
 //! from a new backtrace and an observed read allocate.
 
 use std::panic::Location;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use hawkset_core::addr::{AddrRange, PmAddr, CACHE_LINE};
+use hawkset_core::addr::{line_of, AddrRange, PmAddr, CACHE_LINE};
+use hawkset_core::memsim::persist::PersistLines;
 use hawkset_core::sync_config::{CallEffect, SyncConfig};
 use hawkset_core::trace::{
     EventKind, Frame, LockId, LockMode, PmRegion, StackId, ThreadId, Trace, TraceBuilder,
 };
 use parking_lot::Mutex;
 
-use crate::shadow::ShadowPm;
 use crate::thread::{PmJoinHandle, PmThread};
 
 /// Where pools are placed in the simulated address space.
@@ -115,7 +118,10 @@ struct EnvState {
     /// Process-unique id of `builder`: a [`StackId`] a thread memoized is
     /// only reused in the builder that issued it.
     builder_id: u64,
-    shadow: ShadowPm,
+    /// The open (dirty) pieces of every store, with the store's site, and
+    /// each thread's fence watch: the worst-case rules the analysis
+    /// simulates, applied online.
+    persist: PersistLines<&'static str>,
     pools: Vec<PoolData>,
     observations: Vec<Observation>,
     main_taken: bool,
@@ -151,11 +157,12 @@ impl EnvState {
     /// Records an [`Observation`] if `t`'s read of `range` sees bytes
     /// another thread has not persisted.
     fn observe_read(&mut self, t: &PmThread, range: AddrRange, loc: &'static Location<'static>) {
-        if let Some((writer, store_fn)) = self.shadow.unpersisted_foreign_writer(t.tid(), &range) {
+        let reader = t.tid();
+        if let Some(dirty) = self.persist.overlapping(&range).find(|e| e.tid != reader) {
             self.observations.push(Observation {
-                load_tid: t.tid(),
-                store_tid: writer,
-                store_fn: store_fn.to_string(),
+                load_tid: reader,
+                store_tid: dirty.tid,
+                store_fn: dirty.payload.to_string(),
                 range,
                 load_stack: t.capture_stack(loc),
             });
@@ -195,7 +202,7 @@ impl PmEnv {
                 state: Mutex::new(EnvState {
                     builder: TraceBuilder::new(),
                     builder_id: next_builder_id(),
-                    shadow: ShadowPm::new(),
+                    persist: PersistLines::new(),
                     pools: Vec::new(),
                     observations: Vec::new(),
                     main_taken: false,
@@ -376,12 +383,6 @@ impl PmEnv {
         weak.upgrade().map(|inner| Self { inner })
     }
 
-    /// Runs `f` on the shadow state, under the recording lock.
-    #[cfg(test)]
-    pub(crate) fn with_shadow<R>(&self, f: impl FnOnce(&ShadowPm) -> R) -> R {
-        f(&self.inner.state.lock().shadow)
-    }
-
     fn fire_hook(&self, tid: ThreadId, point: HookPoint) {
         if !self.inner.hooked.load(Ordering::Acquire) {
             return;
@@ -415,7 +416,8 @@ impl PmEnv {
         let pool = &mut st.pools[index];
         let off = (addr - pool.base) as usize;
         pool.volatile[off..off + bytes.len()].copy_from_slice(bytes);
-        st.shadow.store(t.tid(), range, non_temporal, t.site_name());
+        st.persist
+            .store(t.tid(), range, non_temporal, t.site_name(), |_, _| {});
         st.record(
             t,
             loc,
@@ -481,7 +483,8 @@ impl PmEnv {
         if current == expected {
             let pool = &mut st.pools[index];
             pool.volatile[off..off + 8].copy_from_slice(&new.to_le_bytes());
-            st.shadow.store(t.tid(), range, false, t.site_name());
+            st.persist
+                .store(t.tid(), range, false, t.site_name(), |_, _| {});
             st.builder.push(
                 t.tid(),
                 stack,
@@ -500,17 +503,18 @@ impl PmEnv {
     pub(crate) fn flush_at(&self, t: &PmThread, addr: PmAddr, loc: &'static Location<'static>) {
         self.fire_hook(t.tid(), HookPoint::BeforeFlush(addr));
         let mut st = self.inner.state.lock();
-        st.shadow.flush(t.tid(), addr);
+        st.persist.flush(t.tid(), line_of(addr));
         st.record(t, loc, EventKind::Flush { addr });
     }
 
     pub(crate) fn fence_at(&self, t: &PmThread, loc: &'static Location<'static>) {
         self.fire_hook(t.tid(), HookPoint::BeforeFence);
         let mut st = self.inner.state.lock();
-        let EnvState { shadow, pools, .. } = &mut *st;
-        shadow.fence(t.tid(), |range| {
+        let EnvState { persist, pools, .. } = &mut *st;
+        persist.fence(t.tid(), |committed| {
             // A committed range's bytes are still the volatile image's
-            // (the shadow's overwrite rule): copy them over.
+            // (the overwrite rule): copy them over.
+            let range = committed.range;
             let pool = &mut pools[pool_index(range.start)];
             let off = (range.start - pool.base) as usize;
             let len = range.len as usize;
@@ -705,5 +709,197 @@ mod tests {
             weak.upgrade().is_none(),
             "the injector's hook must not keep the environment alive"
         );
+    }
+
+    const T0: ThreadId = ThreadId(0);
+    const T1: ThreadId = ThreadId(1);
+
+    /// One pool and two thread contexts (tids 0 and 1) on one OS thread:
+    /// the persistence lines are driven through the environment, and the
+    /// bytes a fence commits are read back from the pool's crash image.
+    /// Offsets are relative to the pool base, which is line-aligned.
+    struct Rig {
+        env: PmEnv,
+        pool: PmPool,
+        threads: [PmThread; 2],
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let env = PmEnv::new();
+            let pool = env.map_pool("/mnt/pmem/persist", 4096);
+            let threads = [
+                PmThread::new(env.clone(), T0),
+                PmThread::new(env.clone(), T1),
+            ];
+            Self { env, pool, threads }
+        }
+
+        fn t(&self, tid: ThreadId) -> &PmThread {
+            &self.threads[tid.0 as usize]
+        }
+
+        fn range(&self, off: u64, len: u32) -> AddrRange {
+            AddrRange::new(self.pool.base() + off, len)
+        }
+
+        fn store(&self, tid: ThreadId, off: u64, bytes: &[u8]) {
+            self.pool
+                .store_bytes(self.t(tid), self.pool.base() + off, bytes);
+        }
+
+        fn store_nt(&self, tid: ThreadId, off: u64, bytes: &[u8]) {
+            self.pool
+                .store_bytes_nt(self.t(tid), self.pool.base() + off, bytes);
+        }
+
+        fn flush(&self, tid: ThreadId, off: u64) {
+            self.pool.flush(self.t(tid), self.pool.base() + off);
+        }
+
+        fn fence(&self, tid: ThreadId) {
+            self.t(tid).fence();
+        }
+
+        fn is_clean(&self, off: u64, len: u32) -> bool {
+            let range = self.range(off, len);
+            let st = self.env.inner.state.lock();
+            let clean = st.persist.overlapping(&range).next().is_none();
+            clean
+        }
+
+        fn dirty_entries(&self) -> usize {
+            self.env.inner.state.lock().persist.open_entries()
+        }
+
+        /// The writer the observer names for `reader`'s load of the bytes,
+        /// if any.
+        fn foreign_writer(&self, reader: ThreadId, off: u64, len: u32) -> Option<ThreadId> {
+            self.env.set_observe(true);
+            self.pool
+                .load_bytes(self.t(reader), self.pool.base() + off, len as usize);
+            self.env.set_observe(false);
+            let seen = self.env.take_observations();
+            seen.first().map(|o| o.store_tid)
+        }
+
+        /// The crash image's bytes at `[off, off + len)`.
+        fn durable(&self, off: u64, len: usize) -> Vec<u8> {
+            self.pool.crash_image()[off as usize..off as usize + len].to_vec()
+        }
+
+        /// The offsets of the crash image's nonzero bytes: exactly what
+        /// every fence so far committed, when every stored byte is nonzero.
+        fn durable_offsets(&self) -> Vec<u64> {
+            let image = self.pool.crash_image();
+            (0..image.len() as u64)
+                .filter(|&o| image[o as usize] != 0)
+                .collect()
+        }
+    }
+
+    fn offsets(off: u64, len: u64) -> Vec<u64> {
+        (off..off + len).collect()
+    }
+
+    #[test]
+    fn store_flush_fence_commits_bytes() {
+        let r = Rig::new();
+        r.store(T0, 0x100, &[7; 8]);
+        assert!(!r.is_clean(0x100, 8));
+        r.flush(T0, 0x100);
+        r.fence(T0);
+        assert_eq!(r.durable_offsets(), offsets(0x100, 8));
+        assert_eq!(r.durable(0x100, 8), vec![7; 8]);
+        assert!(r.is_clean(0x100, 8));
+    }
+
+    #[test]
+    fn fence_by_non_flusher_commits_nothing() {
+        let r = Rig::new();
+        r.store(T0, 0x100, &[7; 8]);
+        r.flush(T0, 0x100);
+        r.fence(T1);
+        assert!(r.durable_offsets().is_empty());
+        assert!(!r.is_clean(0x100, 8));
+        r.fence(T0);
+        assert_eq!(r.durable_offsets(), offsets(0x100, 8));
+    }
+
+    #[test]
+    fn overwrite_after_flush_voids_the_guarantee() {
+        let r = Rig::new();
+        r.store(T0, 0x100, &[1; 8]);
+        r.flush(T0, 0x100);
+        // Overwrite before the fence: neither value is guaranteed.
+        r.store(T1, 0x100, &[2; 8]);
+        r.fence(T0);
+        assert!(r.durable_offsets().is_empty());
+        assert_eq!(r.foreign_writer(T0, 0x100, 8), Some(T1));
+    }
+
+    #[test]
+    fn partial_overwrite_commits_surviving_bytes() {
+        let r = Rig::new();
+        r.store(T0, 0x100, &[1; 16]);
+        r.flush(T0, 0x100);
+        r.store(T0, 0x108, &[2; 8]);
+        r.fence(T0);
+        assert_eq!(r.durable_offsets(), offsets(0x100, 8));
+        assert_eq!(r.durable(0x100, 8), vec![1; 8]);
+        // The overwriting store remains dirty.
+        assert!(!r.is_clean(0x108, 8));
+    }
+
+    #[test]
+    fn overwrite_inside_an_entry_keeps_both_ends() {
+        let r = Rig::new();
+        r.store(T0, 0x100, &[1; 24]);
+        r.flush(T0, 0x100);
+        r.store(T1, 0x108, &[2; 8]);
+        r.fence(T0);
+        let mut want = offsets(0x100, 8);
+        want.extend(offsets(0x110, 8));
+        assert_eq!(r.durable_offsets(), want);
+        assert_eq!(r.durable(0x100, 24), [[1; 8], [0; 8], [1; 8]].concat());
+        assert_eq!(r.dirty_entries(), 1);
+    }
+
+    #[test]
+    fn non_temporal_store_commits_at_own_fence() {
+        let r = Rig::new();
+        r.store_nt(T0, 0x100, &[9; 8]);
+        r.fence(T1);
+        assert!(r.durable_offsets().is_empty());
+        r.fence(T0);
+        assert_eq!(r.durable_offsets(), offsets(0x100, 8));
+        assert_eq!(r.durable(0x100, 8), vec![9; 8]);
+    }
+
+    #[test]
+    fn foreign_writer_detection() {
+        let r = Rig::new();
+        r.store(T0, 0x100, &[1; 8]);
+        // Reading your own dirty data is fine.
+        assert!(r.foreign_writer(T0, 0x100, 8).is_none());
+        // Another thread reading it is the PMRace trigger.
+        assert_eq!(r.foreign_writer(T1, 0x100, 8), Some(T0));
+        // Disjoint reads see nothing.
+        assert!(r.foreign_writer(T1, 0x200, 8).is_none());
+        // Once persisted the observation window is gone.
+        r.flush(T0, 0x100);
+        r.fence(T0);
+        assert!(r.foreign_writer(T1, 0x100, 8).is_none());
+    }
+
+    #[test]
+    fn cross_line_store_tracks_both_lines() {
+        let r = Rig::new();
+        r.store(T0, 0x138, &[5; 16]);
+        r.flush(T0, 0x138); // first line only
+        r.fence(T0);
+        assert_eq!(r.durable_offsets(), offsets(0x138, 8));
+        assert_eq!(r.durable(0x138, 8), vec![5; 8]);
+        assert!(!r.is_clean(0x140, 8));
     }
 }

@@ -78,7 +78,6 @@ pub mod guard;
 pub mod harness;
 pub mod mutex;
 pub mod pool;
-mod shadow;
 pub mod thread;
 
 pub use alloc::{AllocError, PmAllocator};

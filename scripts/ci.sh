@@ -40,20 +40,11 @@ echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
 echo "==> cargo test -q"
+# The workspace's default members: the facade and every crate but pm-apps,
+# whose ground-truth repair test compares real-thread recordings and
+# flakes on small hosts. The CLI's chaos and serve end-to-end suites and
+# the core unit tests run here.
 cargo test -q
-
-echo "==> hawkset-core unit tests"
-# The root `cargo test -q` tests only the `hawkset` facade package; the
-# core crate's own unit tests (memsim patch sweep, repair, engine, ...)
-# run here.
-cargo test -q -p hawkset-core
-
-echo "==> member crate tests (pmrace, serve, cli, runtime, workloads)"
-# Same reason: these packages' unit and integration tests — the CLI's
-# chaos and serve end-to-end suites among them — run only when named.
-# pm-apps is left out: its ground-truth repair test compares real-thread
-# recordings and flakes on small hosts.
-cargo test -q -p pmrace -p hawkset-serve -p hawkset-cli -p pm-runtime -p pm-workloads
 
 echo "==> e2ebench tests (benchmark unit tests + tiny traced run of every workload)"
 # e2ebench is a workspace of its own, outside the root members, so no

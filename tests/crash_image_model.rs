@@ -6,7 +6,10 @@
 //! before the next, so the order is fixed by the sequence, not by timing.
 //! After every operation `PmEnv::persisted_images()` must equal a per-byte
 //! reference model of the worst-case persistency rules (§2.1), and every
-//! load must read the model's volatile bytes.
+//! load must read the model's volatile bytes. At the end, the analysis'
+//! simulation of the recorded trace must agree with the model byte by
+//! byte: the newest window over a byte stays open exactly when the byte
+//! is dirty.
 //!
 //! The model keeps, for each byte: its durable value, whether it is dirty,
 //! and the value and thread set a flush (or a non-temporal store)
@@ -19,6 +22,8 @@
 use std::sync::mpsc;
 
 use hawkset::core::addr::{line_base, line_of, AddrRange, CACHE_LINE};
+use hawkset::core::memsim::{simulate, CloseReason, SimConfig, StoreWindow};
+use hawkset::core::trace::Trace;
 use hawkset::runtime::{PmEnv, PmPool, PmThread};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -308,6 +313,56 @@ fn run_seed(seed: u64) {
     drop(inboxes);
     for handle in handles {
         handle.join(&main);
+    }
+    check_windows(seed, &env.finish(), &pools, &model);
+}
+
+/// The analysis' windows over the recorded trace against the model, with
+/// the IRH off: a byte no window covers is clean and durable zero, and the
+/// newest window over any other byte was never overwritten and is open
+/// (never persisted) exactly when the model's byte is dirty.
+fn check_windows(seed: u64, trace: &Trace, pools: &[PmPool], model: &Model) {
+    let cfg = SimConfig {
+        irh: false,
+        ..SimConfig::default()
+    };
+    let out = simulate(trace, &cfg);
+    let stats = &out.stats;
+    assert_eq!(
+        stats.windows_persisted + stats.windows_overwritten + stats.windows_unpersisted,
+        out.windows.len() as u64,
+        "seed {seed}: every window closes once"
+    );
+    let mut newest: Vec<Vec<Option<&StoreWindow>>> =
+        vec![vec![None; POOL_LEN as usize]; pools.len()];
+    for w in &out.windows {
+        let pool = pools
+            .iter()
+            .position(|p| (p.base()..p.base() + POOL_LEN).contains(&w.range.start))
+            .expect("every window lies in a pool");
+        let off = (w.range.start - pools[pool].base()) as usize;
+        for slot in &mut newest[pool][off..off + w.range.len as usize] {
+            if slot.is_none_or(|n| n.store_seq < w.store_seq) {
+                *slot = Some(w);
+            }
+        }
+    }
+    for (pool, bytes) in newest.iter().enumerate() {
+        for (off, window) in bytes.iter().enumerate() {
+            let byte = model.pools[pool][off];
+            let at = format!("seed {seed}: pool {pool} byte {off:#x}");
+            match window {
+                None => assert!(
+                    !byte.dirty && byte.durable == 0,
+                    "{at}: no window, but dirty or durable nonzero in the model"
+                ),
+                Some(w) => {
+                    assert_ne!(w.close, CloseReason::Overwritten, "{at}: newest {w:?}");
+                    let open = w.close == CloseReason::NeverPersisted;
+                    assert_eq!(open, byte.dirty, "{at}: newest {w:?}");
+                }
+            }
+        }
     }
 }
 

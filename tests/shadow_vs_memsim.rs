@@ -1,8 +1,8 @@
-//! Differential test: the runtime's online shadow persistence state and
-//! the analysis-side worst-case cache simulation implement the *same*
-//! semantics, so for any instrumented execution the bytes the runtime
-//! calls durable must be exactly the bytes whose windows the analysis
-//! closed as persisted.
+//! Differential test: the runtime's crash image and the analysis-side
+//! worst-case cache simulation apply the *same* rules (the one core in
+//! `memsim::persist`, with a payload and callbacks of their own), so for
+//! any instrumented execution the bytes the runtime calls durable must be
+//! exactly the bytes whose windows the analysis closed as persisted.
 
 use hawkset::core::memsim::{simulate, CloseReason, SimConfig};
 use hawkset::runtime::PmEnv;
