@@ -3,25 +3,33 @@
 //! pairing stage alone. Every knob, the streaming-ingest options
 //! ([`StreamConfig`]) included, lives on the configuration.
 //!
-//! One private driver runs every entry point. It reads events one at a
-//! time from a source, either a decoded trace's columns ([`Analyzer::run`],
-//! [`Analyzer::try_run`]) or a [`StreamDecoder`]
-//! ([`Analyzer::try_run_stream`]), checks each one, feeds the kept ones to
-//! one incremental simulator, and then pairs, sets the coverage reasons and
-//! ingest metrics, and seals. So batch and streamed runs differ only in
-//! where the events come from. Two things stay with the source: only a
-//! stream sees [`AnalysisConfig::interrupt`] between events (an in-memory
-//! run sees it at pairing), and only a stream records checkpoint progress.
+//! One private driver runs every entry point. Its ingest has two sides. A
+//! producer reads events from a source, either a decoded trace's columns
+//! ([`Analyzer::try_run`]) or a [`StreamDecoder`]
+//! ([`Analyzer::try_run_stream`]), checks and counts each one, and fills
+//! fixed-size batches with the kept ones. One consumer feeds the batches,
+//! in order, to one incremental simulator. With more than one thread the
+//! consumer runs on a worker of its own while the producer keeps the
+//! calling thread ([`parallel::pipeline`]); otherwise both run inline. A
+//! trusted in-memory run ([`Analyzer::run`]) has nothing to check, and the
+//! consumer reads its columns in place. Then the driver pairs, sets the
+//! coverage reasons and ingest metrics, and seals. So batch and streamed
+//! runs differ only in where the events come from. Two things stay with
+//! the source: only a stream sees [`AnalysisConfig::interrupt`] between
+//! events (an in-memory run sees it at pairing), and only a stream records
+//! checkpoint progress.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::error::HawkSetError;
 use crate::memsim::{AccessSet, StreamSimulator};
 use crate::obs::{MetricsRegistry, MetricsSnapshot, ObsHook, Stage};
+use crate::parallel;
 use crate::trace::stream::{StreamDecoder, StreamOptions, DEFAULT_CHUNK_BYTES};
 use crate::trace::validate::StreamValidator;
-use crate::trace::{Event, EventsView, Trace, TraceView};
+use crate::trace::{EventColumns, EventsView, Trace, TraceView};
 
 use super::checkpoint::{self, AnalysisCheckpoint, CheckpointSession, IngestProgress};
 use super::engine::{PairingControls, ShardOutput};
@@ -29,6 +37,19 @@ use super::{
     engine, quarantine, repair, AnalysisConfig, AnalysisReport, BudgetExceeded, QuarantineFilter,
     QuarantineStats, Strictness,
 };
+
+/// Kept events per batch when ingest is pipelined. Each hand-off may wake
+/// the other thread, so batches are large.
+const BATCH_EVENTS: usize = 4096;
+
+/// Batches in circulation when ingest is pipelined: one filling, one
+/// queued, one being simulated. A row takes 29 bytes, so about 348 KiB of
+/// events are in flight.
+const BATCHES: usize = 3;
+
+/// Kept events in the one batch of inline ingest, about 7 KiB: with no
+/// hand-off to amortize, it stays small.
+const INLINE_BATCH_EVENTS: usize = 256;
 
 /// Configured analysis pipeline.
 ///
@@ -147,10 +168,7 @@ impl Analyzer {
             .budget
             .max_events
             .map_or(usize::MAX, |m| usize::try_from(m).unwrap_or(usize::MAX));
-        let mut src = Columns {
-            trace,
-            events: trace.events.prefix(cap),
-        };
+        let mut src = Columns::new(trace, trace.events.prefix(cap));
         self.drive(&mut src, None, PairingControls::default(), Some(trace))
             .expect("an unchecked in-memory run has nothing to fail on")
     }
@@ -167,10 +185,7 @@ impl Analyzer {
     ///
     /// [`PipelineStats::quarantine`]: super::PipelineStats::quarantine
     pub fn try_run(&self, trace: &Trace) -> Result<AnalysisReport, HawkSetError> {
-        let mut src = Columns {
-            trace,
-            events: trace.events.view(),
-        };
+        let mut src = Columns::new(trace, trace.events.view());
         self.drive(
             &mut src,
             Some(self.cfg.strictness),
@@ -182,8 +197,15 @@ impl Analyzer {
     /// Runs the full pipeline over a **streamed** `.hwkt` trace from any
     /// [`Read`](std::io::Read) source — a file or stdin — without ever
     /// materializing the event vector. Memory held is the interning
-    /// tables, one refill chunk, and the live simulation state (itself
-    /// bounded by [`AnalysisBudget::memory_budget`]).
+    /// tables, one refill chunk, the batches of decoded events in flight
+    /// (three of 4,096 events, about 348 KiB, or one of 256 when
+    /// [`AnalysisConfig::threads`] is 1) and the live simulation state
+    /// (itself bounded by [`AnalysisBudget::memory_budget`]).
+    ///
+    /// Unless `threads` is 1, ingest takes two threads: the calling thread
+    /// reads, decodes and checks, and one simulator thread simulates. The
+    /// reader is never moved off the calling thread, so it need not be
+    /// `Send` (a locked stdin works).
     ///
     /// The report is **bit-identical** to [`try_run`](Self::try_run) on
     /// the batch-decoded trace: the decoder yields the same events
@@ -277,8 +299,9 @@ impl Analyzer {
     /// The one driver behind every entry point.
     ///
     /// Ingest reads `src` event by event and checks each one: it is
-    /// validated (`Strict`), quarantined if ill-formed (`Lenient`), or
-    /// trusted (`None`, [`run`](Self::run)). The first
+    /// validated (`Strict`) or quarantined if ill-formed (`Lenient`). A
+    /// trusted run (`None`, [`run`](Self::run)) checks nothing, and the
+    /// simulator reads the source's columns in place. The first
     /// [`AnalysisBudget::max_events`] kept events go to one simulator.
     /// Then come the pairing, the coverage reasons, the ingest metrics and,
     /// when `fixes` names the analyzed trace, the repair suggestions.
@@ -292,57 +315,45 @@ impl Analyzer {
         fixes: Option<&Trace>,
     ) -> Result<AnalysisReport, HawkSetError> {
         let reg = self.registry();
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let total_stage = reg.stage(Stage::Total);
         let header = src.header();
-        let (threads, stacks) = (header.thread_count, header.stacks.stack_count());
-        let mut sim = StreamSimulator::new(threads, header.regions.clone(), &self.cfg.sim_config());
+        let mut sim = StreamSimulator::new(
+            header.thread_count,
+            header.regions.clone(),
+            &self.cfg.sim_config(),
+        );
         if fixes.is_some() && self.cfg.suggest_fixes && repair::logs_for_repair(&self.cfg) {
             sim.log_for_repair();
         }
-        let mut check = match strictness {
-            None => Check::Trusted,
-            Some(Strictness::Strict) => Check::Strict(StreamValidator::new(threads, stacks)),
-            Some(Strictness::Lenient) => Check::Lenient(QuarantineFilter::new(threads, stacks)),
-        };
-        let cap = self.cfg.budget.max_events.unwrap_or(u64::MAX);
-        let mut n = IngestProgress::default();
-        let (access, quarantine_stats, interrupted) = {
+        let Ingest {
+            access,
+            quarantine: quarantine_stats,
+            interrupted,
+            n,
+        } = {
             let _stage = reg.stage(Stage::Simulate);
-            let interrupted = src.read(|mut ev| {
-                n.events_decoded += 1;
-                let keep = match &mut check {
-                    Check::Trusted => true,
-                    Check::Strict(v) => {
-                        v.push(&ev)?;
-                        true
+            match strictness {
+                None => {
+                    let events = src
+                        .in_memory()
+                        .expect("only `run`, over a trace in memory, trusts its events");
+                    simulate(&mut sim, events);
+                    let n = events.len() as u64;
+                    Ingest {
+                        access: sim.finish(),
+                        quarantine: QuarantineStats::default(),
+                        interrupted: false,
+                        n: IngestProgress {
+                            events_decoded: n,
+                            events_kept: n,
+                            events_analyzed: n,
+                            ..IngestProgress::default()
+                        },
                     }
-                    Check::Lenient(f) => {
-                        // Kept events are re-sequenced densely, as
-                        // `quarantine` does.
-                        ev.seq = n.events_kept;
-                        f.admit(&ev)
-                    }
-                };
-                if keep {
-                    if n.events_kept < cap {
-                        sim.step(&ev);
-                        n.events_analyzed += 1;
-                    }
-                    n.events_kept += 1;
                 }
-                Ok(n)
-            })?;
-            let quarantine_stats = match check {
-                // An interrupted run never saw the end it would validate.
-                Check::Strict(v) if !interrupted => {
-                    v.finish()?;
-                    QuarantineStats::default()
-                }
-                Check::Lenient(f) => f.into_stats(),
-                _ => QuarantineStats::default(),
-            };
-            (sim.finish(), quarantine_stats, interrupted)
+                Some(strictness) => self.ingest(src, strictness, sim, &reg)?,
+            }
         };
         let end = src.end(&n);
         let decoded = n.events_decoded + end.unread;
@@ -396,6 +407,77 @@ impl Analyzer {
         report.stats.duration = started.elapsed();
         self.seal_metrics(&reg, &mut report);
         Ok(report)
+    }
+
+    /// Ingest with a producer: the calling thread reads and checks `src`
+    /// into batches, and [`simulate`] steps `sim` through them, on a
+    /// thread of its own unless [`AnalysisConfig::threads`] is 1. A
+    /// stream's producer time, without its waits for a free batch, is the
+    /// run's decode stage.
+    fn ingest<S: Source>(
+        &self,
+        src: &mut S,
+        strictness: Strictness,
+        sim: StreamSimulator,
+        reg: &MetricsRegistry,
+    ) -> Result<Ingest, HawkSetError> {
+        let header = src.header();
+        let (threads, stacks) = (header.thread_count, header.stacks.stack_count());
+        let mut producer = Producer {
+            src,
+            check: match strictness {
+                Strictness::Strict => Check::Strict(StreamValidator::new(threads, stacks)),
+                Strictness::Lenient => Check::Lenient(QuarantineFilter::new(threads, stacks)),
+            },
+            cap: self.cfg.budget.max_events.unwrap_or(u64::MAX),
+            n: IngestProgress::default(),
+            done: false,
+            interrupted: false,
+            busy: Duration::ZERO,
+        };
+        let threaded = parallel::effective_threads(self.cfg.threads) > 1;
+        let (count, rows) = if threaded {
+            (BATCHES, BATCH_EVENTS)
+        } else {
+            (1, INLINE_BATCH_EVENTS)
+        };
+        let batches = (0..count)
+            .map(|_| EventColumns::with_capacity(rows))
+            .collect();
+        let sim = parallel::pipeline(
+            threaded,
+            batches,
+            sim,
+            |batch| producer.fill(batch),
+            |sim, batch| {
+                simulate(sim, batch.view());
+                batch.clear();
+            },
+        )?;
+        if S::DECODES {
+            reg.record_stage_duration(Stage::Decode, producer.busy);
+        }
+        let Producer {
+            check,
+            n,
+            interrupted,
+            ..
+        } = producer;
+        let quarantine = match check {
+            // An interrupted run never saw the end it would validate.
+            Check::Strict(v) if !interrupted => {
+                v.finish()?;
+                QuarantineStats::default()
+            }
+            Check::Strict(_) => QuarantineStats::default(),
+            Check::Lenient(f) => f.into_stats(),
+        };
+        Ok(Ingest {
+            access: sim.finish(),
+            quarantine,
+            interrupted,
+            n,
+        })
     }
 
     /// Computes repair suggestions for an already-analyzed report and
@@ -464,14 +546,83 @@ impl Analyzer {
     }
 }
 
-/// How the driver checks each event it reads.
+/// The one consumer: steps the simulator through `events`, in order.
+fn simulate(sim: &mut StreamSimulator, events: EventsView<'_>) {
+    for ev in events.iter() {
+        sim.step(&ev);
+    }
+}
+
+/// What ingest hands the rest of the driver.
+struct Ingest {
+    access: AccessSet,
+    quarantine: QuarantineStats,
+    interrupted: bool,
+    n: IngestProgress,
+}
+
+/// How the producer checks each event it reads.
 enum Check {
-    /// [`Analyzer::run`]: the trace is taken as well-formed.
-    Trusted,
     /// Reject the run at the first ill-formed event.
     Strict(StreamValidator),
     /// Drop the ill-formed events and count them.
     Lenient(QuarantineFilter),
+}
+
+/// The reading side of ingest. It reads the source, checks and counts
+/// every event, records checkpoint progress, watches the interrupt, and
+/// keeps in each batch the events the simulator is to see.
+struct Producer<'s, S> {
+    src: &'s mut S,
+    check: Check,
+    /// [`AnalysisBudget::max_events`](super::AnalysisBudget::max_events):
+    /// kept events past it are counted, not simulated.
+    cap: u64,
+    n: IngestProgress,
+    /// The source ran dry or the interrupt stopped ingest.
+    done: bool,
+    interrupted: bool,
+    /// Time spent filling batches.
+    busy: Duration,
+}
+
+impl<S: Source> Producer<'_, S> {
+    /// Fills `batch`, up to its capacity, with events for the simulator.
+    /// Returns whether more may follow.
+    fn fill(&mut self, batch: &mut EventColumns) -> Result<bool, HawkSetError> {
+        let started = Instant::now();
+        while !self.done && batch.len() < batch.capacity() {
+            if !self.src.next_into(batch)? {
+                self.done = true;
+                break;
+            }
+            self.n.events_decoded += 1;
+            let row = batch.len() - 1;
+            let keep = match &mut self.check {
+                Check::Strict(v) => {
+                    v.push(&batch.get(row))?;
+                    true
+                }
+                Check::Lenient(f) => {
+                    // Kept events are re-sequenced densely, as
+                    // `quarantine` does.
+                    batch.set_seq(row, self.n.events_kept);
+                    f.admit(&batch.get(row))
+                }
+            };
+            if keep && self.n.events_kept < self.cap {
+                self.n.events_analyzed += 1;
+            } else {
+                batch.truncate(row);
+            }
+            self.n.events_kept += u64::from(keep);
+            if self.src.after_event(&self.n) {
+                (self.done, self.interrupted) = (true, true);
+            }
+        }
+        self.busy += started.elapsed();
+        Ok(!self.done)
+    }
 }
 
 /// What a source reports once ingest has stopped.
@@ -490,15 +641,20 @@ struct SourceEnd {
 
 /// Where the driver's events come from.
 trait Source {
+    /// Whether reading the source decodes bytes: its producer time is then
+    /// the run's decode stage.
+    const DECODES: bool;
     /// The trace header: thread count, PM regions and stack table.
     fn header(&self) -> &Trace;
-    /// Hands every event, in trace order, to the driver's `ingest`, which
-    /// returns the counts so far. `Ok(true)` means ingest stopped early,
-    /// at an interrupt.
-    fn read(
-        &mut self,
-        ingest: impl FnMut(Event) -> Result<IngestProgress, HawkSetError>,
-    ) -> Result<bool, HawkSetError>;
+    /// The events to analyze, when they are already in memory: a trusted
+    /// run simulates them in place.
+    fn in_memory(&self) -> Option<EventsView<'_>>;
+    /// Appends the next event, in trace order, to `rows`. `Ok(false)`
+    /// means the source is exhausted.
+    fn next_into(&mut self, rows: &mut EventColumns) -> Result<bool, HawkSetError>;
+    /// Runs after each event is checked, with the counts so far. `true`
+    /// stops ingest there, at an interrupt.
+    fn after_event(&mut self, n: &IngestProgress) -> bool;
     /// Runs once ingest has stopped and the events it read are checked.
     fn end(&mut self, n: &IngestProgress) -> SourceEnd;
 }
@@ -508,27 +664,45 @@ trait Source {
 struct Columns<'a> {
     trace: &'a Trace,
     events: EventsView<'a>,
+    /// The next row to read.
+    next: usize,
+}
+
+impl<'a> Columns<'a> {
+    fn new(trace: &'a Trace, events: EventsView<'a>) -> Self {
+        Self {
+            trace,
+            events,
+            next: 0,
+        }
+    }
 }
 
 impl Source for Columns<'_> {
+    const DECODES: bool = false;
+
     fn header(&self) -> &Trace {
         self.trace
     }
 
-    fn read(
-        &mut self,
-        mut ingest: impl FnMut(Event) -> Result<IngestProgress, HawkSetError>,
-    ) -> Result<bool, HawkSetError> {
-        for ev in self.events.iter() {
-            ingest(ev)?;
-        }
-        Ok(false)
+    fn in_memory(&self) -> Option<EventsView<'_>> {
+        Some(self.events)
     }
 
-    fn end(&mut self, _: &IngestProgress) -> SourceEnd {
+    fn next_into(&mut self, rows: &mut EventColumns) -> Result<bool, HawkSetError> {
+        let copied = self.events.copy_row(self.next, rows);
+        self.next += usize::from(copied);
+        Ok(copied)
+    }
+
+    fn after_event(&mut self, _: &IngestProgress) -> bool {
+        false
+    }
+
+    fn end(&mut self, n: &IngestProgress) -> SourceEnd {
         let total = self.trace.events.len() as u64;
         SourceEnd {
-            unread: total - self.events.len() as u64,
+            unread: total - n.events_decoded,
             declared: total,
             ..SourceEnd::default()
         }
@@ -544,29 +718,30 @@ struct Stream<'a, R> {
 }
 
 impl<R: std::io::Read> Source for Stream<'_, R> {
+    const DECODES: bool = true;
+
     fn header(&self) -> &Trace {
         self.dec.header()
     }
 
-    fn read(
-        &mut self,
-        mut ingest: impl FnMut(Event) -> Result<IngestProgress, HawkSetError>,
-    ) -> Result<bool, HawkSetError> {
-        while let Some(ev) = self.dec.next_event()? {
-            let n = ingest(ev)?;
-            if let Some(ck) = self.checkpoint {
-                if n.events_decoded.is_multiple_of(ck.every()) {
-                    ck.record_ingest(IngestProgress {
-                        stream_offset: self.dec.offset(),
-                        ..n
-                    });
-                }
-            }
-            if self.interrupt.is_some_and(|i| i.load(Ordering::Relaxed)) {
-                return Ok(true);
+    fn in_memory(&self) -> Option<EventsView<'_>> {
+        None
+    }
+
+    fn next_into(&mut self, rows: &mut EventColumns) -> Result<bool, HawkSetError> {
+        self.dec.next_into(rows)
+    }
+
+    fn after_event(&mut self, n: &IngestProgress) -> bool {
+        if let Some(ck) = self.checkpoint {
+            if n.events_decoded.is_multiple_of(ck.every()) {
+                ck.record_ingest(IngestProgress {
+                    stream_offset: self.dec.offset(),
+                    ..*n
+                });
             }
         }
-        Ok(false)
+        self.interrupt.is_some_and(|i| i.load(Ordering::Relaxed))
     }
 
     fn end(&mut self, n: &IngestProgress) -> SourceEnd {
@@ -630,7 +805,7 @@ mod tests {
     use crate::analysis::checkpoint::config_fingerprint;
     use crate::analysis::{AnalysisBudget, StallInjection};
     use crate::trace::io::encode;
-    use crate::trace::{EventKind, Frame, LockId, LockMode, ThreadId, TraceBuilder};
+    use crate::trace::{Event, EventKind, Frame, LockId, LockMode, ThreadId, TraceBuilder};
 
     /// A trace busy enough to spread window groups over several shards:
     /// two writer/reader address families, some locked and persisted, some

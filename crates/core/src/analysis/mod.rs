@@ -179,7 +179,11 @@ pub struct AnalysisConfig {
     pub budget: AnalysisBudget,
     /// Worker threads for the parallel stages (`0` = use
     /// [`std::thread::available_parallelism`]). Reports are bit-identical
-    /// for every value — see [`Analyzer::threads`].
+    /// for every value — see [`Analyzer::threads`]. Unless this is 1,
+    /// checked and streamed ingest also takes one simulator thread besides
+    /// the calling thread, which reads and checks the events, and holds up
+    /// to three batches of 4,096 decoded events (about 348 KiB) between
+    /// them; at 1 both run inline over one batch of 256 (about 7 KiB).
     pub threads: usize,
     /// Cooperative interrupt flag. When the flag flips to `true` the
     /// pipeline stops at its next safe point — between streamed events

@@ -122,9 +122,11 @@ impl Histogram {
 /// can observe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Trace decode (and salvage) — timed by the CLI, which owns the I/O.
+    /// Trace decode (and salvage): a streamed run's reading thread, or the
+    /// CLI's decode of a file before an in-memory run.
     Decode,
-    /// Worst-case persistence simulation + IRH.
+    /// Ingest: worst-case persistence simulation + IRH, and the reading
+    /// and checking that overlap it.
     Simulate,
     /// Sharded pairing.
     Pairing,
@@ -297,7 +299,8 @@ impl MetricsRegistry {
     }
 
     /// Adds `wall` to a stage's accumulated duration without a guard —
-    /// for durations measured externally (the CLI's decode timer).
+    /// for durations summed from pieces (a stream's decode time) or
+    /// measured externally (the CLI's decode timer).
     pub fn record_stage_duration(&self, stage: Stage, wall: Duration) {
         let ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
         let cell = match stage {

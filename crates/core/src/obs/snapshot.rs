@@ -161,11 +161,17 @@ pub struct PairingMetrics {
 /// named subobject that [`MetricsSnapshot::masked`] zeroes out wholesale.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimingMetrics {
-    /// Trace decode (and salvage) time. Only the CLI can measure this; it
-    /// stays `0.0` for in-process [`Analyzer`](crate::analysis::Analyzer)
-    /// runs, which are handed an already-decoded trace.
+    /// Trace decode (and salvage) time. A streamed run
+    /// ([`Analyzer::try_run_stream`](crate::analysis::Analyzer::try_run_stream))
+    /// records the busy time of the thread that reads the stream: decoding
+    /// and checking the events, summed per batch, without its waits for a
+    /// free batch. That work overlaps the simulation, so it is also part of
+    /// `simulate_ms`. The CLI sets this field to its decode of a file
+    /// before an in-memory run; it stays `0.0` for in-process runs handed
+    /// an already-decoded trace.
     pub decode_ms: f64,
-    /// Worst-case persistence simulation (+ IRH) time.
+    /// Wall-clock time of ingest: reading, checking and simulating the
+    /// events (worst-case persistence simulation + IRH).
     pub simulate_ms: f64,
     /// Sharded pairing time.
     pub pairing_ms: f64,

@@ -1,13 +1,16 @@
 //! Minimal scoped-thread fan-out used by the parallel pipeline stages.
 //!
 //! The workspace builds offline from `vendor/` (no rayon), so this module
-//! is the whole threading substrate: a worker-count resolver and an
-//! index-ordered parallel map over a shared atomic cursor. Determinism is
-//! the callers' contract — results come back in job-index order no matter
-//! which worker executed which job, so any fold over the output is
-//! independent of scheduling.
+//! is the whole threading substrate: a worker-count resolver, an
+//! index-ordered parallel map over a shared atomic cursor, and a
+//! two-stage [`pipeline`] that hands batches from the calling thread to
+//! one worker. Determinism is the callers' contract — results come back
+//! in job-index order no matter which worker executed which job, and a
+//! pipeline's consumer sees its batches in the order they were filled, so
+//! any fold over the output is independent of scheduling.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 /// Heartbeat flag bit: the worker holds a job. The bits above it count
@@ -196,6 +199,80 @@ where
     (out, busy, stalled.load(Ordering::SeqCst))
 }
 
+/// Hands batches from a producer to a consumer, in the order they were
+/// filled, and returns the consumer's state once the producer is done.
+///
+/// `produce` fills one batch and says whether more follow; `consume`
+/// takes each filled batch, in order, and must leave it empty for reuse.
+/// The batches in `batches` are the only ones: they circulate between the
+/// two sides, so nothing is allocated once the pipeline runs and no more
+/// than they hold is ever in flight.
+///
+/// Without `threaded` both sides run inline on the calling thread over the
+/// first batch. With it the consumer, which owns `state`, runs on one
+/// scoped worker while the producer runs on the calling thread, which
+/// keeps whatever `produce` borrows, so that need not be `Send`. Filled
+/// batches go to the worker over one bounded queue and come back over
+/// another, each sized to hold every batch, so only the producer ever
+/// waits: for a batch to come back. No early end leaves either side
+/// waiting. When `produce` fails, the batches already filled are still
+/// consumed and the error is returned; when the consumer panics, the
+/// producer's next hand-off fails, it stops, and the panic is raised
+/// again on the calling thread.
+///
+/// # Panics
+///
+/// Panics if `batches` is empty.
+pub fn pipeline<B: Send, S: Send, E>(
+    threaded: bool,
+    mut batches: Vec<B>,
+    mut state: S,
+    mut produce: impl FnMut(&mut B) -> Result<bool, E>,
+    mut consume: impl FnMut(&mut S, &mut B) + Send,
+) -> Result<S, E> {
+    assert!(!batches.is_empty(), "a pipeline needs a batch");
+    if !threaded {
+        let batch = &mut batches[0];
+        loop {
+            let more = produce(batch)?;
+            consume(&mut state, batch);
+            if !more {
+                return Ok(state);
+            }
+        }
+    }
+    let (full_tx, full_rx) = sync_channel::<B>(batches.len());
+    let (free_tx, free_rx) = sync_channel::<B>(batches.len());
+    for batch in batches {
+        free_tx.send(batch).expect("the queue holds every batch");
+    }
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(move || {
+            for mut batch in full_rx {
+                consume(&mut state, &mut batch);
+                // The producer may have stopped already.
+                let _ = free_tx.send(batch);
+            }
+            state
+        });
+        // Only a disconnected queue ends the worker's loop, so every path
+        // out of here drops the sender first.
+        let produced = (move || {
+            while let Ok(mut batch) = free_rx.recv() {
+                let more = produce(&mut batch)?;
+                if full_tx.send(batch).is_err() || !more {
+                    break;
+                }
+            }
+            Ok(())
+        })();
+        let state = worker
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        produced.map(|()| state)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +301,109 @@ mod tests {
     fn map_handles_zero_and_one_jobs() {
         assert_eq!(map(0, 4, |i| i).0, Vec::<usize>::new());
         assert_eq!(map(1, 4, |i| i + 7).0, vec![7]);
+    }
+
+    /// A pipeline summing `0..n` in batches of `size`, failing at `fail`.
+    fn sum_pipeline(threaded: bool, n: u64, size: usize, fail: Option<u64>) -> Result<u64, u64> {
+        let mut next = 0u64;
+        let batches = (0..3).map(|_| Vec::with_capacity(size)).collect();
+        pipeline(
+            threaded,
+            batches,
+            0u64,
+            |batch: &mut Vec<u64>| {
+                while batch.len() < size && next < n {
+                    if Some(next) == fail {
+                        return Err(next);
+                    }
+                    batch.push(next);
+                    next += 1;
+                }
+                Ok(next < n)
+            },
+            |sum, batch| {
+                *sum += batch.iter().sum::<u64>();
+                batch.clear();
+            },
+        )
+    }
+
+    #[test]
+    fn pipeline_consumes_every_batch_inline_or_threaded() {
+        for threaded in [false, true] {
+            for (n, size) in [(0, 4), (1, 4), (12, 4), (13, 4), (1000, 7)] {
+                assert_eq!(
+                    sum_pipeline(threaded, n, size, None),
+                    Ok(n * n.saturating_sub(1) / 2),
+                    "threaded {threaded}, n {n}, size {size}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_hands_batches_over_in_order() {
+        let mut next = 0u32;
+        let seen = pipeline(
+            true,
+            (0..3).map(|_| Vec::new()).collect(),
+            Vec::new(),
+            |batch: &mut Vec<u32>| {
+                batch.extend(next..next + 5);
+                next += 5;
+                Ok::<_, ()>(next < 500)
+            },
+            |seen: &mut Vec<u32>, batch| seen.append(batch),
+        );
+        assert_eq!(seen, Ok((0..500).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn a_failing_producer_ends_the_pipeline_with_its_error() {
+        for threaded in [false, true] {
+            assert_eq!(sum_pipeline(threaded, 1000, 7, Some(0)), Err(0));
+            assert_eq!(sum_pipeline(threaded, 1000, 7, Some(500)), Err(500));
+        }
+    }
+
+    #[test]
+    fn a_consumer_panic_reaches_the_caller() {
+        for threaded in [false, true] {
+            let caught = std::panic::catch_unwind(|| {
+                pipeline(
+                    threaded,
+                    vec![0u32; 3],
+                    0u32,
+                    |_| Ok::<_, ()>(true),
+                    |seen, _| {
+                        *seen += 1;
+                        assert!(*seen < 10, "consumer gives up");
+                    },
+                )
+            });
+            let panic = caught.expect_err("the consumer panicked");
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&"consumer gives up"));
+        }
+    }
+
+    #[test]
+    fn a_producer_panic_reaches_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut calls = 0;
+            pipeline(
+                true,
+                vec![0u32; 3],
+                (),
+                |_| {
+                    calls += 1;
+                    assert!(calls < 10, "producer gives up");
+                    Ok::<_, ()>(true)
+                },
+                |_, _| {},
+            )
+        });
+        let panic = caught.expect_err("the producer panicked");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"producer gives up"));
     }
 
     #[test]

@@ -16,19 +16,26 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use crate::addr::AddrRange;
 use crate::trace::{Event, EventKind, LockId, LockMode, ThreadId};
 
-const TAG_STORE: u8 = 0;
-const TAG_LOAD: u8 = 1;
-const TAG_FLUSH: u8 = 2;
-const TAG_FENCE: u8 = 3;
-const TAG_ACQUIRE: u8 = 4;
-const TAG_RELEASE: u8 = 5;
-const TAG_CREATE: u8 = 6;
-const TAG_JOIN: u8 = 7;
+// The packed kind byte. The codec reads and writes rows in this form
+// ([`EventColumns::push_packed`], [`EventColumns::packed`]), so these are
+// visible to the crate.
+pub(crate) const TAG_STORE: u8 = 0;
+pub(crate) const TAG_LOAD: u8 = 1;
+pub(crate) const TAG_FLUSH: u8 = 2;
+pub(crate) const TAG_FENCE: u8 = 3;
+pub(crate) const TAG_ACQUIRE: u8 = 4;
+pub(crate) const TAG_RELEASE: u8 = 5;
+pub(crate) const TAG_CREATE: u8 = 6;
+pub(crate) const TAG_JOIN: u8 = 7;
 
-const FLAG_NT: u8 = 1 << 4;
-const FLAG_ATOMIC: u8 = 1 << 5;
-const FLAG_SHARED: u8 = 1 << 6;
-const TAG_MASK: u8 = 0x0f;
+pub(crate) const FLAG_NT: u8 = 1 << 4;
+pub(crate) const FLAG_ATOMIC: u8 = 1 << 5;
+pub(crate) const FLAG_SHARED: u8 = 1 << 6;
+pub(crate) const TAG_MASK: u8 = 0x0f;
+
+/// A row in packed form: thread, stack, kind byte (tag and flags),
+/// argument and length — everything but the `seq`.
+pub(crate) type Packed = (u32, u32, u8, u64, u32);
 
 /// Event rows stored as parallel columns, indexed 0..len.
 ///
@@ -145,15 +152,68 @@ impl EventColumns {
         self.seqs.is_empty()
     }
 
+    /// Rows the columns hold without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        [
+            self.seqs.capacity(),
+            self.tids.capacity(),
+            self.stacks.capacity(),
+            self.ops.capacity(),
+            self.args.capacity(),
+            self.lens.capacity(),
+        ]
+        .into_iter()
+        .min()
+        .unwrap_or(0)
+    }
+
     /// Appends a row.
     pub fn push(&mut self, ev: Event) {
         let (op, arg, len) = pack_kind(&ev.kind);
-        self.seqs.push(ev.seq);
-        self.tids.push(ev.tid.0);
-        self.stacks.push(ev.stack);
+        self.push_packed(ev.seq, (ev.tid.0, ev.stack, op, arg, len));
+    }
+
+    /// Appends a row given in packed form, as the codec parses it.
+    #[inline]
+    pub(crate) fn push_packed(&mut self, seq: u64, (tid, stack, op, arg, len): Packed) {
+        self.seqs.push(seq);
+        self.tids.push(tid);
+        self.stacks.push(stack);
         self.ops.push(op);
         self.args.push(arg);
         self.lens.push(len);
+    }
+
+    /// Row `i` in packed form, as the codec writes it.
+    #[inline]
+    pub(crate) fn packed(&self, i: usize) -> Packed {
+        (
+            self.tids[i],
+            self.stacks[i],
+            self.ops[i],
+            self.args[i],
+            self.lens[i],
+        )
+    }
+
+    /// Renumbers row `i`.
+    pub(crate) fn set_seq(&mut self, i: usize, seq: u64) {
+        self.seqs[i] = seq;
+    }
+
+    /// Reserves room for `n` more rows.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.seqs.reserve(n);
+        self.tids.reserve(n);
+        self.stacks.reserve(n);
+        self.ops.reserve(n);
+        self.args.reserve(n);
+        self.lens.reserve(n);
+    }
+
+    /// Removes every row, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.truncate(0);
     }
 
     /// Materializes row `i`.
@@ -357,6 +417,16 @@ impl<'a> EventsView<'a> {
     /// Materializes row `i`, or `None` past the view end.
     pub fn try_get(&self, i: usize) -> Option<Event> {
         (i < self.len).then(|| self.cols.get(i))
+    }
+
+    /// Appends row `i` of the view to `rows` as it is stored; `false`
+    /// past the view end.
+    pub(crate) fn copy_row(&self, i: usize, rows: &mut EventColumns) -> bool {
+        if i >= self.len {
+            return false;
+        }
+        rows.push_packed(self.cols.seqs[i], self.cols.packed(i));
+        true
     }
 
     /// The last row of the view, if any.

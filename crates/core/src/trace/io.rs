@@ -16,12 +16,11 @@
 //! events:   count, then (tag u8, tid, stack, fields...) varints
 //! ```
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-use super::event::{Event, EventKind, LockId, LockMode, ThreadId};
+use super::columns::{self as col, EventColumns, Packed};
 use super::stack::Frame;
 use super::{PmRegion, Trace};
-use crate::addr::AddrRange;
 
 /// Errors produced while decoding a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +67,9 @@ impl std::error::Error for DecodeError {}
 
 /// Reads a varint that encodes a 32-bit field. A wider value is
 /// corruption, so it fails instead of being cut to its low bits.
-fn get_u32(buf: &mut Cur<'_>, what: &'static str) -> Result<u32, DecodeError> {
-    u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::FieldTooWide(what))
+#[inline]
+fn get_u32(buf: &mut impl ByteRead, what: &'static str) -> Result<u32, DecodeError> {
+    u32::try_from(varint(buf)?).map_err(|_| DecodeError::FieldTooWide(what))
 }
 
 /// Hard ceiling on the thread count a trace may declare. The simulator
@@ -92,15 +92,26 @@ const TAG_JOIN: u8 = 8;
 const STORE_FLAG_NT: u8 = 1;
 const STORE_FLAG_ATOMIC: u8 = 2;
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+/// The most bytes one event takes: a tag, a flags byte and at most four
+/// varints (thread, stack, argument, length) of at most ten bytes each.
+const MAX_EVENT_BYTES: usize = 2 + 4 * 10;
+
+/// The fewest bytes one event takes: a tag, a flags byte, a thread and a
+/// stack.
+const MIN_EVENT_BYTES: usize = 4;
+
+/// Bytes in a [`Window`]: more than any event takes.
+const WINDOW: usize = 64;
+
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -133,6 +144,7 @@ impl<'a> Cur<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     fn get_u8(&mut self) -> Result<u8, DecodeError> {
         let b = *self.buf.get(self.pos).ok_or(DecodeError::Truncated)?;
         self.pos += 1;
@@ -151,11 +163,54 @@ impl<'a> Cur<'a> {
     }
 }
 
-pub(crate) fn get_varint(buf: &mut Cur<'_>) -> Result<u64, DecodeError> {
+/// The byte reads the event parser is generic over. [`Cur`] checks each
+/// read against the end of its buffer; a [`Window`] holds more bytes than
+/// any event takes, so its reads need no check. The one parser,
+/// [`parse_event`], runs over both, so the two paths cannot drift.
+trait ByteRead {
+    /// Reads one byte.
+    fn byte(&mut self) -> Result<u8, DecodeError>;
+}
+
+impl ByteRead for Cur<'_> {
+    #[inline]
+    fn byte(&mut self) -> Result<u8, DecodeError> {
+        self.get_u8()
+    }
+}
+
+/// The next [`WINDOW`] bytes of a buffer. An event parsed out of a fresh
+/// window ends inside it, so its reads cannot run out.
+struct Window<'a> {
+    bytes: &'a [u8; WINDOW],
+    pos: usize,
+}
+
+impl<'a> Window<'a> {
+    /// A window at the start of `buf`, or `None` if fewer than [`WINDOW`]
+    /// bytes are left.
+    fn new(buf: &'a [u8]) -> Option<Self> {
+        buf.first_chunk().map(|bytes| Self { bytes, pos: 0 })
+    }
+}
+
+impl ByteRead for Window<'_> {
+    #[inline]
+    fn byte(&mut self) -> Result<u8, DecodeError> {
+        // One event reads at most `MAX_EVENT_BYTES < WINDOW` bytes, so the
+        // modulo never wraps; it only spares the bounds check.
+        let b = self.bytes[self.pos % WINDOW];
+        self.pos += 1;
+        Ok(b)
+    }
+}
+
+#[inline]
+fn varint(buf: &mut impl ByteRead) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let byte = buf.get_u8()?;
+        let byte = buf.byte()?;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
@@ -177,16 +232,16 @@ fn checked_count(count: u64, remaining: usize, what: &'static str) -> Result<usi
     Ok(count as usize)
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Borrows a length-prefixed string out of the buffer. The `&str` points
 /// into the caller's bytes; it is only copied where an owned `String` is
 /// interned (region paths, frame tables).
 fn get_str<'a>(buf: &mut Cur<'a>) -> Result<&'a str, DecodeError> {
-    let len = get_varint(buf)? as usize;
+    let len = varint(buf)? as usize;
     if buf.remaining() < len {
         return Err(DecodeError::Truncated);
     }
@@ -195,9 +250,9 @@ fn get_str<'a>(buf: &mut Cur<'a>) -> Result<&'a str, DecodeError> {
 
 /// Serializes a trace to its binary representation.
 pub fn encode(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(trace.events.len() * 8 + 1024);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
+    let mut buf = Vec::with_capacity(1024);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
     put_varint(&mut buf, u64::from(trace.thread_count));
 
     put_varint(&mut buf, trace.regions.len() as u64);
@@ -240,58 +295,85 @@ pub fn encode(trace: &Trace) -> Bytes {
         }
     }
 
-    put_varint(&mut buf, trace.events.len() as u64);
-    for ev in trace.events.iter() {
-        let (tag, flags) = match ev.kind {
-            EventKind::Store {
-                non_temporal,
-                atomic,
-                ..
-            } => {
-                let mut fl = 0u8;
-                if non_temporal {
-                    fl |= STORE_FLAG_NT;
-                }
-                if atomic {
-                    fl |= STORE_FLAG_ATOMIC;
-                }
-                (TAG_STORE, fl)
-            }
-            EventKind::Load { atomic, .. } => (TAG_LOAD, u8::from(atomic)),
-            EventKind::Flush { .. } => (TAG_FLUSH, 0),
-            EventKind::Fence => (TAG_FENCE, 0),
-            EventKind::Acquire {
-                mode: LockMode::Exclusive,
-                ..
-            } => (TAG_ACQUIRE_EX, 0),
-            EventKind::Acquire {
-                mode: LockMode::Shared,
-                ..
-            } => (TAG_ACQUIRE_SH, 0),
-            EventKind::Release { .. } => (TAG_RELEASE, 0),
-            EventKind::ThreadCreate { .. } => (TAG_CREATE, 0),
-            EventKind::ThreadJoin { .. } => (TAG_JOIN, 0),
-        };
-        buf.put_u8(tag);
-        buf.put_u8(flags);
-        put_varint(&mut buf, u64::from(ev.tid.0));
-        put_varint(&mut buf, u64::from(ev.stack));
-        match ev.kind {
-            EventKind::Store { range, .. } | EventKind::Load { range, .. } => {
-                put_varint(&mut buf, range.start);
-                put_varint(&mut buf, u64::from(range.len));
-            }
-            EventKind::Flush { addr } => put_varint(&mut buf, addr),
-            EventKind::Fence => {}
-            EventKind::Acquire { lock, .. } | EventKind::Release { lock } => {
-                put_varint(&mut buf, lock.0)
-            }
-            EventKind::ThreadCreate { child } | EventKind::ThreadJoin { child } => {
-                put_varint(&mut buf, u64::from(child.0))
-            }
-        }
+    // The events go straight from the columns, each through a stack
+    // buffer, into room reserved for exactly their encoded size.
+    let events = &trace.events;
+    put_varint(&mut buf, events.len() as u64);
+    let size: usize = (0..events.len()).map(|i| event_len(events.packed(i))).sum();
+    buf.reserve_exact(size);
+    let mut one = [0u8; MAX_EVENT_BYTES];
+    for i in 0..events.len() {
+        let n = encode_event(events.packed(i), &mut one);
+        buf.extend_from_slice(&one[..n]);
     }
-    buf.freeze()
+    Bytes::from(buf)
+}
+
+/// The wire tag and flags byte of a packed kind, and whether the event
+/// carries the argument and the length fields after its thread and stack.
+fn wire_kind(op: u8) -> (u8, u8, bool, bool) {
+    let set = |flag: u8, wire: u8| if op & flag != 0 { wire } else { 0 };
+    match op & col::TAG_MASK {
+        col::TAG_STORE => (
+            TAG_STORE,
+            set(col::FLAG_NT, STORE_FLAG_NT) | set(col::FLAG_ATOMIC, STORE_FLAG_ATOMIC),
+            true,
+            true,
+        ),
+        col::TAG_LOAD => (TAG_LOAD, set(col::FLAG_ATOMIC, 1), true, true),
+        col::TAG_FLUSH => (TAG_FLUSH, 0, true, false),
+        col::TAG_FENCE => (TAG_FENCE, 0, false, false),
+        col::TAG_ACQUIRE if op & col::FLAG_SHARED != 0 => (TAG_ACQUIRE_SH, 0, true, false),
+        col::TAG_ACQUIRE => (TAG_ACQUIRE_EX, 0, true, false),
+        col::TAG_RELEASE => (TAG_RELEASE, 0, true, false),
+        col::TAG_CREATE => (TAG_CREATE, 0, true, false),
+        col::TAG_JOIN => (TAG_JOIN, 0, true, false),
+        other => unreachable!("corrupt packed event tag {other}"),
+    }
+}
+
+/// Bytes the varint encoding of `v` takes.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Bytes [`encode_event`] writes for a row.
+fn event_len((tid, stack, op, arg, len): Packed) -> usize {
+    let (_, _, has_arg, has_len) = wire_kind(op);
+    2 + varint_len(u64::from(tid))
+        + varint_len(u64::from(stack))
+        + if has_arg { varint_len(arg) } else { 0 }
+        + if has_len {
+            varint_len(u64::from(len))
+        } else {
+            0
+        }
+}
+
+/// Writes a row's wire form at the start of `out` and returns its length.
+fn encode_event((tid, stack, op, arg, len): Packed, out: &mut [u8; MAX_EVENT_BYTES]) -> usize {
+    let put = |out: &mut [u8; MAX_EVENT_BYTES], mut at: usize, mut v: u64| loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out[at] = byte;
+            return at + 1;
+        }
+        out[at] = byte | 0x80;
+        at += 1;
+    };
+    let (tag, flags, has_arg, has_len) = wire_kind(op);
+    out[0] = tag;
+    out[1] = flags;
+    let mut at = put(out, 2, u64::from(tid));
+    at = put(out, at, u64::from(stack));
+    if has_arg {
+        at = put(out, at, arg);
+    }
+    if has_len {
+        at = put(out, at, u64::from(len));
+    }
+    at
 }
 
 /// The outcome of a lossy decode: the longest well-formed prefix the bytes
@@ -368,19 +450,26 @@ pub fn decode_lossy(buf: &[u8]) -> Result<Salvage, DecodeError> {
         event_count,
     } = tables;
 
+    // A corrupt count cannot make this reserve more rows than the bytes
+    // left could hold.
+    let room = (cur.remaining() / MIN_EVENT_BYTES) as u64;
+    trace.events.reserve(event_count.min(room) as usize);
     let mut reason = None;
     let mut dropped_events = 0;
     let mut dropped_bytes = 0;
     for seq in 0..event_count {
         let before = cur.remaining();
-        match decode_event(&mut cur, seq, trace.thread_count, &stack_map) {
-            Ok(ev) => trace.events.push(ev),
-            Err(e) => {
-                reason = Some(e);
-                dropped_events = event_count - seq;
-                dropped_bytes = before;
-                break;
-            }
+        if let Err(e) = next_event(
+            &mut cur,
+            seq,
+            trace.thread_count,
+            &stack_map,
+            &mut trace.events,
+        ) {
+            reason = Some(e);
+            dropped_events = event_count - seq;
+            dropped_bytes = before;
+            break;
         }
     }
     if reason.is_none() {
@@ -400,7 +489,7 @@ pub fn decode_lossy(buf: &[u8]) -> Result<Salvage, DecodeError> {
 /// The fully-decoded header tables of a trace: everything before the event
 /// stream. `trace.events` is empty; the declared event count and the
 /// stack-id remap table are returned alongside so callers can drive
-/// [`decode_event`] themselves (batch salvage and the streaming decoder
+/// [`next_event`] themselves (batch salvage and the streaming decoder
 /// share this seam).
 pub(crate) struct DecodedTables {
     pub trace: Trace,
@@ -424,23 +513,23 @@ pub(crate) fn decode_tables(buf: &mut Cur<'_>) -> Result<DecodedTables, DecodeEr
         return Err(DecodeError::BadVersion(version));
     }
     let mut trace = Trace::new();
-    let thread_count = get_varint(buf)?;
+    let thread_count = varint(buf)?;
     if thread_count > u64::from(MAX_THREADS) {
         return Err(DecodeError::LimitExceeded("thread"));
     }
     trace.thread_count = (thread_count as u32).max(1);
 
-    let region_count = get_varint(buf)?;
+    let region_count = varint(buf)?;
     for _ in 0..region_count {
-        let base = get_varint(buf)?;
-        let len = get_varint(buf)?;
+        let base = varint(buf)?;
+        let len = varint(buf)?;
         let path = get_str(buf)?.to_owned();
         trace.regions.push(PmRegion { base, len, path });
     }
 
     // The string pool stays borrowed: each entry is copied into an owned
     // `String` only once, at frame-interning time below.
-    let string_count = get_varint(buf)?;
+    let string_count = varint(buf)?;
     let mut strings: Vec<&str> =
         Vec::with_capacity(checked_count(string_count, buf.remaining(), "string")?);
     for _ in 0..string_count {
@@ -453,12 +542,12 @@ pub(crate) fn decode_tables(buf: &mut Cur<'_>) -> Result<DecodedTables, DecodeEr
             .ok_or(DecodeError::BadIndex)
     };
 
-    let frame_count = get_varint(buf)?;
+    let frame_count = varint(buf)?;
     let mut stacks = super::stack::StackTable::new();
     let mut frame_map = Vec::with_capacity(checked_count(frame_count, buf.remaining(), "frame")?);
     for _ in 0..frame_count {
-        let function = lookup(get_varint(buf)?)?.to_owned();
-        let file = lookup(get_varint(buf)?)?.to_owned();
+        let function = lookup(varint(buf)?)?.to_owned();
+        let file = lookup(varint(buf)?)?.to_owned();
         let line = get_u32(buf, "frame line")?;
         frame_map.push(stacks.intern_frame(Frame {
             function,
@@ -467,20 +556,20 @@ pub(crate) fn decode_tables(buf: &mut Cur<'_>) -> Result<DecodedTables, DecodeEr
         }));
     }
 
-    let stack_count = get_varint(buf)?;
+    let stack_count = varint(buf)?;
     let mut stack_map = Vec::with_capacity(checked_count(stack_count, buf.remaining(), "stack")?);
     for _ in 0..stack_count {
-        let depth = get_varint(buf)?;
+        let depth = varint(buf)?;
         let mut frames = Vec::with_capacity(checked_count(depth, buf.remaining(), "frame id")?);
         for _ in 0..depth {
-            let fid = get_varint(buf)? as usize;
+            let fid = varint(buf)? as usize;
             frames.push(*frame_map.get(fid).ok_or(DecodeError::BadIndex)?);
         }
         stack_map.push(stacks.intern_frames(frames));
     }
     trace.stacks = stacks;
 
-    let event_count = get_varint(buf)?;
+    let event_count = varint(buf)?;
     Ok(DecodedTables {
         trace,
         stack_map,
@@ -596,84 +685,82 @@ mod mmap {
     }
 }
 
-pub(crate) fn decode_event(
-    buf: &mut Cur<'_>,
+/// Parses the event at the cursor and appends it to `rows` as row `seq`;
+/// the cursor moves past it only on success. With at least a [`Window`]
+/// of bytes left the reads go unchecked, and otherwise each one is
+/// checked. Batch and streaming decode both call this.
+pub(crate) fn next_event(
+    cur: &mut Cur<'_>,
     seq: u64,
     thread_count: u32,
     stack_map: &[u32],
-) -> Result<Event, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8()?;
-    let flags = buf.get_u8()?;
-    let tid_raw = get_varint(buf)?;
-    if tid_raw >= u64::from(thread_count) {
-        return Err(DecodeError::BadIndex);
-    }
-    let tid = ThreadId(tid_raw as u32);
-    let stack_idx = get_varint(buf)? as usize;
-    let stack = *stack_map.get(stack_idx).ok_or(DecodeError::BadIndex)?;
-    let child_id = |raw: u64| {
+    rows: &mut EventColumns,
+) -> Result<(), DecodeError> {
+    let row = match Window::new(&cur.buf[cur.pos..]) {
+        Some(mut w) => {
+            let row = parse_event(&mut w, thread_count, stack_map)?;
+            cur.pos += w.pos;
+            row
+        }
+        None => {
+            let mut c = *cur;
+            let row = parse_event(&mut c, thread_count, stack_map)?;
+            *cur = c;
+            row
+        }
+    };
+    rows.push_packed(seq, row);
+    Ok(())
+}
+
+/// The one event parser: the wire fields straight into a packed row.
+#[inline(always)]
+fn parse_event(
+    b: &mut impl ByteRead,
+    thread_count: u32,
+    stack_map: &[u32],
+) -> Result<Packed, DecodeError> {
+    let thread = |raw: u64| {
         if raw >= u64::from(thread_count) {
             Err(DecodeError::BadIndex)
         } else {
-            Ok(ThreadId(raw as u32))
+            Ok(raw as u32)
         }
     };
-    let kind = match tag {
+    let tag = b.byte()?;
+    let flags = b.byte()?;
+    let tid = thread(varint(b)?)?;
+    let stack_idx = varint(b)? as usize;
+    let stack = *stack_map.get(stack_idx).ok_or(DecodeError::BadIndex)?;
+    let set = |wire: u8, flag: u8| if flags & wire != 0 { flag } else { 0 };
+    let (op, arg, len) = match tag {
         TAG_STORE => {
-            let start = get_varint(buf)?;
-            let len = get_u32(buf, "access length")?;
-            EventKind::Store {
-                range: AddrRange::new(start, len),
-                non_temporal: flags & STORE_FLAG_NT != 0,
-                atomic: flags & STORE_FLAG_ATOMIC != 0,
-            }
+            let op = col::TAG_STORE
+                | set(STORE_FLAG_NT, col::FLAG_NT)
+                | set(STORE_FLAG_ATOMIC, col::FLAG_ATOMIC);
+            (op, varint(b)?, get_u32(b, "access length")?)
         }
         TAG_LOAD => {
-            let start = get_varint(buf)?;
-            let len = get_u32(buf, "access length")?;
-            EventKind::Load {
-                range: AddrRange::new(start, len),
-                atomic: flags != 0,
-            }
+            let op = col::TAG_LOAD | if flags != 0 { col::FLAG_ATOMIC } else { 0 };
+            (op, varint(b)?, get_u32(b, "access length")?)
         }
-        TAG_FLUSH => EventKind::Flush {
-            addr: get_varint(buf)?,
-        },
-        TAG_FENCE => EventKind::Fence,
-        TAG_ACQUIRE_EX => EventKind::Acquire {
-            lock: LockId(get_varint(buf)?),
-            mode: LockMode::Exclusive,
-        },
-        TAG_ACQUIRE_SH => EventKind::Acquire {
-            lock: LockId(get_varint(buf)?),
-            mode: LockMode::Shared,
-        },
-        TAG_RELEASE => EventKind::Release {
-            lock: LockId(get_varint(buf)?),
-        },
-        TAG_CREATE => EventKind::ThreadCreate {
-            child: child_id(get_varint(buf)?)?,
-        },
-        TAG_JOIN => EventKind::ThreadJoin {
-            child: child_id(get_varint(buf)?)?,
-        },
+        TAG_FLUSH => (col::TAG_FLUSH, varint(b)?, 0),
+        TAG_FENCE => (col::TAG_FENCE, 0, 0),
+        TAG_ACQUIRE_EX => (col::TAG_ACQUIRE, varint(b)?, 0),
+        TAG_ACQUIRE_SH => (col::TAG_ACQUIRE | col::FLAG_SHARED, varint(b)?, 0),
+        TAG_RELEASE => (col::TAG_RELEASE, varint(b)?, 0),
+        TAG_CREATE => (col::TAG_CREATE, u64::from(thread(varint(b)?)?), 0),
+        TAG_JOIN => (col::TAG_JOIN, u64::from(thread(varint(b)?)?), 0),
         other => return Err(DecodeError::BadTag(other)),
     };
-    Ok(Event {
-        seq,
-        tid,
-        stack,
-        kind,
-    })
+    Ok((tid, stack, op, arg, len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceBuilder;
+    use crate::addr::AddrRange;
+    use crate::trace::{Event, EventKind, LockId, LockMode, ThreadId, TraceBuilder};
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -790,17 +877,16 @@ mod tests {
         // Eleven continuation bytes: more than 64 bits of payload.
         let raw = vec![0xffu8; 11];
         let mut b = Cur::new(&raw);
-        assert_eq!(get_varint(&mut b).unwrap_err(), DecodeError::VarintOverflow);
+        assert_eq!(varint(&mut b).unwrap_err(), DecodeError::VarintOverflow);
     }
 
     #[test]
     fn rejects_implausible_thread_count() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION);
         put_varint(&mut buf, u64::from(MAX_THREADS) + 1);
         assert_eq!(
-            decode(buf.freeze().as_ref()).unwrap_err(),
+            decode(&buf).unwrap_err(),
             DecodeError::LimitExceeded("thread")
         );
     }
@@ -808,14 +894,13 @@ mod tests {
     #[test]
     fn rejects_implausible_table_counts() {
         // Header + no regions, then a string count far beyond the buffer.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION);
         put_varint(&mut buf, 1); // thread_count
         put_varint(&mut buf, 0); // regions
         put_varint(&mut buf, 1 << 40); // strings: bomb
         assert_eq!(
-            decode(buf.freeze().as_ref()).unwrap_err(),
+            decode(&buf).unwrap_err(),
             DecodeError::LimitExceeded("string")
         );
     }
@@ -916,12 +1001,295 @@ mod tests {
     #[test]
     fn varint_roundtrip_extremes() {
         for v in [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let raw = buf.freeze();
-            let mut b = Cur::new(raw.as_ref());
-            assert_eq!(get_varint(&mut b).unwrap(), v);
+            let mut b = Cur::new(&buf);
+            assert_eq!(varint(&mut b).unwrap(), v);
             assert_eq!(b.remaining(), 0);
+        }
+    }
+
+    /// A trace for the codec properties: every event kind, threads and
+    /// stacks past one varint byte, addresses of every width, and enough
+    /// events that most are parsed through a window.
+    fn codec_trace() -> Trace {
+        let mut b = TraceBuilder::new();
+        let stacks: Vec<_> = (0..200u32)
+            .map(|i| b.intern_stack([Frame::new("f", "f.rs", i)]))
+            .collect();
+        for t in 1..150u32 {
+            b.push(
+                ThreadId(0),
+                stacks[0],
+                EventKind::ThreadCreate { child: ThreadId(t) },
+            );
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..150u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (tid, child) = (ThreadId((x % 150) as u32), ThreadId((x >> 32) as u32 % 150));
+            let addr = x >> (x % 64);
+            let range = AddrRange::new(addr, (x >> 20) as u32 % 300);
+            let lock = LockId(x >> (x % 61));
+            let kind = match i % 9 {
+                0 => EventKind::Store {
+                    range,
+                    non_temporal: x & 1 != 0,
+                    atomic: x & 2 != 0,
+                },
+                1 => EventKind::Load {
+                    range,
+                    atomic: x & 1 != 0,
+                },
+                2 => EventKind::Flush { addr },
+                3 => EventKind::Fence,
+                4 => EventKind::Acquire {
+                    lock,
+                    mode: LockMode::Exclusive,
+                },
+                5 => EventKind::Acquire {
+                    lock,
+                    mode: LockMode::Shared,
+                },
+                6 => EventKind::Release { lock },
+                7 => EventKind::ThreadCreate { child },
+                _ => EventKind::ThreadJoin { child },
+            };
+            b.push(tid, stacks[(x >> 8) as usize % stacks.len()], kind);
+        }
+        b.finish()
+    }
+
+    /// `v` as a varint padded to `width` bytes: a longer encoding of the
+    /// same value, or, past ten bytes, an overflow.
+    fn wide_varint(v: u64, width: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, v);
+        let last = out.len() - 1;
+        out[last] |= 0x80;
+        out.resize(width - 1, 0x80);
+        out.push(0);
+        out
+    }
+
+    /// The encoding of a trace's tables and of each of its events, apart.
+    fn encoding_parts(t: &Trace) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let tables = Trace {
+            events: EventColumns::new(),
+            ..t.clone()
+        };
+        let mut head = encode(&tables).to_vec();
+        assert_eq!(head.pop(), Some(0), "an empty trace ends in its count");
+        let events = (0..t.events.len())
+            .map(|i| {
+                let mut one = [0u8; MAX_EVENT_BYTES];
+                let n = encode_event(t.events.packed(i), &mut one);
+                one[..n].to_vec()
+            })
+            .collect();
+        (head, events)
+    }
+
+    fn assemble(head: &[u8], events: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = head.to_vec();
+        put_varint(&mut out, events.len() as u64);
+        for e in events {
+            out.extend_from_slice(e);
+        }
+        out
+    }
+
+    /// What `decode_lossy` must return: the events, the stopping error,
+    /// the dropped bytes and events and the valid prefix, decoded with
+    /// every read checked.
+    type Lossy = (Vec<Event>, Option<DecodeError>, u64, u64, u64);
+
+    fn checked_reference(buf: &[u8]) -> Result<Lossy, DecodeError> {
+        let mut cur = Cur::new(buf);
+        let tables = decode_tables(&mut cur)?;
+        let mut rows = EventColumns::new();
+        for seq in 0..tables.event_count {
+            let mut c = cur;
+            match parse_event(&mut c, tables.trace.thread_count, &tables.stack_map) {
+                Ok(row) => {
+                    rows.push_packed(seq, row);
+                    cur = c;
+                }
+                Err(e) => {
+                    let (left, at) = (cur.remaining() as u64, cur.pos() as u64);
+                    return Ok((rows.to_vec(), Some(e), left, tables.event_count - seq, at));
+                }
+            }
+        }
+        let (left, at) = (cur.remaining() as u64, cur.pos() as u64);
+        Ok((rows.to_vec(), None, left, 0, at))
+    }
+
+    /// Every decoder agrees with the checked reference on `buf`, and at
+    /// every event boundary with a window's worth of bytes left a window
+    /// parses what checked reads parse.
+    fn codecs_agree(buf: &[u8], starts: &[usize], what: &str) {
+        use crate::error::HawkSetError;
+        use crate::trace::stream::{StreamDecoder, StreamOptions};
+
+        if let Ok(tables) = decode_tables(&mut Cur::new(buf)) {
+            for &at in starts.iter().filter(|&&at| at + WINDOW <= buf.len()) {
+                let (thread_count, stack_map) = (tables.trace.thread_count, &tables.stack_map);
+                let mut window = Window::new(&buf[at..]).expect("a window's worth left");
+                let mut cur = Cur::new(&buf[at..]);
+                let windowed = parse_event(&mut window, thread_count, stack_map);
+                let checked = parse_event(&mut cur, thread_count, stack_map);
+                assert_eq!(windowed, checked, "{what}: event at byte {at}");
+                if checked.is_ok() {
+                    assert_eq!(window.pos, cur.pos(), "{what}: length of event at {at}");
+                }
+            }
+        }
+        let reference = checked_reference(buf);
+        let lossy = decode_lossy(buf).map(|s| {
+            let (events, reason) = (s.trace.events.to_vec(), s.reason);
+            let (bytes, valid) = (s.dropped_bytes as u64, s.valid_bytes as u64);
+            (events, reason, bytes, s.dropped_events, valid)
+        });
+        assert_eq!(lossy, reference, "{what}: decode_lossy");
+        let strict = reference
+            .clone()
+            .and_then(|(events, reason, left, _, _)| match reason {
+                Some(e) => Err(e),
+                None if left > 0 => Err(DecodeError::Truncated),
+                None => Ok(events),
+            });
+        assert_eq!(
+            decode(buf).map(|t| t.events.to_vec()),
+            strict,
+            "{what}: decode"
+        );
+        for chunk_bytes in [1, 7, 64 << 10] {
+            let what = format!("{what}, stream in {chunk_bytes}-byte chunks");
+            for lossy in [true, false] {
+                let opts = StreamOptions { chunk_bytes, lossy };
+                let streamed = StreamDecoder::new(buf, opts).and_then(|d| d.collect());
+                let streamed = streamed.map_err(|e| match e {
+                    HawkSetError::Decode(e) => e,
+                    other => panic!("{what}: not a decode error: {other}"),
+                });
+                if lossy {
+                    let streamed = streamed.map(|(t, loss)| {
+                        let events = t.events.to_vec();
+                        let (bytes, events_lost) = (loss.dropped_bytes, loss.dropped_events);
+                        (events, loss.reason, bytes, events_lost, loss.valid_bytes)
+                    });
+                    assert_eq!(streamed, reference, "{what}: lossy");
+                } else {
+                    let streamed = streamed.map(|(t, _)| t.events.to_vec());
+                    assert_eq!(streamed, strict, "{what}: strict");
+                }
+            }
+        }
+    }
+
+    /// The windowed and the checked reads agree with each other, and
+    /// `decode`, `decode_lossy` and the stream decoder at 1-, 7- and
+    /// 64 KiB chunks agree with them: on every cut within the last 64
+    /// bytes, on varints of ten bytes and more, on an out-of-range thread,
+    /// child or stack, on a 33-bit length, on a bad tag and on trailing
+    /// bytes, each placed where a window reads it and where checked reads
+    /// do.
+    #[test]
+    fn windowed_and_checked_reads_agree() {
+        let trace = codec_trace();
+        let (head, events) = encoding_parts(&trace);
+        let clean = assemble(&head, &events);
+        assert_eq!(
+            clean,
+            encode(&trace).to_vec(),
+            "the parts make the encoding"
+        );
+        let n = events.len();
+        let bad_thread = u64::from(trace.thread_count);
+        let bad_stack = trace.stacks.stack_count() as u64;
+        let field = |parts: &[&[u8]]| parts.concat();
+        let v = |x: u64| {
+            let mut out = Vec::new();
+            put_varint(&mut out, x);
+            out
+        };
+        let corruptions: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "ten-byte thread",
+                field(&[&[TAG_FENCE, 0], &wide_varint(0, 10), &[0]]),
+            ),
+            (
+                "eleven-byte thread",
+                field(&[&[TAG_FENCE, 0], &wide_varint(0, 11), &[0]]),
+            ),
+            (
+                "ten-byte start",
+                field(&[&[TAG_STORE, 0, 0, 0], &[0xff; 9], &[1], &[8]]),
+            ),
+            (
+                "eleven-byte length",
+                field(&[&[TAG_LOAD, 0, 0, 0, 1], &wide_varint(8, 11)]),
+            ),
+            (
+                "bad thread",
+                field(&[&[TAG_FENCE, 0], &v(bad_thread), &[0]]),
+            ),
+            (
+                "bad child",
+                field(&[&[TAG_CREATE, 0, 0, 0], &v(bad_thread)]),
+            ),
+            (
+                "bad joined child",
+                field(&[&[TAG_JOIN, 0, 0, 0], &v(bad_thread + 7)]),
+            ),
+            ("bad stack", field(&[&[TAG_FENCE, 0, 0], &v(bad_stack)])),
+            (
+                "33-bit length",
+                field(&[&[TAG_LOAD, 0, 0, 0, 1], &v((1 << 32) | 8)]),
+            ),
+            ("bad tag", vec![9, 0, 0, 0]),
+            ("bad high tag", vec![0x7f, 0, 0, 0, 0, 0, 0]),
+        ];
+        let starts = |events: &[Vec<u8>]| {
+            let mut at = head.len() + v(events.len() as u64).len();
+            let mut starts = Vec::with_capacity(events.len());
+            for e in events {
+                starts.push(at);
+                at += e.len();
+            }
+            starts
+        };
+        let clean_starts = starts(&events);
+        for cut in 1..=64 {
+            let what = format!("clean, {cut} bytes cut");
+            codecs_agree(&clean[..clean.len() - cut], &clean_starts, &what);
+        }
+        for tail in [&b"junk"[..], &[0u8; 70][..]] {
+            let mut trailing = clean.clone();
+            trailing.extend_from_slice(tail);
+            codecs_agree(
+                &trailing,
+                &clean_starts,
+                &format!("{} trailing", tail.len()),
+            );
+        }
+        for (name, bytes) in &corruptions {
+            for at in [0, 1, n / 2, n - 3, n - 2, n - 1] {
+                let mut corrupt = events.clone();
+                corrupt[at] = bytes.clone();
+                let buf = assemble(&head, &corrupt);
+                let what = format!("{name} at event {at}");
+                codecs_agree(&buf, &starts(&corrupt), &what);
+                if at == n - 1 {
+                    for cut in 1..=bytes.len().min(64) {
+                        let what = format!("{what}, {cut} bytes cut");
+                        codecs_agree(&buf[..buf.len() - cut], &starts(&corrupt), &what);
+                    }
+                }
+            }
         }
     }
 }

@@ -212,90 +212,7 @@ impl Trace {
     /// (The lock balance is tracked globally, not per thread: cross-thread
     /// lock handoff is a legal pattern the runtime can record.)
     pub fn validate(&self) -> Result<(), ValidateError> {
-        let mut first_event: Vec<Option<u64>> = vec![None; self.thread_count as usize];
-        let mut last_event: Vec<Option<u64>> = vec![None; self.thread_count as usize];
-        let mut created: Vec<Option<u64>> = vec![None; self.thread_count as usize];
-        let mut held: std::collections::HashMap<LockId, u64> = std::collections::HashMap::new();
-        created[ThreadId::MAIN.index()] = Some(0);
-        for (i, ev) in self.events.iter().enumerate() {
-            if ev.seq != i as u64 {
-                return Err(ValidateError::NonDenseSeq {
-                    index: i,
-                    seq: ev.seq,
-                });
-            }
-            if ev.tid.index() >= self.thread_count as usize {
-                return Err(ValidateError::TidOutOfRange {
-                    index: i,
-                    tid: ev.tid,
-                });
-            }
-            if ev.stack as usize >= self.stacks.stack_count() {
-                return Err(ValidateError::UnknownStack {
-                    index: i,
-                    stack: ev.stack,
-                });
-            }
-            first_event[ev.tid.index()].get_or_insert(ev.seq);
-            last_event[ev.tid.index()] = Some(ev.seq);
-            match ev.kind {
-                EventKind::ThreadCreate { child } => {
-                    if child.index() >= self.thread_count as usize {
-                        return Err(ValidateError::UnknownChild { index: i, child });
-                    }
-                    if created[child.index()].is_some() {
-                        return Err(ValidateError::DoubleCreate { child });
-                    }
-                    created[child.index()] = Some(ev.seq);
-                }
-                EventKind::ThreadJoin { child } if child.index() >= self.thread_count as usize => {
-                    return Err(ValidateError::UnknownChild { index: i, child });
-                }
-                EventKind::Acquire { lock, .. } => {
-                    *held.entry(lock).or_insert(0) += 1;
-                }
-                EventKind::Release { lock } => {
-                    let count = held.entry(lock).or_insert(0);
-                    if *count == 0 {
-                        return Err(ValidateError::DanglingRelease { index: i, lock });
-                    }
-                    *count -= 1;
-                }
-                _ => {}
-            }
-        }
-        for tid in 0..self.thread_count as usize {
-            match (created[tid], first_event[tid]) {
-                (None, Some(first)) => {
-                    return Err(ValidateError::OrphanThread {
-                        tid: ThreadId(tid as u32),
-                        first,
-                    })
-                }
-                (Some(c), Some(first)) if tid != ThreadId::MAIN.index() && first < c => {
-                    return Err(ValidateError::EventBeforeCreation {
-                        tid: ThreadId(tid as u32),
-                        first,
-                        created: c,
-                    });
-                }
-                _ => {}
-            }
-        }
-        for ev in self.events.iter() {
-            if let EventKind::ThreadJoin { child } = ev.kind {
-                if let Some(last) = last_event[child.index()] {
-                    if last > ev.seq {
-                        return Err(ValidateError::JoinBeforeChildLastEvent {
-                            child,
-                            join_seq: ev.seq,
-                            last,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
+        validate::StreamValidator::validate_trace(self)
     }
 
     /// Approximate heap footprint in bytes, for the Figure 6 cost study.

@@ -16,9 +16,7 @@
 
 use std::io::Read;
 
-use bytes::{Buf, Bytes};
-
-use super::event::Event;
+use super::columns::EventColumns;
 use super::io::{self, DecodeError};
 use super::Trace;
 use crate::error::HawkSetError;
@@ -81,17 +79,21 @@ impl StreamLoss {
 ///
 /// Construction parses the header and interning tables (growing the buffer
 /// until they fit — corruption there is fatal, as in the batch path). After
-/// that, [`next_event`](Self::next_event) yields events one at a time from
-/// a bounded buffer.
+/// that, [`next_into`](Self::next_into) appends events one at a time, as
+/// rows of an [`EventColumns`], from a bounded buffer.
 pub struct StreamDecoder<R> {
     reader: R,
     opts: StreamOptions,
-    /// Undecoded window of the stream. Decode attempts run a borrowed
-    /// [`io::Cur`] over it; only a *successful* parse advances the window,
-    /// so a partial decode at the chunk boundary is undone for free.
-    buf: Bytes,
+    /// The one read buffer. `buf[start..end]` is the undecoded window of
+    /// the stream; a refill moves it to the front and reads into the room
+    /// after it. Decode attempts run a borrowed [`io::Cur`] over the
+    /// window, and only a *successful* parse advances `start`, so a
+    /// partial decode at the chunk boundary is undone for free.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
     eof: bool,
-    /// Absolute stream offset of `buf`'s first byte.
+    /// Absolute stream offset of `buf[start]`.
     offset: u64,
     header: Trace,
     stack_map: Vec<u32>,
@@ -108,7 +110,9 @@ impl<R: Read> StreamDecoder<R> {
         let mut s = Self {
             reader,
             opts,
-            buf: Bytes::new(),
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
             eof: false,
             offset: 0,
             header: Trace::new(),
@@ -124,13 +128,13 @@ impl<R: Read> StreamDecoder<R> {
         let mut want = s.opts.chunk_bytes;
         loop {
             let (res, used) = {
-                let mut cur = io::Cur::new(&s.buf);
+                let mut cur = io::Cur::new(&s.buf[..s.end]);
                 (io::decode_tables(&mut cur), cur.pos())
             };
             match res {
                 Ok(tables) => {
                     s.offset += used as u64;
-                    s.buf.advance(used);
+                    s.start = used;
                     s.header = tables.trace;
                     s.stack_map = tables.stack_map;
                     s.event_count = tables.event_count;
@@ -181,34 +185,35 @@ impl<R: Read> StreamDecoder<R> {
         (self.header, self.loss)
     }
 
-    /// Decodes the next event. `Ok(None)` means the stream ended — cleanly,
-    /// or (in lossy mode) at a corruption recorded in [`loss`](Self::loss).
-    pub fn next_event(&mut self) -> Result<Option<Event>, HawkSetError> {
+    /// Decodes the next event and appends it to `rows`. `Ok(false)` means
+    /// the stream ended — cleanly, or (in lossy mode) at a corruption
+    /// recorded in [`loss`](Self::loss) — and appended nothing.
+    pub fn next_into(&mut self, rows: &mut EventColumns) -> Result<bool, HawkSetError> {
         if self.done {
-            return Ok(None);
+            return Ok(false);
         }
         loop {
             if self.next_seq >= self.event_count {
-                return self.finish_events();
+                self.finish_events()?;
+                return Ok(false);
             }
             let (res, used) = {
-                let mut cur = io::Cur::new(&self.buf);
-                (
-                    io::decode_event(
-                        &mut cur,
-                        self.next_seq,
-                        self.header.thread_count,
-                        &self.stack_map,
-                    ),
-                    cur.pos(),
-                )
+                let mut cur = io::Cur::new(&self.buf[self.start..self.end]);
+                let res = io::next_event(
+                    &mut cur,
+                    self.next_seq,
+                    self.header.thread_count,
+                    &self.stack_map,
+                    rows,
+                );
+                (res, cur.pos())
             };
             match res {
-                Ok(ev) => {
+                Ok(()) => {
                     self.offset += used as u64;
-                    self.buf.advance(used);
+                    self.start += used;
                     self.next_seq += 1;
-                    return Ok(Some(ev));
+                    return Ok(true);
                 }
                 Err(DecodeError::Truncated) if !self.eof => {
                     let want = self.opts.chunk_bytes;
@@ -223,7 +228,7 @@ impl<R: Read> StreamDecoder<R> {
                         return Err(e.into());
                     }
                     self.loss.dropped_bytes = self.drain()?;
-                    return Ok(None);
+                    return Ok(false);
                 }
             }
         }
@@ -231,7 +236,7 @@ impl<R: Read> StreamDecoder<R> {
 
     /// All declared events decoded: account for trailing bytes, which are
     /// corruption (strict: an error; lossy: counted as dropped).
-    fn finish_events(&mut self) -> Result<Option<Event>, HawkSetError> {
+    fn finish_events(&mut self) -> Result<(), HawkSetError> {
         self.done = true;
         self.loss.valid_bytes = self.offset;
         let trailing = self.drain()?;
@@ -239,19 +244,22 @@ impl<R: Read> StreamDecoder<R> {
         if trailing > 0 && !self.opts.lossy {
             return Err(DecodeError::Truncated.into());
         }
-        Ok(None)
+        Ok(())
     }
 
-    /// Counts the unread remainder of the stream without storing it. In
-    /// lossy mode a read error merely ends the count — the decoded trace is
-    /// already final, so salvage must not fail over bytes it was going to
-    /// discard anyway.
+    /// Counts the unread remainder of the stream, reading it through the
+    /// one buffer without keeping it, then frees the buffer: the stream is
+    /// done. In lossy mode a read error merely ends the count — the
+    /// decoded trace is already final, so salvage must not fail over
+    /// bytes it was going to discard anyway.
     fn drain(&mut self) -> Result<u64, HawkSetError> {
-        let mut n = self.buf.remaining() as u64;
-        self.buf = Bytes::new();
-        let mut scratch = vec![0u8; self.opts.chunk_bytes.max(1)];
+        let mut n = (self.end - self.start) as u64;
+        (self.start, self.end) = (0, 0);
+        if self.buf.is_empty() {
+            self.buf.resize(self.opts.chunk_bytes.max(1), 0);
+        }
         while !self.eof {
-            match self.reader.read(&mut scratch) {
+            match self.reader.read(&mut self.buf) {
                 Ok(0) => self.eof = true,
                 Ok(k) => n += k as u64,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -264,26 +272,42 @@ impl<R: Read> StreamDecoder<R> {
                 }
             }
         }
+        self.buf = Vec::new();
         Ok(n)
     }
 
     /// Appends up to `want` fresh bytes to the window (at least
-    /// `chunk_bytes`), setting `eof` on end of stream. In lossy mode a
-    /// mid-stream read error is the same failure as a truncated file —
-    /// the reader died where a crash would have cut the bytes — so it
-    /// ends the stream and lets the normal salvage accounting run; the
-    /// decoded result then matches [`decode_lossy`](io::decode_lossy) on
-    /// the prefix that was actually served.
+    /// `chunk_bytes`), setting `eof` on end of stream. The unread tail
+    /// moves to the front of the buffer and the read lands in the room
+    /// after it, so a refill allocates only when the buffer must grow. In
+    /// lossy mode a mid-stream read error is the same failure as a
+    /// truncated file — the reader died where a crash would have cut the
+    /// bytes — so it ends the stream and lets the normal salvage
+    /// accounting run; the decoded result then matches
+    /// [`decode_lossy`](io::decode_lossy) on the prefix that was actually
+    /// served.
     fn refill(&mut self, want: usize) -> Result<(), HawkSetError> {
-        // The scratch buffer is clamped: callers double `want` to amortize
+        // The request is clamped: callers double `want` to amortize
         // re-parses, but a reader that trickles single bytes would otherwise
-        // drive the request (and this allocation) toward `usize::MAX`.
+        // drive the request (and the buffer) toward `usize::MAX`.
         const MAX_REFILL_BYTES: usize = 8 << 20;
         let want = want.max(self.opts.chunk_bytes).clamp(1, MAX_REFILL_BYTES);
-        let mut chunk = vec![0u8; want];
+        self.buf.copy_within(self.start..self.end, 0);
+        (self.start, self.end) = (0, self.end - self.start);
+        let need = self.end + want;
+        if self.buf.len() < need {
+            self.buf.reserve_exact(need - self.buf.len());
+            self.buf.resize(need, 0);
+        } else if self.buf.len() > 2 * need {
+            // Tables that spanned many chunks grew the buffer; the events
+            // need one chunk, so give the rest back, once.
+            self.buf.truncate(need);
+            self.buf.shrink_to_fit();
+        }
+        let room = &mut self.buf[self.end..self.end + want];
         let mut filled = 0usize;
         while filled == 0 && !self.eof {
-            match self.reader.read(&mut chunk) {
+            match self.reader.read(room) {
                 Ok(0) => self.eof = true,
                 Ok(n) => filled = n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -296,12 +320,7 @@ impl<R: Read> StreamDecoder<R> {
                 }
             }
         }
-        if filled > 0 {
-            let mut v = Vec::with_capacity(self.buf.remaining() + filled);
-            v.extend_from_slice(&self.buf);
-            v.extend_from_slice(&chunk[..filled]);
-            self.buf = Bytes::from(v);
-        }
+        self.end += filled;
         Ok(())
     }
 
@@ -309,12 +328,10 @@ impl<R: Read> StreamDecoder<R> {
     /// trace. Loses the memory bound — intended for tests and for callers
     /// that need batch/stream equivalence rather than streaming itself.
     pub fn collect(mut self) -> Result<(Trace, StreamLoss), HawkSetError> {
-        let mut events = Vec::new();
-        while let Some(ev) = self.next_event()? {
-            events.push(ev);
-        }
+        let mut events = EventColumns::new();
+        while self.next_into(&mut events)? {}
         let (mut trace, loss) = self.into_parts();
-        trace.events = events.into();
+        trace.events = events;
         Ok((trace, loss))
     }
 }
@@ -561,7 +578,8 @@ mod tests {
         let mut dec = StreamDecoder::new(Cursor::new(raw.clone()), opts(4, false)).unwrap();
         let mut last = dec.offset();
         assert!(last > 0, "tables consume bytes");
-        while let Some(_ev) = dec.next_event().unwrap() {
+        let mut rows = EventColumns::new();
+        while dec.next_into(&mut rows).unwrap() {
             assert!(dec.offset() > last, "offset must advance per event");
             last = dec.offset();
         }

@@ -1,23 +1,23 @@
-//! Incremental trace validation for the streaming path.
+//! Trace validation, one event at a time.
 //!
-//! [`Trace::validate`] needs the whole event vector; the streaming analyzer
-//! never has one. [`StreamValidator`] accepts events one at a time and
-//! reaches the same verdict: push-time checks mirror validate's first pass
-//! exactly (same error, same event), and [`finish`](StreamValidator::finish)
-//! replays the second and third passes from O(threads)-sized accumulators.
-//! The agreement is pinned by a fuzz test at the bottom of this module.
+//! [`StreamValidator`] is the one validator: the streaming analyzer, which
+//! never holds an event vector, pushes events as they are decoded, and
+//! [`Trace::validate`] pushes a whole trace through it. Push-time checks
+//! report the first ill-formed event; [`finish`](StreamValidator::finish)
+//! runs the whole-trace checks from O(threads)-sized accumulators.
 
 use std::collections::HashMap;
 
 use super::event::{EventKind, LockId, ThreadId};
 use super::{Trace, ValidateError};
 
-/// Event-at-a-time equivalent of [`Trace::validate`].
+/// Checks a trace's invariants one event at a time (see
+/// [`Trace::validate`] for the list).
 ///
-/// Feed every event in order via [`push`](Self::push); a `Err` from push is
-/// definitive (the batch validator would report the same error). After the
-/// last event, [`finish`](Self::finish) runs the whole-trace checks that
-/// only make sense at end of stream (orphan threads, event-before-creation,
+/// Feed every event in order via [`push`](Self::push); an `Err` from push
+/// is definitive: it is the first violated invariant. After the last
+/// event, [`finish`](Self::finish) runs the whole-trace checks that only
+/// make sense at end of stream (orphan threads, event-before-creation,
 /// join-before-child's-last-event). Memory is O(threads + live locks),
 /// independent of trace length.
 #[derive(Debug)]
@@ -54,9 +54,7 @@ impl StreamValidator {
         }
     }
 
-    /// Validates the next event. Mirrors the per-event pass of
-    /// [`Trace::validate`]: an error here is exactly the error the batch
-    /// validator reports for the same trace.
+    /// Validates the next event.
     pub fn push(&mut self, ev: &super::event::Event) -> Result<(), ValidateError> {
         let i = self.index;
         if ev.seq != i as u64 {
@@ -111,8 +109,9 @@ impl StreamValidator {
         Ok(())
     }
 
-    /// Runs the end-of-stream checks, in the same order as the batch
-    /// validator's second and third passes.
+    /// Runs the end-of-stream checks: every thread with events was
+    /// created, before its first event, then the first join that precedes
+    /// its child's last event.
     pub fn finish(self) -> Result<(), ValidateError> {
         for tid in 0..self.thread_count {
             match (self.created[tid], self.first_event[tid]) {
@@ -132,10 +131,10 @@ impl StreamValidator {
                 _ => {}
             }
         }
-        // Batch pass 3 reports the first violating join in event order.
-        // Per-child we kept only the earliest join, which is the earliest
-        // possible violator for that child; the global first violator is
-        // the minimum of those across children.
+        // The first violating join in event order is reported. Per child
+        // only the earliest join is kept, which is the earliest possible
+        // violator for that child; the first violator is the minimum of
+        // those across children.
         let mut worst: Option<(u64, ThreadId, u64)> = None;
         for child in 0..self.thread_count {
             if let (Some(join_seq), Some(last)) = (self.first_join[child], self.last_event[child]) {
@@ -154,7 +153,7 @@ impl StreamValidator {
         Ok(())
     }
 
-    /// Convenience: validate a whole trace through the incremental path.
+    /// Validates a whole trace: [`Trace::validate`].
     pub fn validate_trace(trace: &Trace) -> Result<(), ValidateError> {
         let mut v = Self::new(trace.thread_count, trace.stacks.stack_count());
         for ev in trace.events.iter() {
@@ -167,21 +166,11 @@ impl StreamValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::AddrRange;
     use crate::trace::event::{Event, LockMode};
     use crate::trace::TraceBuilder;
 
-    fn agree(trace: &Trace) {
-        let batch = trace.validate();
-        let stream = StreamValidator::validate_trace(trace);
-        assert_eq!(
-            batch, stream,
-            "batch and streaming validators disagree on {trace:?}"
-        );
-    }
-
     #[test]
-    fn agrees_on_handcrafted_cases() {
+    fn handcrafted_cases_report_the_expected_error() {
         // Valid trace with create/join/locks.
         let mut b = TraceBuilder::new();
         let s = b.intern_stack([]);
@@ -200,13 +189,19 @@ mod tests {
         );
         b.push(ThreadId(1), s, EventKind::Release { lock: LockId(7) });
         b.push(ThreadId(0), s, EventKind::ThreadJoin { child: ThreadId(1) });
-        agree(&b.finish());
+        assert_eq!(b.finish().validate(), Ok(()));
 
         // Dangling release.
         let mut b = TraceBuilder::new();
         let s = b.intern_stack([]);
         b.push(ThreadId(0), s, EventKind::Release { lock: LockId(9) });
-        agree(&b.finish());
+        assert_eq!(
+            b.finish().validate(),
+            Err(ValidateError::DanglingRelease {
+                index: 0,
+                lock: LockId(9)
+            })
+        );
 
         // Orphan thread.
         let mut b = TraceBuilder::new();
@@ -220,7 +215,13 @@ mod tests {
             stack: 0,
             kind: EventKind::Fence,
         });
-        agree(&t);
+        assert_eq!(
+            t.validate(),
+            Err(ValidateError::OrphanThread {
+                tid: ThreadId(2),
+                first: 1
+            })
+        );
 
         // Event before creation.
         let mut b = TraceBuilder::new();
@@ -231,7 +232,14 @@ mod tests {
             s,
             EventKind::ThreadCreate { child: ThreadId(1) },
         );
-        agree(&b.finish());
+        assert_eq!(
+            b.finish().validate(),
+            Err(ValidateError::EventBeforeCreation {
+                tid: ThreadId(1),
+                first: 0,
+                created: 1
+            })
+        );
 
         // Join before child's last event.
         let mut b = TraceBuilder::new();
@@ -243,89 +251,88 @@ mod tests {
         );
         b.push(ThreadId(0), s, EventKind::ThreadJoin { child: ThreadId(1) });
         b.push(ThreadId(1), s, EventKind::Fence);
-        agree(&b.finish());
+        assert_eq!(
+            b.finish().validate(),
+            Err(ValidateError::JoinBeforeChildLastEvent {
+                child: ThreadId(1),
+                join_seq: 1,
+                last: 2
+            })
+        );
 
         // Double create.
         let mut b = TraceBuilder::new();
         let s = b.intern_stack([]);
-        b.push(
-            ThreadId(0),
-            s,
-            EventKind::ThreadCreate { child: ThreadId(1) },
-        );
-        b.push(
-            ThreadId(0),
-            s,
-            EventKind::ThreadCreate { child: ThreadId(1) },
-        );
-        agree(&b.finish());
-    }
-
-    #[test]
-    fn agrees_on_randomized_event_soup() {
-        // Deterministic xorshift fuzz: build many small semi-random traces
-        // (some valid, most not) and require identical verdicts, including
-        // the identical error value.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..500 {
-            let threads = 1 + (next() % 4) as u32;
-            let mut t = Trace::new();
-            t.thread_count = threads;
-            let stacks = 2;
-            t.stacks.intern_frames(Vec::new());
-            let fid = t
-                .stacks
-                .intern_frame(crate::trace::Frame::new("f", "x.rs", 1));
-            t.stacks.intern_frames(vec![fid]);
-            let len = (next() % 12) as usize;
-            for i in 0..len {
-                let tid = ThreadId((next() % u64::from(threads + 1)) as u32); // may overflow range
-                let stack = (next() % (stacks + 1)) as u32; // may dangle
-                let kind = match next() % 7 {
-                    0 => EventKind::Fence,
-                    1 => EventKind::Store {
-                        range: AddrRange::new(0x1000, 8),
-                        non_temporal: false,
-                        atomic: false,
-                    },
-                    2 => EventKind::Acquire {
-                        lock: LockId(next() % 3),
-                        mode: LockMode::Exclusive,
-                    },
-                    3 => EventKind::Release {
-                        lock: LockId(next() % 3),
-                    },
-                    4 => EventKind::ThreadCreate {
-                        child: ThreadId((next() % u64::from(threads + 1)) as u32),
-                    },
-                    5 => EventKind::ThreadJoin {
-                        child: ThreadId((next() % u64::from(threads + 1)) as u32),
-                    },
-                    _ => EventKind::Load {
-                        range: AddrRange::new(0x1000, 8),
-                        atomic: false,
-                    },
-                };
-                // Occasionally break seq density too.
-                let seq = if next() % 13 == 0 {
-                    i as u64 + 1
-                } else {
-                    i as u64
-                };
-                t.events.push(Event {
-                    seq,
-                    tid,
-                    stack,
-                    kind,
-                });
-            }
-            agree(&t);
+        for _ in 0..2 {
+            b.push(
+                ThreadId(0),
+                s,
+                EventKind::ThreadCreate { child: ThreadId(1) },
+            );
         }
+        assert_eq!(
+            b.finish().validate(),
+            Err(ValidateError::DoubleCreate { child: ThreadId(1) })
+        );
+
+        // Out-of-range fields, each reported at its event.
+        let mut b = TraceBuilder::new();
+        let s = b.intern_stack([]);
+        b.push(ThreadId(0), s, EventKind::Fence);
+        let base = b.finish();
+        let mut t = base.clone();
+        t.events.set(
+            0,
+            Event {
+                seq: 5,
+                ..t.events.get(0)
+            },
+        );
+        assert_eq!(
+            t.validate(),
+            Err(ValidateError::NonDenseSeq { index: 0, seq: 5 })
+        );
+        let mut t = base.clone();
+        t.events.set(
+            0,
+            Event {
+                tid: ThreadId(4),
+                ..t.events.get(0)
+            },
+        );
+        assert_eq!(
+            t.validate(),
+            Err(ValidateError::TidOutOfRange {
+                index: 0,
+                tid: ThreadId(4)
+            })
+        );
+        let mut t = base.clone();
+        t.events.set(
+            0,
+            Event {
+                stack: 9,
+                ..t.events.get(0)
+            },
+        );
+        assert_eq!(
+            t.validate(),
+            Err(ValidateError::UnknownStack { index: 0, stack: 9 })
+        );
+        let mut t = base;
+        t.events.set(
+            0,
+            Event {
+                kind: EventKind::ThreadJoin { child: ThreadId(3) },
+                ..t.events.get(0)
+            },
+        );
+        assert_eq!(
+            t.validate(),
+            Err(ValidateError::UnknownChild {
+                index: 0,
+                child: ThreadId(3)
+            })
+        );
     }
 }

@@ -34,6 +34,9 @@ flag_sets=(
     "--no-irh"
     "--eadr"
     "--stream"
+    "--stream --threads 1"
+    "--stream --lenient"
+    "--stream --max-events 5000"
     "--threads 1"
     "--suggest-fixes"
     "--lenient"

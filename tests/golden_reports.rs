@@ -748,6 +748,39 @@ fn golden_cases_stream_bit_identical_to_batch() {
     }
 }
 
+/// Every committed `.hwkt` decodes and re-encodes to its own bytes, the
+/// captured WIPE execution included: the encoder writes exactly what the
+/// decoder reads. The one exception is the salvage case, cut short on
+/// purpose, whose bytes are a prefix of the Figure-1c encoding instead.
+#[test]
+fn golden_traces_reencode_to_their_bytes() {
+    let mut files: Vec<_> = std::fs::read_dir(golden_dir())
+        .expect("read tests/golden")
+        .map(|e| e.expect("golden entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "hwkt"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 10, "found only {} traces", files.len());
+    let fig1c = std::fs::read(golden_dir().join("racy_fig1c.hwkt")).expect("racy_fig1c.hwkt");
+    for path in files {
+        let bytes = std::fs::read(&path).expect("read golden trace");
+        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+        match io::decode(&bytes) {
+            Ok(trace) => assert!(
+                io::encode(&trace).as_ref() == bytes.as_slice(),
+                "{name}: re-encoding changed the bytes"
+            ),
+            Err(e) => {
+                assert_eq!(name, "salvage_corrupt", "{name} does not decode: {e}");
+                assert!(
+                    fig1c.starts_with(&bytes),
+                    "{name} is not a cut of racy_fig1c"
+                );
+            }
+        }
+    }
+}
+
 /// The crashtest golden: `CampaignMetrics` derived from a canonical
 /// hand-built two-round record (one clean round, one round that timed out
 /// twice before being recorded), with wall-clock timing masked.

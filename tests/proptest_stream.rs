@@ -8,8 +8,11 @@
 //! fails with a typed error. It never panics and never hangs.
 
 use std::io::Cursor;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use hawkset::core::addr::AddrRange;
+use hawkset::core::analysis::checkpoint::{AnalysisCheckpoint, CheckpointSession};
 use hawkset::core::analysis::{
     AnalysisBudget, AnalysisConfig, AnalysisReport, Analyzer, Strictness,
 };
@@ -335,5 +338,264 @@ proptest! {
                 .conservation_violations()
                 .is_empty());
         }
+    }
+}
+
+/// Kept events per batch in the analyzer's pipelined ingest. The traces
+/// below span at least three batches, and each fault sits past the first,
+/// so it lands after a hand-off between the reading and the simulating
+/// thread.
+const BATCH_EVENTS: usize = 4096;
+
+/// A generated well-formed trace of at least `events` events: `seed`
+/// picks the worker count and an interleaving of stores, loads, flushes,
+/// fences and balanced lock sections over a few cache lines, so pairing
+/// finds real races.
+fn big_trace(seed: u64, events: usize) -> Trace {
+    let mut rng = FaultRng::new(seed);
+    let mut b = TraceBuilder::new();
+    let workers = 2 + rng.below(4) as u32;
+    let stacks: Vec<_> = (0..=workers)
+        .map(|t| b.intern_stack([Frame::new(format!("op{t}"), "big.c", t)]))
+        .collect();
+    for t in 1..=workers {
+        b.push(
+            ThreadId(0),
+            stacks[0],
+            EventKind::ThreadCreate { child: ThreadId(t) },
+        );
+    }
+    let mut held: Vec<Option<LockId>> = vec![None; workers as usize + 1];
+    let mut pushed = workers as usize;
+    while pushed < events {
+        let t = 1 + rng.below(workers as usize) as u32;
+        let tid = ThreadId(t);
+        let stack = stacks[t as usize];
+        let range = AddrRange::new(0x1000 + rng.below(32) as u64 * 8, 8);
+        let kind = match (rng.below(8), held[t as usize]) {
+            (0, None) => {
+                let lock = LockId(0xa0 + rng.below(2) as u64);
+                held[t as usize] = Some(lock);
+                EventKind::Acquire {
+                    lock,
+                    mode: LockMode::Exclusive,
+                }
+            }
+            (0, Some(lock)) => {
+                held[t as usize] = None;
+                EventKind::Release { lock }
+            }
+            (1 | 2, _) => EventKind::Store {
+                range,
+                non_temporal: rng.below(9) == 0,
+                atomic: false,
+            },
+            (3..=5, _) => EventKind::Load {
+                range,
+                atomic: false,
+            },
+            (6, _) => EventKind::Flush { addr: range.start },
+            _ => EventKind::Fence,
+        };
+        b.push(tid, stack, kind);
+        pushed += 1;
+    }
+    for t in 1..=workers {
+        if let Some(lock) = held[t as usize] {
+            b.push(ThreadId(t), stacks[t as usize], EventKind::Release { lock });
+        }
+        b.push(
+            ThreadId(0),
+            stacks[0],
+            EventKind::ThreadJoin { child: ThreadId(t) },
+        );
+    }
+    b.finish()
+}
+
+/// Runs `f` on a thread of its own and fails the test if it has not
+/// returned within a minute, so a hung pipeline is a failure, not a hang.
+fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(Ok(out)) => out,
+        Ok(Err(panic)) => std::panic::resume_unwind(panic),
+        Err(_) => panic!("{what}: no result within a minute"),
+    }
+}
+
+/// A streamed run's outcome in comparable form: the error, or the masked
+/// report JSON.
+fn outcome(result: Result<AnalysisReport, hawkset::core::HawkSetError>) -> Result<String, String> {
+    result
+        .map(|mut r| {
+            r.stats.duration = std::time::Duration::ZERO;
+            r.metrics = r.metrics.map(|m| m.masked());
+            r.to_json()
+        })
+        .map_err(|e| format!("{e:?}"))
+}
+
+/// Streams `bytes` through `reader` at one and at two threads under
+/// `cfg`, and requires the same outcome; returns it.
+fn same_at_one_and_two_threads<R: std::io::Read + Send + 'static>(
+    what: &str,
+    cfg: &AnalysisConfig,
+    reader: impl Fn() -> R,
+) -> Result<String, String> {
+    let runs: Vec<_> = [1usize, 2]
+        .into_iter()
+        .map(|threads| {
+            let analyzer = Analyzer::new(AnalysisConfig {
+                threads,
+                ..cfg.clone()
+            });
+            let reader = reader();
+            within_a_minute(what, move || outcome(analyzer.try_run_stream(reader)))
+        })
+        .collect();
+    assert_eq!(runs[0], runs[1], "{what}: one thread and two differ");
+    runs[0].clone()
+}
+
+/// A reader that raises the interrupt flag once it has served `at` bytes:
+/// a deterministic image of a signal arriving mid-stream.
+struct InterruptAt<R> {
+    inner: R,
+    at: u64,
+    served: u64,
+    flag: Arc<AtomicBool>,
+}
+
+impl<R: std::io::Read> std::io::Read for InterruptAt<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.served += n as u64;
+        if self.served >= self.at {
+            self.flag.store(true, Ordering::Relaxed);
+        }
+        Ok(n)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Traces of at least three batches, with a fault past the first:
+    /// one thread and two give the same result, error or report, for a
+    /// strict validation error, a corrupt byte, an I/O fault, a lenient
+    /// salvage of a truncated stream with quarantined events, an
+    /// interrupt, and a checkpoint session.
+    #[test]
+    fn faults_past_the_first_batch_match_at_one_and_two_threads(seed in any::<u64>()) {
+        let trace = big_trace(seed, 4 * BATCH_EVENTS);
+        let n = trace.events.len();
+        prop_assert!(n >= 3 * BATCH_EVENTS);
+        let raw = io::encode(&trace).to_vec();
+        let len = raw.len();
+        let mut rng = FaultRng::new(seed ^ 0x5eed);
+        // Past the first batch's events and bytes alike.
+        let late_event = BATCH_EVENTS + 1 + rng.below(n - BATCH_EVENTS - 1);
+        let late_byte = len / 2 + rng.below(len / 2);
+        let strict = config(Strictness::Strict, 1);
+        let lenient = config(Strictness::Lenient, 1);
+
+        // The clean trace streams to the batch report at both counts.
+        let clean = same_at_one_and_two_threads("clean", &strict, || Cursor::new(raw.clone()));
+        let batch = outcome(Analyzer::new(strict.clone()).try_run(&trace));
+        prop_assert_eq!(&clean, &batch);
+
+        // A strict validation error: a dangling release past the first
+        // batch is rejected at its own index.
+        let mut bad = trace.clone();
+        let stack = bad.events.get(0).stack;
+        let release = Event {
+            seq: 0,
+            tid: ThreadId(0),
+            stack,
+            kind: EventKind::Release { lock: LockId(0xbad) },
+        };
+        bad.events.insert(late_event, release);
+        bad.events.reseq();
+        let bad_raw = io::encode(&bad).to_vec();
+        let rejected = same_at_one_and_two_threads("validation", &strict, || {
+            Cursor::new(bad_raw.clone())
+        });
+        let expected = format!("DanglingRelease {{ index: {late_event},");
+        prop_assert!(
+            rejected.as_ref().is_err_and(|e| e.contains(&expected)),
+            "expected {}, got {:?}", expected, rejected
+        );
+        // The lenient run quarantines the same event.
+        let quarantined =
+            same_at_one_and_two_threads("quarantine", &lenient, || Cursor::new(bad_raw.clone()));
+        prop_assert!(quarantined.is_ok(), "lenient run failed: {:?}", quarantined);
+
+        // A corrupt byte, strict and lenient: it lies among the events,
+        // so a lenient run always salvages.
+        let mut corrupt = raw.clone();
+        corrupt[late_byte] ^= 0x80 | (seed as u8);
+        for cfg in [&strict, &lenient] {
+            let what = format!("corrupt byte {late_byte} {:?}", cfg.strictness);
+            let got = same_at_one_and_two_threads(&what, cfg, || Cursor::new(corrupt.clone()));
+            prop_assert!(got.is_ok() || cfg.strictness == Strictness::Strict, "{}", what);
+        }
+
+        // An I/O fault: strict rejects it, lenient salvages the prefix.
+        for cfg in [&strict, &lenient] {
+            let what = format!("I/O fault at {late_byte} {:?}", cfg.strictness);
+            let got = same_at_one_and_two_threads(&what, cfg, || {
+                IoFaultReader::new(Cursor::new(raw.clone()), late_byte as u64)
+            });
+            prop_assert_eq!(got.is_ok(), cfg.strictness == Strictness::Lenient, "{}", what);
+        }
+
+        // Lenient salvage: a stream cut short, with quarantined events.
+        let cut = bad_raw[..late_byte.min(bad_raw.len() - 1)].to_vec();
+        let salvaged = same_at_one_and_two_threads("salvage", &lenient, || Cursor::new(cut.clone()));
+        prop_assert!(salvaged.is_ok(), "lenient salvage failed: {:?}", salvaged);
+
+        // An interrupt raised mid-stream stops ingest at the same event.
+        let interrupted = {
+            let flag = Arc::new(AtomicBool::new(false));
+            let mut cfg = strict.clone();
+            cfg.interrupt = Some(Arc::clone(&flag));
+            cfg.stream.chunk_bytes = 4096;
+            let at = late_byte as u64;
+            same_at_one_and_two_threads("interrupt", &cfg, || {
+                flag.store(false, Ordering::Relaxed);
+                InterruptAt { inner: Cursor::new(raw.clone()), at, served: 0, flag: Arc::clone(&flag) }
+            })
+        };
+        let report: serde_json::Value =
+            serde_json::from_str(&interrupted.expect("an interrupted run still reports")).unwrap();
+        let coverage = &report["coverage"];
+        prop_assert_eq!(coverage["reason"].as_str(), Some("interrupted"));
+        let analyzed = coverage["events_analyzed"].as_u64().unwrap();
+        prop_assert!(analyzed > BATCH_EVENTS as u64 && analyzed < n as u64, "stopped at {}", analyzed);
+
+        // A checkpoint session records the same ingest at both counts.
+        let dir = std::env::temp_dir().join(format!("hwk-batches-{}-{seed:x}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut records = Vec::new();
+        for threads in [1usize, 2] {
+            let path = dir.join(format!("t{threads}.ckpt"));
+            let session = Arc::new(CheckpointSession::new(path.clone(), "fp".into(), "test".into(), Some(1000)));
+            let mut cfg = lenient.clone();
+            cfg.threads = threads;
+            cfg.stream.checkpoint = Some(Arc::clone(&session));
+            let analyzer = Analyzer::new(cfg);
+            let reader = Cursor::new(cut.clone());
+            let report = within_a_minute("checkpoint", move || outcome(analyzer.try_run_stream(reader)));
+            prop_assert!(session.take_error().is_none());
+            let ck = AnalysisCheckpoint::load(&path).expect("checkpoint readable");
+            records.push((report, ck.phase, ck.ingest));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(&records[0], &records[1]);
+        prop_assert_eq!(records[0].1.as_str(), "done");
     }
 }
